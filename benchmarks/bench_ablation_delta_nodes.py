@@ -36,8 +36,8 @@ def bench_otf_resolution(benchmark, rate):
     pipeline.memssa()
 
     def run():
-        sfs = SFSAnalysis(pipeline.fresh_svfg()).run()
-        vsfs = VSFSAnalysis(pipeline.fresh_svfg()).run()
+        sfs = SFSAnalysis(pipeline.svfg()).run()
+        vsfs = VSFSAnalysis(pipeline.svfg()).run()
         return sfs, vsfs
 
     sfs, vsfs = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -40,7 +40,7 @@ def _run_matrix(pipeline, solver_cls):
     """All four configurations: {label: (stats, snapshot, seconds)}."""
     out = {}
     for label, delta, ptrepo in CONFIGS:
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         start = time.perf_counter()
         result = solver_cls(svfg, delta=delta, ptrepo=ptrepo).run()
         elapsed = time.perf_counter() - start

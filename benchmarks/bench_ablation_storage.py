@@ -19,8 +19,8 @@ def bench_storage_counts(benchmark, bench_name):
     pipeline = suite_pipeline(bench_name)
 
     def run_both():
-        sfs = SFSAnalysis(pipeline.fresh_svfg()).run()
-        vsfs = VSFSAnalysis(pipeline.fresh_svfg()).run()
+        sfs = SFSAnalysis(pipeline.svfg()).run()
+        vsfs = VSFSAnalysis(pipeline.svfg()).run()
         return sfs.stats, vsfs.stats
 
     sfs_stats, vsfs_stats = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -75,11 +75,11 @@ def bench_versioning_share_of_total(benchmark, name):
     def measure():
         import time
 
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         start = time.perf_counter()
         ObjectVersioning(svfg).run()
         versioning_time = time.perf_counter() - start
-        sfs_stats = SFSAnalysis(pipeline.fresh_svfg()).run().stats
+        sfs_stats = SFSAnalysis(pipeline.svfg()).run().stats
         return versioning_time, sfs_stats.solve_time
 
     versioning_time, sfs_time = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -23,7 +23,7 @@ def bench_sfs_main_phase(benchmark, bench_name):
     pipeline = suite_pipeline(bench_name)
 
     def run():
-        return SFSAnalysis(pipeline.fresh_svfg()).run()
+        return SFSAnalysis(pipeline.svfg()).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     stats = result.stats
@@ -44,7 +44,7 @@ def bench_vsfs_total(benchmark, bench_name):
     pipeline = suite_pipeline(bench_name)
 
     def run():
-        return VSFSAnalysis(pipeline.fresh_svfg()).run()
+        return VSFSAnalysis(pipeline.svfg()).run()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     stats = result.stats
@@ -69,7 +69,7 @@ def bench_vsfs_main_phase_only(benchmark, bench_name):
     pipeline = suite_pipeline(bench_name)
     from repro.core.versioning import version_objects
 
-    svfg = pipeline.fresh_svfg()
+    svfg = pipeline.svfg()
     versioning = version_objects(svfg)
 
     result = benchmark.pedantic(

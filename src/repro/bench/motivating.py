@@ -76,7 +76,7 @@ def run_motivating_example() -> MotivatingReport:
     o1 = next(obj for obj in module.objects if obj.name == "o1")
 
     # --- VSFS side: versions and constraints for o1.
-    svfg = pipeline.fresh_svfg()
+    svfg = pipeline.svfg()
     versioning = ObjectVersioning(svfg, keep_all_versions=True).run()
     vsfs_sets = max(versioning.num_versions(o1.id) - 1, 0)  # minus ε
     vsfs_constraints = sum(
@@ -104,9 +104,9 @@ def run_motivating_example() -> MotivatingReport:
     # --- SFS side: count IN/OUT entries and propagations for o1.
     from repro.solvers.sfs import SFSAnalysis
 
-    sfs_svfg = pipeline.fresh_svfg()
-    sfs = SFSAnalysis(sfs_svfg)
+    sfs = SFSAnalysis(pipeline.svfg())
     sfs_result = sfs.run()
+    sfs_svfg = sfs.svfg  # the solver's view, OTF edges included
     sfs_sets = sum(1 for table in sfs.in_sets.values() if table.get(o1.id))
     sfs_sets += sum(1 for table in sfs.out_sets.values() if table.get(o1.id))
     sfs_props = sum(

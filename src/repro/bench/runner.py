@@ -4,10 +4,11 @@ Replicates the paper's measurement protocol: the auxiliary (Andersen)
 analysis, memory SSA and SVFG construction are *excluded* from the SFS/VSFS
 "main phase" times; VSFS's versioning time is reported separately (Table
 III's "ver." column).  Solves run through the stage-graph engine, so each
-solver gets its own copy of the shared SVFG build (on-the-fly call graph
-resolution mutates the graph) and every run is traced — the JSON output
+solver reads the shared SVFG build through its own view and the VSFS
+solves share one cached versioning; every run is traced — the JSON output
 embeds the per-stage wall/steps breakdown with substrate stages marked
-``main_phase: false``.
+``main_phase: false`` and every record tagged with the ``run`` that
+produced it.
 """
 
 from __future__ import annotations
@@ -144,7 +145,8 @@ class SuiteResult:
         default_factory=dict, repr=False)
     #: Per-stage wall/steps trace from the pipeline's engine (substrate
     #: stages carry ``main_phase: false`` — excluded from the timed main
-    #: phase, matching Table III's protocol).
+    #: phase, matching Table III's protocol); ``run`` names the execution
+    #: behind each record: setup, time, memory or parallel (``--jobs``).
     stages: Optional[List[Dict[str, object]]] = field(default=None, repr=False)
 
 
@@ -172,10 +174,20 @@ def run_suite_program(name: str, check_equivalence: bool = True,
 
     # The paper excludes auxiliary analysis, memory SSA and SVFG
     # construction from the measured phase; the engine builds that
-    # substrate once and hands every solve its own copy of the SVFG
-    # (OTF call graph resolution mutates it).
+    # substrate once and every solver reads it through its own view
+    # (VSFS's versioning stage is built by its timed run).
     sfs_solver_holder = {}
     vsfs_solver_holder = {}
+    record_runs = ["setup"] * len(pipeline.trace.records)
+
+    def window(run: str, thunk):
+        def tagged():
+            try:
+                return thunk()
+            finally:
+                record_runs.extend(
+                    [run] * (len(pipeline.trace.records) - len(record_runs)))
+        return tagged
 
     def governed(label: str):
         """Run one engine solve under the ladder; tag the result."""
@@ -209,12 +221,12 @@ def run_suite_program(name: str, check_equivalence: bool = True,
         return vsfs_solver_holder["result"]
 
     sfs_measure = measure_analysis(
-        "sfs", run_sfs_time,
-        memory_thunk=lambda: governed("sfs"),
+        "sfs", window("time", run_sfs_time),
+        memory_thunk=window("memory", lambda: governed("sfs")),
     )
     vsfs_measure = measure_analysis(
-        "vsfs", run_vsfs_time,
-        memory_thunk=lambda: governed("vsfs"),
+        "vsfs", window("time", run_vsfs_time),
+        memory_thunk=window("memory", lambda: governed("vsfs")),
     )
 
     result = SuiteResult(
@@ -235,15 +247,16 @@ def run_suite_program(name: str, check_equivalence: bool = True,
         serial = (sfs_solver_holder if label == "sfs"
                   else vsfs_solver_holder).get("result")
         method = pipeline.sfs_par if label == "sfs" else pipeline.vsfs_par
-        # Serial main phase = solve_time (+ versioning for VSFS, which the
-        # parallel driver folds into its wall via the shared snapshot).
+        # Serial main phase = solve_time (+ VSFS's readers index; both
+        # runs read the one cached versioning).
         serial_wall = (serial.stats.solve_time if serial is not None else 0.0)
         if label == "vsfs" and serial is not None:
-            serial_wall += serial.stats.pre_time
+            serial_wall += (serial.stats.pre_time
+                            - pipeline.versioning().stats.time)
         runs: List[Dict[str, object]] = []
         for n in jobs:
             pipeline.engine.ctx.mde = None  # cold per worker-count run
-            par = method(jobs=n)
+            par = window("parallel", lambda: method(jobs=n))()
             pstats = par.parallel
             runs.append({
                 "jobs": n,
@@ -259,6 +272,8 @@ def run_suite_program(name: str, check_equivalence: bool = True,
         result.parallel_runs[label] = runs
 
     result.stages = pipeline.trace.to_dict()
+    for record, run in zip(result.stages, record_runs):
+        record["run"] = run
     return result
 
 

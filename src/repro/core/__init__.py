@@ -12,7 +12,7 @@
 
 from repro.core.meld import MeldLabelling, meld_label
 from repro.core.versioning import ObjectVersioning, VersioningStats, version_objects
-from repro.core.vsfs import VSFSAnalysis, run_vsfs
+from repro.core.vsfs import VSFSAnalysis
 
 __all__ = [
     "MeldLabelling",
@@ -21,5 +21,4 @@ __all__ = [
     "VersioningStats",
     "version_objects",
     "VSFSAnalysis",
-    "run_vsfs",
 ]

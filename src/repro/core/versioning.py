@@ -172,7 +172,7 @@ class ObjectVersioning:
         return self._version_counts.get(oid, 0)
 
     def add_constraint(self, oid: int, src_ver: int, dst_ver: int) -> bool:
-        """Register an OTF-discovered constraint; return True if new."""
+        """Register a constraint; return True if new."""
         if src_ver == dst_ver:
             return False
         key = (oid, src_ver, dst_ver)
@@ -187,13 +187,16 @@ class ObjectVersioning:
 
     # ----------------------------------------------------------- persistence
 
-    def snapshot(self) -> dict:
+    def snapshot(self, constraints=None) -> dict:
         """Checkpointable versioning state (C/Y tables + constraints).
 
+        *constraints* replaces :attr:`constraints`: a solve passes its
+        overlay, which adds the ones it discovered *on the fly*.
+
         Snapshotting — rather than re-running the meld pre-analysis on
-        resume — matters for two reasons: the tables already contain every
-        constraint discovered *on the fly* (which a fresh pre-analysis over
-        the restored call graph would have to re-derive), and restoring is
+        resume — matters for two reasons: the snapshot carries those
+        on-the-fly constraints (which a fresh pre-analysis over the
+        restored call graph would have to re-derive), and restoring is
         O(entries) where melding is the dominant pre-analysis cost.
         """
         single = []
@@ -219,7 +222,10 @@ class ObjectVersioning:
             "single": single,
             "consumed": consumed,
             "yielded_store": yielded_store,
-            "constraints": sorted(self._constraint_set),
+            "constraints": sorted(
+                (oid, src, dst)
+                for (oid, src), dsts in (constraints or self.constraints).items()
+                for dst in dsts),
             "version_counts": {str(oid): count
                                for oid, count in self._version_counts.items()},
             "time": self.stats.time,

@@ -33,7 +33,7 @@ from repro.core.versioning import ObjectVersioning, version_objects
 from repro.datastructs.bitset import iter_bits
 from repro.ir.function import Function
 from repro.ir.instructions import CallInst, LoadInst, StoreInst
-from repro.solvers.base import FlowSensitiveResult, StagedSolverBase
+from repro.solvers.base import StagedSolverBase
 from repro.svfg.builder import SVFG
 from repro.svfg.nodes import InstNode, SVFGNode
 
@@ -50,22 +50,41 @@ class VSFSAnalysis(StagedSolverBase):
         super().__init__(svfg, delta=delta, ptrepo=ptrepo, meter=meter,
                          faults=faults, checkpointer=checkpointer, ctx=ctx,
                          mde=mde, mde_batch=mde_batch)
-        self._given_versioning = versioning
+        #: Read-only (often the engine's shared artifact); OTF constraints
+        #: go to this solve's :attr:`constraints` overlay.
         self.versioning: Optional[ObjectVersioning] = versioning
         # Global points-to table: oid -> version id -> entry (a PTRepo id
         # when ptrepo is on, a raw mask otherwise).
         self.ptv: Dict[int, List[int]] = {}
         # (oid, version) -> nodes that must re-run when the set grows.
         self.readers: Dict[Tuple[int, int], List[int]] = {}
+        #: (oid, src version) -> [dst versions], OTF ones included: a
+        #: shallow copy of the versioning's, lists replaced on write.
+        self.constraints: Dict[Tuple[int, int], List[int]] = {}
 
     # ----------------------------------------------------------------- setup
 
     def _prepare(self) -> None:
-        start = time.perf_counter()
+        """pre_time = the versioning's own time plus this solve's index."""
         if self.versioning is None:
             self.versioning = version_objects(self.svfg)
+        self.stats.pre_time = self.versioning.stats.time + self._index_versioning()
+
+    def _index_versioning(self) -> float:
+        """Build this solve's readers index and constraint overlay over
+        ``self.versioning``; returns the seconds it took."""
+        start = time.perf_counter()
+        self.constraints = dict(self.versioning.constraints)
         self._build_readers()
-        self.stats.pre_time = time.perf_counter() - start
+        return time.perf_counter() - start
+
+    def _add_constraint(self, oid: int, src_ver: int, dst_ver: int) -> bool:
+        """Register an OTF-discovered constraint; True if it is new."""
+        dsts = self.constraints.get((oid, src_ver), [])
+        if src_ver == dst_ver or dst_ver in dsts:
+            return False
+        self.constraints[(oid, src_ver)] = dsts + [dst_ver]
+        return True
 
     def _build_readers(self) -> None:
         """Index which load/store nodes consume each ``(object, version)``.
@@ -128,8 +147,7 @@ class VSFSAnalysis(StagedSolverBase):
         faults = self.faults
         if faults is not None:
             faults.fire("propagate", self.analysis_name)
-        assert self.versioning is not None
-        constraints = self.versioning.constraints
+        constraints = self.constraints
         readers = self.readers
         repo = self.ptrepo
         batch = self.batch
@@ -306,7 +324,7 @@ class VSFSAnalysis(StagedSolverBase):
                 continue
             src = versioning.yielded_version(ain, oid)
             dst = versioning.consumed_version(fin, oid)
-            if versioning.add_constraint(oid, src, dst):
+            if self._add_constraint(oid, src, dst):
                 self.stats.propagations += 1
                 self._ptv_join(oid, dst, self.ptv_mask(oid, src))
         for oid, aout in self.svfg.actual_out.get(call, {}).items():
@@ -315,7 +333,7 @@ class VSFSAnalysis(StagedSolverBase):
                 continue
             src = versioning.yielded_version(fout, oid)
             dst = versioning.consumed_version(aout, oid)
-            if versioning.add_constraint(oid, src, dst):
+            if self._add_constraint(oid, src, dst):
                 self.stats.propagations += 1
                 self._ptv_join(oid, dst, self.ptv_mask(oid, src))
 
@@ -375,7 +393,7 @@ class VSFSAnalysis(StagedSolverBase):
                     ver = self._version_of(nid, oid, want_yield)
                     if ver is not None:
                         write(oid, ver, mask)
-        constraints = self.versioning.constraints
+        constraints = self.constraints
         for oid, ver in sorted(preloaded):
             for dst in constraints.get((oid, ver), ()):
                 if (oid, dst) not in preloaded:
@@ -428,9 +446,9 @@ class VSFSAnalysis(StagedSolverBase):
     def _snapshot_memory(self) -> Dict[str, object]:
         """The global ``(object, version)`` table, the PTRepo interning
         table, and the full versioning state (C/Y tables + constraints —
-        including every constraint registered on the fly, which a re-run
-        of the pre-analysis could not reproduce without re-discovering the
-        call graph first).
+        including this solve's OTF overlay, which a re-run of the
+        pre-analysis could not reproduce without re-discovering the call
+        graph first).
 
         This is where the paper's global keying pays off at the
         persistence layer too: the address-taken state is one table with
@@ -442,7 +460,7 @@ class VSFSAnalysis(StagedSolverBase):
             "repo": self.ptrepo.snapshot() if self.ptrepo is not None else None,
             "ptv": {str(oid): [format(entry, "x") for entry in table]
                     for oid, table in self.ptv.items()},
-            "versioning": self.versioning.snapshot(),
+            "versioning": self.versioning.snapshot(self.constraints),
         }
 
     def _restore_pre(self, payload: Dict[str, object]) -> None:
@@ -450,7 +468,7 @@ class VSFSAnalysis(StagedSolverBase):
         shape of the global table and of the readers index."""
         self.versioning = ObjectVersioning(self.svfg).restore(
             payload["mem"]["versioning"])
-        self._build_readers()
+        self._index_versioning()
 
     def _restore_memory(self, mem: Dict[str, object]) -> None:
         from repro.datastructs.ptrepo import PTRepo
@@ -471,12 +489,3 @@ class VSFSAnalysis(StagedSolverBase):
         self._finish_footprint(
             entry for table in self.ptv.values() for entry in table
         )
-
-
-def run_vsfs(svfg: SVFG, versioning: Optional[ObjectVersioning] = None,
-             delta: bool = True, ptrepo: bool = True, meter=None,
-             faults=None, checkpointer=None) -> FlowSensitiveResult:
-    """Run VSFS over a built SVFG (versioning is computed if not supplied)."""
-    return VSFSAnalysis(svfg, versioning, delta=delta, ptrepo=ptrepo,
-                        meter=meter, faults=faults,
-                        checkpointer=checkpointer).run()

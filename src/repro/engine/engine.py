@@ -193,15 +193,10 @@ class Engine:
 
     def prime_substrate(self, analysis: str) -> None:
         """Build everything the paper excludes from *analysis*'s main phase
-        (hits the stage cache on warm runs)."""
-        if analysis.endswith("-par"):
-            analysis = analysis[: -len("-par")]
-        if analysis in ("sfs", "vsfs"):
-            self.ensure("svfg")
-            if analysis == "vsfs":
-                self.ensure("versioning")
-        else:  # ander / andersen / icfg-fs
-            self.ensure("prepare")
+        (hits the stage cache on warm runs): the solve stage's inputs."""
+        stage = self.stages.get(f"solve:{analysis}")
+        for dep in stage.inputs if stage is not None else ("prepare",):
+            self.ensure(dep)
 
     # ------------------------------------------------------------ main phase
 

@@ -11,7 +11,8 @@ The graph mirrors the paper's staging::
     parse -> prepare -> andersen -> modref -> memssa -> svfg -> versioning
                    \\-> solve:andersen            (aux as the requested analysis)
                    \\-> solve:icfg-fs             (dense baseline)
-                             svfg -> solve:sfs / solve:vsfs  (main phase)
+                             svfg -> solve:sfs               (main phase)
+                 svfg, versioning -> solve:vsfs              (main phase)
 
 Fingerprints are content hashes: a stage's fingerprint mixes its name,
 its version, its configuration token and every upstream fingerprint; the
@@ -227,9 +228,8 @@ class MemSSAStage(Stage):
 class SVFGStage(Stage):
     """The sparse value-flow graph; replay-cached.
 
-    The built graph is the *immutable* shared substrate — solvers receive
-    :meth:`SVFG.copy` instances because on-the-fly call-graph resolution
-    grows the edge structure.
+    The built graph is the *immutable* shared substrate: every solver
+    reads it through its own :meth:`SVFG.copy` view.
     """
 
     name = "svfg"
@@ -250,14 +250,19 @@ class SVFGStage(Stage):
                 [src, dst]
                 for src, succs in enumerate(artifact.direct_succs)
                 for dst in succs),
-            "indirect": sorted(list(edge) for edge in artifact._edge_set),
+            "indirect": sorted(
+                [src, dst, oid]
+                for src, row in enumerate(artifact.ind_succs)
+                for oid, dsts in row.items()
+                for dst in dsts),
             "delta": sorted(artifact.delta_nodes),
         }
         return canonical_digest(payload)
 
 
 class VersioningStage(Stage):
-    """Object versioning (prelabel + meld) on the shared SVFG.
+    """Object versioning (prelabel + meld) on the shared SVFG, read (never
+    mutated) by every VSFS solve.
 
     Digest excludes the wall-clock ``time`` entry of the snapshot — the
     artifact's identity is its labelling, not how long it took.
@@ -278,15 +283,17 @@ class VersioningStage(Stage):
 
 class SolveStage(Stage):
     """One solve rung (the timed main phase); never disk-cached — final
-    results live in the :class:`~repro.store.ResultStore`."""
+    results live in the :class:`~repro.store.ResultStore`.  VSFS's
+    fingerprint chains the SVFG's alone: versioning is a function of it."""
 
     main_phase = True
 
     def __init__(self, level: str):
         self.level = level
         self.name = f"solve:{level}"
-        self.inputs = (("svfg",) if level in ("sfs", "vsfs")
-                       else ("prepare",))
+        self.inputs = {"sfs": ("svfg",), "vsfs": ("svfg", "versioning")
+                       }.get(level, ("prepare",))
+        self.fingerprint_inputs = self.inputs[:1]
 
     def config_token(self, ctx: Any) -> str:
         if self.level in ("sfs", "vsfs"):
@@ -329,7 +336,7 @@ class SolveStage(Stage):
             from repro.solvers.icfg_fs import ICFGFlowSensitive
 
             return ICFGFlowSensitive(module, ctx=ctx)
-        svfg = ctx.artifacts["svfg"].copy()
+        svfg = ctx.artifacts["svfg"]
         if self.level == "sfs":
             from repro.solvers.sfs import SFSAnalysis
 
@@ -338,8 +345,8 @@ class SolveStage(Stage):
         if self.level == "vsfs":
             from repro.core.vsfs import VSFSAnalysis
 
-            return VSFSAnalysis(svfg, delta=ctx.delta, ptrepo=ctx.ptrepo,
-                                ctx=ctx)
+            return VSFSAnalysis(svfg, ctx.artifacts["versioning"],
+                                delta=ctx.delta, ptrepo=ctx.ptrepo, ctx=ctx)
         raise AnalysisError(f"unknown solve level {self.level!r}")
 
     def steps(self, artifact: Any) -> int:
@@ -347,10 +354,9 @@ class SolveStage(Stage):
         # cumulative across attempts, and trace records are per attempt —
         # reporting the cumulative figure would double-count every
         # pre-crash pop when traces are summed (batch stage totals).
-        stats = artifact.stats
-        processed = getattr(stats, "nodes_processed", None) \
-            or getattr(stats, "processed_nodes", 0)
-        return processed - getattr(stats, "resumed_steps", 0)
+        from repro.runtime.degrade import result_steps
+
+        return result_steps(artifact)
 
 
 class ParallelSolveStage(SolveStage):
@@ -366,10 +372,9 @@ class ParallelSolveStage(SolveStage):
     """
 
     def __init__(self, level: str):
-        self.level = level
-        self.base_level = level[: -len("-par")]
+        super().__init__(level[: -len("-par")])
+        self.base_level, self.level = self.level, level
         self.name = f"solve:{level}"
-        self.inputs = ("svfg",)
 
     def config_token(self, ctx: Any) -> str:
         return (f"delta={ctx.delta},ptrepo={ctx.ptrepo},"

@@ -162,6 +162,9 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
     ``hang_worker`` is the watchdog's test hook: the named worker's first
     incarnation goes silent after that many rounds (fork only).
 
+    ``versioning`` (VSFS only) is the engine's cached versioning stage:
+    every worker reads it, none mutates it.
+
     ``mde`` is the driver-side dedup engine
     (:class:`~repro.datastructs.mde.MdeEngine`).  When it carries an
     arena, every worker attaches the arena file read-shared (mmap), so
@@ -176,23 +179,11 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
         raise AnalysisError(
             f"parallel solving supports {sorted(SHARDED_SOLVERS)}, "
             f"not {level!r}")
+    if level == "vsfs" and versioning is None:
+        raise AnalysisError("parallel VSFS needs versioning=")
     partition = partition_svfg(svfg, jobs, shards_per_worker)
     jobs = partition.num_workers
     module = svfg.module
-
-    pre_wall = 0.0
-    ver_snapshot = None
-    if level == "vsfs":
-        # Meld versioning is computed once here and restored per worker —
-        # the pre-analysis is deterministic, so sharing it is free, and
-        # recomputing it per worker would multiply its cost by ``jobs``.
-        t0 = time.perf_counter()
-        if versioning is None:
-            from repro.core.versioning import version_objects
-
-            versioning = version_objects(svfg)
-        ver_snapshot = versioning.snapshot()
-        pre_wall = time.perf_counter() - t0
 
     if mode is None:
         # Fork buys true overlap only with >1 CPU; on a single core the
@@ -213,8 +204,7 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
         WorkerSpec(worker_id=w, level=level, svfg=svfg, partition=partition,
                    delta=delta, ptrepo=ptrepo, mde_batch=mde_batch,
                    arena_path=arena_path,
-                   versioning_snapshot=ver_snapshot, budget=budget,
-                   faults=faults, share_svfg=(mode == "fork"),
+                   versioning=versioning, budget=budget, faults=faults,
                    hang_after_round=(hang_after_round
                                      if w == hang_worker else None))
         for w in range(jobs)
@@ -453,7 +443,8 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
     # One logical execution: revived workers' sealed pops were performed
     # by this run's dead incarnations, not by a previous run.
     stats.resumed_steps = 0
-    stats.pre_time += pre_wall  # driver-side shared versioning
+    if level == "vsfs":
+        stats.pre_time += versioning.stats.time  # shared by every worker
     stats.top_level_bits = sum(count_bits(mask) for mask in pt)
     stats.callgraph_edges = callgraph.num_edges()
     # Exact global dedup count over the union of the workers' stored sets

@@ -360,7 +360,7 @@ class ShardedSolverMixin:
             self._suppress_outbox = False
 
     def apply_call_edge(self, inst_id: int, callee_name: str) -> None:
-        """Replay a peer-discovered call edge on this worker's SVFG copy."""
+        """Replay a peer-discovered call edge on this worker's SVFG view."""
         from repro.store.codec import call_sites_by_id, resolve_call_edge
 
         sites = getattr(self, "_call_sites", None)
@@ -446,9 +446,8 @@ class ShardedSFS(ShardedSolverMixin, SFSAnalysis):
                  if any(not owned[dst] for dst in dsts)]
         if not split:
             return
-        # The graph may be a COW copy whose rows still alias the shared
-        # substrate; claim this node's row before rewriting it.
-        table = self.svfg.own_ind_row(node_id)
+        # The row is the build's: split a copy on this solver's view.
+        table = self.svfg.ind_succs[node_id] = dict(table)
         for oid in split:
             dsts = table[oid]
             exported = [dst for dst in dsts if not owned[dst]]
@@ -543,11 +542,9 @@ class ShardedSFS(ShardedSolverMixin, SFSAnalysis):
     def after_restore(self) -> None:
         """Re-derive sharded indexes a plain snapshot does not carry.
 
-        ``restore_state`` replayed the call edges on a fresh SVFG copy,
-        so the export split must be recomputed over the restored edge
-        structure.
+        ``restore_state`` replayed the call edges without splitting the
+        rows they grew; split them now (construction's exports stay).
         """
-        self._export_succs = {}
         owned = self.owned
         for node_id in range(len(self.svfg.nodes)):
             if owned[node_id]:
@@ -564,6 +561,10 @@ class ShardedVSFS(ShardedSolverMixin, VSFSAnalysis):
     OR, commutative and schedule-independent.  Only the readers index is
     restricted to owned nodes, so growth wakes local work only.
     """
+
+    def _prepare(self) -> None:
+        super()._prepare()
+        self.stats.pre_time -= self.versioning.stats.time  # driver's, once
 
     def _build_readers(self) -> None:
         super()._build_readers()

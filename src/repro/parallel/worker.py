@@ -52,10 +52,9 @@ HUNG = _Hung()
 class WorkerSpec:
     """Everything needed to (re)build one worker's solver.
 
-    Under fork start the heavyweight references (``svfg``, ``partition``)
-    reach the child by memory inheritance; the child copies the SVFG
-    before mutating it, so inline workers sharing one process are just as
-    isolated.
+    Under fork start the heavyweight references (``svfg``,
+    ``versioning``, ``partition``) reach the child by memory inheritance;
+    no solver mutates them, so inline workers are just as isolated.
     """
 
     worker_id: int
@@ -70,10 +69,8 @@ class WorkerSpec:
     #: mapped pages are physically shared with the parent and siblings,
     #: so pre-solved masks do not get copy-on-write duplicated per child.
     arena_path: Optional[str] = None
-    #: Shared meld-versioning state (VSFS): computed once by the driver,
-    #: restored per worker — recomputing it per worker would multiply the
-    #: pre-analysis cost by the worker count.
-    versioning_snapshot: Optional[Dict[str, Any]] = None
+    #: The shared meld versioning (VSFS), read by every worker.
+    versioning: Any = None
     budget: Any = None
     faults: Any = None
     #: Bumped on every revival of this worker slot (see FrontierBatch).
@@ -86,10 +83,6 @@ class WorkerSpec:
     hang_after_round: Optional[int] = None
     #: Seal payload to restore from (None = fresh start).
     restore: Optional[Dict[str, Any]] = None
-    #: True under fork start: the child owns its copy-on-write address
-    #: space, so it can mutate the inherited SVFG directly instead of
-    #: paying for an in-process copy.
-    share_svfg: bool = False
 
 
 def build_sharded_solver(spec: WorkerSpec):
@@ -97,7 +90,6 @@ def build_sharded_solver(spec: WorkerSpec):
     cls = SHARDED_SOLVERS.get(spec.level)
     if cls is None:
         raise ValueError(f"no sharded solver for analysis level {spec.level!r}")
-    svfg = spec.svfg if spec.share_svfg else spec.svfg.copy(cow=True)
     kwargs: Dict[str, Any] = {
         "delta": spec.delta,
         "ptrepo": spec.ptrepo,
@@ -112,12 +104,9 @@ def build_sharded_solver(spec: WorkerSpec):
         # rewrite the parent-owned arena, and a missing/corrupt file just
         # means this worker warms up from an empty interner.
         kwargs["mde"] = MdeEngine.open(spec.arena_path, attach_only=True)
-    if spec.level == "vsfs" and spec.versioning_snapshot is not None:
-        from repro.core.versioning import ObjectVersioning
-
-        kwargs["versioning"] = ObjectVersioning(svfg).restore(
-            spec.versioning_snapshot)
-    return cls(svfg, spec.partition, spec.worker_id, **kwargs)
+    if spec.level == "vsfs":
+        kwargs["versioning"] = spec.versioning
+    return cls(spec.svfg, spec.partition, spec.worker_id, **kwargs)
 
 
 class WorkerSession:

@@ -5,10 +5,9 @@ stage-graph engine (:mod:`repro.engine`): each lazy getter delegates to
 :meth:`Engine.ensure`, each solver entry point to :meth:`Engine.solve`,
 so callers share the expensive substrate between SFS and VSFS runs —
 exactly how the paper benchmarks the two (auxiliary analysis and SVFG
-construction excluded from the timed main phase).  Solvers receive
-*copies* of the shared SVFG (:meth:`SVFG.copy`): on-the-fly call-graph
-resolution mutates the edge structure, and the shared build must stay
-immutable.
+construction excluded from the timed main phase).  No solver mutates
+the shared SVFG or versioning: each reads the SVFG through its own view
+(:meth:`SVFG.copy`), which on-the-fly call resolution grows.
 """
 
 from __future__ import annotations
@@ -87,14 +86,11 @@ class AnalysisPipeline:
         return self.engine.ensure("memssa")
 
     def svfg(self) -> SVFG:
-        """The shared, immutable SVFG build (never hand this to a solver)."""
+        """The shared, immutable SVFG build (solvers make their own views)."""
         return self.engine.ensure("svfg")
 
-    def fresh_svfg(self) -> SVFG:
-        """An un-shared SVFG copy (solvers mutate it via OTF edges)."""
-        return self.svfg().copy()
-
     def versioning(self) -> ObjectVersioning:
+        """The shared versioning every VSFS solve on this pipeline reads."""
         return self.engine.ensure("versioning")
 
     # ------------------------------------------------------------- main phase

@@ -29,6 +29,7 @@ for diagnostics.
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.andersen import AndersenResult
@@ -91,6 +92,10 @@ def run_ladder(rungs: Sequence[Rung], budget: Optional[Budget] = None,
     With ``fallback`` the last rung runs ungoverned (the guaranteed
     floor); without it, the first failure re-raises with the report
     attached as ``exc.run_report``.  Returns ``(result, report)``.
+
+    Without a budget no meter is created (solve loops stay tick-free); the
+    report then takes wall time from ``perf_counter`` and steps from each
+    rung's result stats.
     """
     if not rungs:
         raise AnalysisError("run_ladder needs at least one rung")
@@ -98,6 +103,17 @@ def run_ladder(rungs: Sequence[Rung], budget: Optional[Budget] = None,
     meter = budget.meter() if budget is not None else None
     report = RunReport(requested=requested, budget=budget, fallback=fallback)
     last = len(rungs) - 1
+    begun = time.perf_counter()
+
+    def record(level: str, outcome: object = None,
+               error: Optional[BaseException] = None) -> None:
+        attempt = report.record_attempt(level, error=error, meter=meter)
+        if meter is None:
+            attempt.wall_seconds = time.perf_counter() - begun
+            attempt.steps = report.steps_used + result_steps(outcome)
+            report.wall_seconds_used = attempt.wall_seconds
+            report.steps_used = attempt.steps
+
     try:
         if meter is not None:
             meter.start()
@@ -109,7 +125,7 @@ def run_ladder(rungs: Sequence[Rung], budget: Optional[Budget] = None,
                     rung_meter.check()  # don't build a rung we can't afford
                 result = thunk(rung_meter)
             except (ReproError, MemoryError) as exc:
-                report.record_attempt(level, error=exc, meter=meter)
+                record(level, getattr(exc, "partial_result", None), exc)
                 # A rejected checkpoint is an input problem, not a resource
                 # problem: degrading would silently discard the user's
                 # resume request, so it always surfaces (CLI exit code 3).
@@ -118,13 +134,23 @@ def run_ladder(rungs: Sequence[Rung], budget: Optional[Budget] = None,
                     exc.run_report = report
                     raise
                 continue
-            report.record_attempt(level, meter=meter)
+            record(level, result)
             report.finish(meter, precision_level=level)
             return result, report
     finally:
         if meter is not None:
             meter.stop()
     raise AssertionError("unreachable: ladder neither returned nor raised")
+
+
+def result_steps(result: object) -> int:
+    """Solver steps *result*'s own attempt performed (0 without stats):
+    pops for the staged solvers, processed nodes for Andersen, minus any
+    steps replayed from a restored checkpoint."""
+    stats = getattr(result, "stats", None)
+    processed = getattr(stats, "nodes_processed", None) \
+        or getattr(stats, "processed_nodes", 0)
+    return processed - getattr(stats, "resumed_steps", 0)
 
 
 def solve_with_ladder(pipeline, analysis: str = "vsfs",

@@ -56,8 +56,8 @@ FAULT_POINTS = tuple(point for points in FAULT_DOMAINS.values()
 
 #: One-line description per point (``repro-wpa --list-fault-points``).
 FAULT_DESCRIPTIONS: Dict[str, str] = {
-    "pre_meld": "pre-solve stage boundary (before VSFS versioning / "
-                "SFS worklist seeding)",
+    "pre_meld": "start of the solve (before VSFS indexes the cached "
+                "versioning / SFS seeds its worklist)",
     "otf_edge": "a new on-the-fly call edge is about to be wired into "
                 "the SVFG",
     "propagate": "an indirect points-to propagation is starting",

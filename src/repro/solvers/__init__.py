@@ -12,14 +12,13 @@ The paper's solver, VSFS, lives in :mod:`repro.core.vsfs`.
 """
 
 from repro.solvers.base import FlowSensitiveResult, SolverStats
-from repro.solvers.sfs import SFSAnalysis, run_sfs
+from repro.solvers.sfs import SFSAnalysis
 from repro.solvers.icfg_fs import ICFGFlowSensitive, run_icfg_fs
 
 __all__ = [
     "SolverStats",
     "FlowSensitiveResult",
     "SFSAnalysis",
-    "run_sfs",
     "ICFGFlowSensitive",
     "run_icfg_fs",
 ]

@@ -275,7 +275,7 @@ class StagedSolverBase:
             mde = getattr(ctx, "mde", None) if mde is None else mde
             if mde_batch is None:
                 mde_batch = getattr(ctx, "mde_batch", None)
-        self.svfg = svfg
+        self.svfg = svfg.copy()  # private view: OTF edges grow only it
         self.module = svfg.module
         self.andersen = svfg.andersen
         self.memssa = svfg.memssa
@@ -376,8 +376,8 @@ class StagedSolverBase:
                 meter.check()  # a zero budget trips before any work
             if not self._resumed:
                 if self.faults is not None:
-                    # Pre-solve stage boundary (immediately before the
-                    # versioning pre-analysis, for VSFS).
+                    # Pre-solve stage boundary (for VSFS, before the
+                    # versioning artifact is indexed).
                     self.faults.fire("pre_meld", self.analysis_name)
                 self._prepare()  # fills stats.pre_time (versioning, for VSFS)
                 start = time.perf_counter()
@@ -459,7 +459,7 @@ class StagedSolverBase:
         return FlowSensitiveResult(self.module, self.pt, self.callgraph, self.stats)
 
     def _prepare(self) -> None:
-        """Hook: pre-solve setup (VSFS runs versioning here)."""
+        """Hook: pre-solve setup (VSFS indexes its versioning here)."""
 
     def _seed(self) -> None:
         """Seed the worklist with the rule-bearing instruction nodes.
@@ -614,7 +614,7 @@ class StagedSolverBase:
             self.checkpointer.mark_resumed(step)
 
     def _replay_call_edges(self, edges) -> None:
-        """Re-wire OTF-discovered call edges into the fresh SVFG.
+        """Re-wire OTF-discovered call edges into the solver's SVFG view.
 
         Rebuilds the call graph and the SVFG's interprocedural indirect
         edges (``connect_callsite``); the versioning constraints those

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 from repro.datastructs.bitset import iter_bits
 from repro.ir.instructions import LoadInst, StoreInst
-from repro.solvers.base import FlowSensitiveResult, StagedSolverBase
+from repro.solvers.base import StagedSolverBase
 from repro.svfg.builder import SVFG
 from repro.svfg.nodes import InstNode, SVFGNode
 
@@ -387,10 +387,3 @@ class SFSAnalysis(StagedSolverBase):
             for table in sets.values()
             for entry in table.values()
         )
-
-
-def run_sfs(svfg: SVFG, delta: bool = True, ptrepo: bool = True,
-            meter=None, faults=None, checkpointer=None) -> FlowSensitiveResult:
-    """Run staged flow-sensitive analysis over a built SVFG."""
-    return SFSAnalysis(svfg, delta=delta, ptrepo=ptrepo, meter=meter,
-                       faults=faults, checkpointer=checkpointer).run()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.andersen import AndersenResult
 from repro.analysis.modref import ModRefInfo
@@ -72,11 +72,6 @@ class SVFG:
         #: edges during on-the-fly call graph resolution.
         self.delta_nodes: Set[int] = set()
         self._connected: Set[Tuple[CallInst, Function]] = set()
-        self._edge_set: Set[Tuple[int, int, int]] = set()  # (src, dst, oid)
-        #: Per-node shared-row flags of a ``copy(cow=True)`` graph (None on
-        #: ordinary graphs): 1 = the node's edge rows still alias the source
-        #: and must be cloned before the first mutation.
-        self._cow_rows: Optional[bytearray] = None
 
     # ------------------------------------------------------------ structure
 
@@ -89,56 +84,26 @@ class SVFG:
         self.ind_preds.append([])
         return node
 
-    def _own_node_rows(self, node_id: int) -> None:
-        """Clone *node_id*'s edge rows out of the shared substrate (only
-        meaningful on a ``copy(cow=True)`` graph)."""
-        self.direct_succs[node_id] = list(self.direct_succs[node_id])
-        self.direct_preds[node_id] = list(self.direct_preds[node_id])
-        self.ind_succs[node_id] = {oid: list(dsts)
-                                   for oid, dsts in self.ind_succs[node_id].items()}
-        self.ind_preds[node_id] = list(self.ind_preds[node_id])
-        self._cow_rows[node_id] = 0
-
-    def own_ind_row(self, node_id: int) -> Dict[int, List[int]]:
-        """The node's indirect-successor row, safe to mutate in place."""
-        cow = self._cow_rows
-        if cow is not None and cow[node_id]:
-            self._own_node_rows(node_id)
-        return self.ind_succs[node_id]
-
     def add_direct_edge(self, src: int, dst: int) -> bool:
+        """Add *src* → *dst* unless present, replacing both rows with
+        extended copies (safe on a :meth:`copy` view)."""
         if dst in self.direct_succs[src]:
             return False
-        cow = self._cow_rows
-        if cow is not None:
-            if cow[src]:
-                self._own_node_rows(src)
-            if cow[dst]:
-                self._own_node_rows(dst)
-        self.direct_succs[src].append(dst)
-        self.direct_preds[dst].append(src)
+        self.direct_succs[src] = self.direct_succs[src] + [dst]
+        self.direct_preds[dst] = self.direct_preds[dst] + [src]
         return True
 
-    def add_indirect_edge(self, src: int, dst: int, oid: int) -> bool:
-        key = (src, dst, oid)
-        if key in self._edge_set:
-            return False
-        cow = self._cow_rows
-        if cow is not None:
-            if cow[src]:
-                self._own_node_rows(src)
-            if cow[dst]:
-                self._own_node_rows(dst)
-        self._edge_set.add(key)
+    def add_indirect_edge(self, src: int, dst: int, oid: int) -> None:
+        """Build-time only: appends to the rows in place (the caller
+        deduplicates)."""
         self.ind_succs[src].setdefault(oid, []).append(dst)
         self.ind_preds[dst].append((src, oid))
-        return True
 
     def num_direct_edges(self) -> int:
         return sum(len(succs) for succs in self.direct_succs)
 
     def num_indirect_edges(self) -> int:
-        return len(self._edge_set)
+        return sum(len(dsts) for row in self.ind_succs for dsts in row.values())
 
     def node(self, ident: int) -> SVFGNode:
         return self.nodes[ident]
@@ -168,7 +133,8 @@ class SVFG:
         Returns the node ids whose outputs must be (re)propagated — the
         sources of every newly created edge.  Used by the solvers when
         on-the-fly call graph resolution discovers an edge; also used at
-        build time for direct calls.
+        build time for direct calls.  The rows it grows are replaced by
+        extended copies, never extended in place (see :meth:`copy`).
         """
         if (call, callee) in self._connected or callee.is_declaration:
             return []
@@ -187,69 +153,43 @@ class SVFG:
 
         for oid, ain in self.actual_in.get(call, {}).items():
             fin = self.formal_in.get(callee, {}).get(oid)
-            if fin is not None and self.add_indirect_edge(ain, fin, oid):
+            if fin is not None and self._extend_indirect(ain, fin, oid):
                 touched.append(ain)
         for oid, aout in self.actual_out.get(call, {}).items():
             fout = self.formal_out.get(callee, {}).get(oid)
-            if fout is not None and self.add_indirect_edge(fout, aout, oid):
+            if fout is not None and self._extend_indirect(fout, aout, oid):
                 touched.append(fout)
         return touched
 
-    # ----------------------------------------------------------------- copy
+    def _extend_indirect(self, src: int, dst: int, oid: int) -> bool:
+        row = self.ind_succs[src]
+        dsts = row.get(oid, [])
+        if dst in dsts:
+            return False
+        self.ind_succs[src] = {**row, oid: dsts + [dst]}
+        self.ind_preds[dst] = self.ind_preds[dst] + [(src, oid)]
+        return True
 
-    def copy(self, *, cow: bool = False) -> "SVFG":
-        """A solver-private copy of this graph.
+    # ----------------------------------------------------------------- view
 
-        The immutable build products (nodes, instruction/variable tables,
-        actual/formal tables, δ set) are shared; the edge structure that
-        on-the-fly call-graph resolution grows (`add_direct_edge` /
-        `add_indirect_edge` / `connect_callsite`) is duplicated, so
-        solvers can mutate their copy without poisoning the shared
-        substrate or each other.
-
-        With ``cow=True`` the per-node edge rows stay shared and are
-        cloned lazily on first mutation (copy-on-write).  OTF call-graph
-        resolution touches a tiny fraction of the rows, so a COW copy
-        costs O(nodes) pointer copies instead of duplicating every edge —
-        the difference between milliseconds and seconds on Table III
-        programs.  The source graph must stay immutable while COW copies
-        of it are live (mutating it would leak through shared rows).
+    def copy(self) -> "SVFG":
+        """A solver's private view: it shares nodes, tables and every edge
+        row, and owns only the per-node lists of row pointers (O(nodes)
+        to make) and its connected pairs, so the rows
+        :meth:`connect_callsite` replaces on it leave this graph intact.
         """
-        dup = SVFG.__new__(SVFG)
-        dup.module = self.module
-        dup.andersen = self.andersen
-        dup.memssa = self.memssa
-        dup.nodes = self.nodes
-        dup.inst_node = self.inst_node
-        dup.actual_in = self.actual_in
-        dup.actual_out = self.actual_out
-        dup.formal_in = self.formal_in
-        dup.formal_out = self.formal_out
-        dup.var_def_node = self.var_def_node
-        dup.var_uses = self.var_uses
-        dup.delta_nodes = self.delta_nodes
-        if cow:
-            dup.direct_succs = list(self.direct_succs)
-            dup.direct_preds = list(self.direct_preds)
-            dup.ind_succs = list(self.ind_succs)
-            dup.ind_preds = list(self.ind_preds)
-            dup._cow_rows = bytearray(b"\x01" * len(self.nodes))
-        else:
-            dup.direct_succs = [list(succs) for succs in self.direct_succs]
-            dup.direct_preds = [list(preds) for preds in self.direct_preds]
-            dup.ind_succs = [{oid: list(dsts) for oid, dsts in table.items()}
-                             for table in self.ind_succs]
-            dup.ind_preds = [list(preds) for preds in self.ind_preds]
-            dup._cow_rows = None
-        dup._connected = set(self._connected)
-        dup._edge_set = set(self._edge_set)
-        return dup
+        view = SVFG.__new__(SVFG)
+        view.__dict__.update(self.__dict__)
+        view.direct_succs = list(self.direct_succs)
+        view.direct_preds = list(self.direct_preds)
+        view.ind_succs = list(self.ind_succs)
+        view.ind_preds = list(self.ind_preds)
+        view._connected = set(self._connected)
+        return view
 
     # ---------------------------------------------------------------- stats
 
     def stats(self) -> SVFGStats:
-        from repro.ir.values import MemObject
-
         top_level = len(self.module.variables)
         address_taken = len(self.module.objects)
         return SVFGStats(
@@ -351,13 +291,18 @@ def _add_indirect_edges(svfg: SVFG) -> None:
             for chi in memssa.call_chis.get(inst, []):
                 defs[(node.function, chi.obj.id, chi.new_ver)] = svfg.actual_out[inst][chi.obj.id]
 
+    seen: Set[Tuple[int, int, int]] = set()  # (src, dst, oid)
+
     def link(function: Function, oid: int, ver: int, use_node: int) -> None:
         def_node = defs.get((function, oid, ver))
         if def_node is None:
             raise AnalysisError(
                 f"no definition for version {ver} of object id {oid} in @{function.name}"
             )
-        svfg.add_indirect_edge(def_node, use_node, oid)
+        key = (def_node, use_node, oid)
+        if key not in seen:
+            seen.add(key)
+            svfg.add_indirect_edge(def_node, use_node, oid)
 
     for node in svfg.nodes:
         if isinstance(node, MemPhiNode):

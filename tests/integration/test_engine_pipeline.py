@@ -10,12 +10,29 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.ir.instructions import CallInst
 from repro.pipeline import AnalysisPipeline, analyze
 
 SRC = """
 int *g; int x; int y;
 void set(int *p) { g = p; }
 int main() { set(&x); int *a; a = g; set(&y); return 0; }
+"""
+
+# Indirect calls: on-the-fly resolution grows every solver's SVFG view.
+INDIRECT_SRC = """
+struct node { int v; struct node *f0; };
+struct node *g;
+struct node *cb1(struct node *a, struct node *b) { g = a; return b; }
+struct node *cb2(struct node *a, struct node *b) { g = b; return a; }
+fnptr h;
+int main(int c) {
+    struct node *n = (struct node*)malloc(sizeof(struct node));
+    if (c) { h = cb1; } else { h = cb2; }
+    struct node *r = h(n, g);
+    struct node *s = r->f0;
+    return 0;
+}
 """
 
 
@@ -39,27 +56,158 @@ class TestSolverIsolation:
         assert vsfs_after_sfs == vsfs_first
 
     def test_shared_svfg_not_mutated_by_solves(self):
-        pipeline = AnalysisPipeline.from_source(SRC)
+        """Every solver reads the shared SVFG and versioning directly —
+        serial, warm-started, resumed and parallel — and none of them
+        leaves a trace on either (OTF edges and constraints live in each
+        solver's own view and overlay)."""
+        from repro.core.vsfs import VSFSAnalysis
+        from repro.engine.stages import SVFGStage, VersioningStage
+        from repro.errors import BudgetExceeded
+        from repro.incremental.deps import node_flow_graph
+        from repro.incremental.solution import build_payload, plan_warm
+        from repro.parallel.driver import fork_available, solve_parallel
+        from repro.runtime import Budget
+        from repro.solvers.sfs import SFSAnalysis
+
+        pipeline = AnalysisPipeline.from_source(INDIRECT_SRC)
         svfg = pipeline.svfg()
-        direct = [list(row) for row in svfg.direct_succs]
-        indirect = [dict(row) for row in svfg.ind_succs]
-        pipeline.sfs()
-        pipeline.vsfs()
-        assert [list(row) for row in svfg.direct_succs] == direct
-        assert [dict(row) for row in svfg.ind_succs] == indirect
+        versioning = pipeline.versioning()
+
+        def digests():
+            return (SVFGStage().digest(None, svfg),
+                    VersioningStage().digest(None, versioning))
+
+        before = digests()
+        cold = VSFSAnalysis(svfg, versioning).run()
+        assert cold.stats.indirect_calls_resolved > 0
+        assert SFSAnalysis(svfg).run().snapshot() == cold.snapshot()
+
+        solver = VSFSAnalysis(svfg, versioning)
+        result = solver.run()
+        node_in, node_out = solver.export_node_memory()
+        payload = build_payload(svfg, pipeline.modref(), result, node_in,
+                                node_out, node_flow_graph(solver.svfg),
+                                "vsfs", True, True, pipeline.andersen())
+        plan = plan_warm(payload, svfg, pipeline.modref(), "vsfs", True,
+                         True, pipeline.andersen())
+        assert plan.usable, plan.fallback_reason
+        warm = VSFSAnalysis(svfg, versioning)
+        warm.warm_start(plan)
+        assert warm.run().snapshot() == cold.snapshot()
+
+        interrupted = VSFSAnalysis(svfg, versioning,
+                                   meter=Budget(max_steps=5).meter())
+        with pytest.raises(BudgetExceeded):
+            interrupted.run()
+        state = interrupted.snapshot_state()
+        resumed = VSFSAnalysis(svfg, versioning)
+        resumed.restore_state(state, interrupted.stats.nodes_processed)
+        assert resumed.run().snapshot() == cold.snapshot()
+
+        modes = ["inline"] + (["fork"] if fork_available() else [])
+        for mode in modes:
+            for level in ("sfs", "vsfs"):
+                par = solve_parallel(svfg, level, jobs=2, mode=mode,
+                                     versioning=versioning)
+                assert par.snapshot() == cold.snapshot()
+        assert digests() == before
+
+    def test_two_vsfs_solves_count_the_same_work(self):
+        pipeline = AnalysisPipeline.from_source(INDIRECT_SRC)
+        first = pipeline.vsfs().stats
+        second = pipeline.vsfs().stats
+        assert first.indirect_calls_resolved > 0
+        assert (first.propagations, first.unions) == \
+            (second.propagations, second.unions)
 
     def test_repeated_solves_identical(self):
         pipeline = AnalysisPipeline.from_source(SRC)
         assert pipeline.vsfs().snapshot() == pipeline.vsfs().snapshot()
 
-    def test_fresh_svfg_shares_nodes_not_edges(self):
-        pipeline = AnalysisPipeline.from_source(SRC)
+    def test_svfg_view_shares_rows_not_row_lists(self):
+        pipeline = AnalysisPipeline.from_source(INDIRECT_SRC)
         base = pipeline.svfg()
-        copy = pipeline.fresh_svfg()
-        assert copy is not base
-        assert copy.nodes is base.nodes
-        assert copy.direct_succs is not base.direct_succs
-        assert copy._edge_set is not base._edge_set
+        view = base.copy()
+        assert view is not base
+        assert view.nodes is base.nodes
+        assert view.direct_succs is not base.direct_succs
+        assert view.ind_succs is not base.ind_succs
+        assert all(mine is theirs for mine, theirs
+                   in zip(view.ind_succs, base.ind_succs))
+        call = next(inst for inst in base.inst_node
+                    if isinstance(inst, CallInst) and inst.is_indirect())
+        target = pipeline.module.functions["cb1"]
+        assert not base.is_connected(call, target)
+        touched = view.connect_callsite(call, target)
+        assert touched and view.is_connected(call, target)
+        assert not base.is_connected(call, target)
+        assert view.num_indirect_edges() > base.num_indirect_edges()
+
+
+@pytest.fixture
+def versioning_calls(monkeypatch):
+    """Count ``version_objects`` calls through every repro binding."""
+    import sys
+
+    import repro.core.versioning as versioning_module
+
+    original = versioning_module.version_objects
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "repro"
+                                   or name.startswith("repro.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+class TestOneVersioningPerSolve:
+    """Serial, parallel and daemon VSFS solves all read the one cached
+    versioning stage: exactly one ``version_objects`` call per solve."""
+
+    def test_serial_ladder_solve(self, versioning_calls):
+        from repro.runtime.degrade import solve_with_ladder
+
+        pipeline = AnalysisPipeline.from_source(INDIRECT_SRC)
+        result = solve_with_ladder(pipeline, analysis="vsfs")
+        assert result.precision_level == "vsfs"
+        assert len(versioning_calls) == 1
+
+    def test_jobs_2(self, versioning_calls, tmp_path, capsys):
+        path = tmp_path / "prog.c"
+        path.write_text(INDIRECT_SRC)
+        assert cli_main(["-vfspta", str(path), "--jobs", "2",
+                         "--parallel-mode", "inline"]) == 0
+        capsys.readouterr()
+        assert len(versioning_calls) == 1
+
+    def test_daemon_analyze_and_update_source(self, versioning_calls,
+                                              tmp_path):
+        from repro.service.server import AnalysisService, ServiceConfig
+
+        edited = INDIRECT_SRC.replace("g = a; return b;",
+                                      "g = a; g = b; return b;")
+        service = AnalysisService(ServiceConfig(
+            workers=1, store_dir=str(tmp_path / "store"))).start()
+        try:
+            first = service.handle_line(
+                {"op": "analyze", "id": "1", "analysis": "vsfs",
+                 "program": INDIRECT_SRC}).to_dict()
+            assert first["ok"], first
+            assert len(versioning_calls) == 1
+            warm = service.handle_line(
+                {"op": "update_source", "id": "2", "analysis": "vsfs",
+                 "program": edited}).to_dict()
+            assert warm["ok"], warm
+        finally:
+            service.drain(reply_grace_s=2)
+        assert len(versioning_calls) == 2
 
 
 class TestTraceSurfaces:

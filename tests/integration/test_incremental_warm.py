@@ -53,7 +53,7 @@ def snapshot(result):
 def solve_and_capture(src, analysis, delta=True, ptrepo=True):
     pipeline = AnalysisPipeline.from_source(src)
     svfg = pipeline.svfg()
-    solver = SOLVERS[analysis](svfg.copy(), delta=delta, ptrepo=ptrepo)
+    solver = SOLVERS[analysis](svfg, delta=delta, ptrepo=ptrepo)
     result = solver.run()
     node_in, node_out = solver.export_node_memory()
     payload = build_payload(svfg, pipeline.modref(), result, node_in,
@@ -67,9 +67,9 @@ def warm_vs_cold(payload, src, analysis, delta=True, ptrepo=True):
     plan = plan_warm(payload, pipeline.svfg(), pipeline.modref(),
                      analysis, delta, ptrepo, pipeline.andersen())
     assert plan.usable, plan.fallback_reason
-    cold = SOLVERS[analysis](pipeline.svfg().copy(), delta=delta,
+    cold = SOLVERS[analysis](pipeline.svfg(), delta=delta,
                              ptrepo=ptrepo).run()
-    warm_solver = SOLVERS[analysis](pipeline.svfg().copy(), delta=delta,
+    warm_solver = SOLVERS[analysis](pipeline.svfg(), delta=delta,
                                     ptrepo=ptrepo)
     warm_solver.warm_start(plan)
     warm = warm_solver.run()

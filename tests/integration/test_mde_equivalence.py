@@ -108,7 +108,7 @@ class TestArenaEquivalence:
         versioning = (pipeline.versioning() if level == "vsfs" else None)
         mde = MdeEngine.open(str(tmp_path / "arena.bin"))
         try:
-            result = solve_parallel(svfg.copy(), level, jobs=2,
+            result = solve_parallel(svfg, level, jobs=2,
                                     versioning=versioning, mde=mde)
         finally:
             if mde.arena is not None:

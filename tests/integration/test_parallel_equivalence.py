@@ -94,7 +94,7 @@ class TestKillAndResume:
         serial = serial_sfs if level == "sfs" else serial_vsfs
         versioning = pipeline.versioning() if level == "vsfs" else None
         result = solve_parallel(
-            pipeline.fresh_svfg(), level, jobs=2, versioning=versioning,
+            pipeline.svfg(), level, jobs=2, versioning=versioning,
             seal_every=1, kill_after_round=1, kill_worker=kill_worker)
         assert_identical(result, serial)
         assert result.parallel.revivals >= 1
@@ -103,7 +103,7 @@ class TestKillAndResume:
     def test_kill_without_seal_replays_from_scratch(self, pipeline,
                                                     serial_sfs):
         result = solve_parallel(
-            pipeline.fresh_svfg(), "sfs", jobs=2,
+            pipeline.svfg(), "sfs", jobs=2,
             seal_every=0, kill_after_round=1, kill_worker=0)
         assert_identical(result, serial_sfs)
         assert result.parallel.revivals >= 1
@@ -121,7 +121,7 @@ class TestWatchdog:
         if not fork_available():
             pytest.skip("no fork start method on this platform")
         result = solve_parallel(
-            pipeline.fresh_svfg(), "sfs", jobs=2, mode="fork",
+            pipeline.svfg(), "sfs", jobs=2, mode="fork",
             seal_every=1, hang_after_round=1, hang_worker=1,
             heartbeat_seconds=0.5)
         assert_identical(result, serial_sfs)
@@ -133,7 +133,7 @@ class TestWatchdog:
         from repro.runtime.faults import FaultPlan
 
         plan = FaultPlan(point="worker_heartbeat")  # once=True
-        result = solve_parallel(pipeline.fresh_svfg(), "sfs", jobs=2,
+        result = solve_parallel(pipeline.svfg(), "sfs", jobs=2,
                                 mode="inline", seal_every=1, faults=plan)
         assert_identical(result, serial_sfs)
         assert result.parallel.heartbeat_timeouts >= 1
@@ -143,7 +143,7 @@ class TestWatchdog:
         from repro.runtime.faults import FaultPlan
 
         plan = FaultPlan(point="worker_spawn")
-        result = solve_parallel(pipeline.fresh_svfg(), "sfs", jobs=2,
+        result = solve_parallel(pipeline.svfg(), "sfs", jobs=2,
                                 mode="inline", faults=plan)
         assert_identical(result, serial_sfs)
         assert result.parallel.worker_failures >= 1
@@ -154,7 +154,7 @@ class TestWatchdog:
 
         plan = FaultPlan(point="frontier_send", probability=1.0, once=False)
         with pytest.raises(WorkerCrash) as info:
-            solve_parallel(pipeline.fresh_svfg(), "sfs", jobs=2,
+            solve_parallel(pipeline.svfg(), "sfs", jobs=2,
                            mode="inline", faults=plan)
         err = info.value
         assert isinstance(err, SolverError)  # ladder-catchable by type

@@ -62,9 +62,11 @@ class TestPipelineCaching:
         assert pipeline.svfg() is pipeline.svfg()
         assert pipeline.versioning() is pipeline.versioning()
 
-    def test_fresh_svfg_not_cached(self):
+    def test_svfg_copy_is_a_fresh_view(self):
         pipeline = AnalysisPipeline(compile_c(SRC))
-        assert pipeline.fresh_svfg() is not pipeline.fresh_svfg()
+        shared = pipeline.svfg()
+        assert shared.copy() is not shared.copy()
+        assert shared.copy().nodes is shared.nodes
 
     def test_solvers_do_not_mutate_shared_svfg(self):
         pipeline = AnalysisPipeline(compile_c("""
@@ -75,7 +77,7 @@ class TestPipelineCaching:
         """))
         shared = pipeline.svfg()
         edges_before = shared.num_indirect_edges()
-        pipeline.sfs()  # runs on a fresh copy
+        pipeline.sfs()  # runs on its own view
         assert shared.num_indirect_edges() == edges_before
 
     def test_repeated_solves_agree(self):

@@ -157,7 +157,7 @@ class TestWatchdogCollapse:
         pipeline = AnalysisPipeline(module)
         plan = FaultPlan(point="frontier_recv", probability=1.0, once=False)
         with pytest.raises(WorkerCrash) as info:
-            solve_parallel(pipeline.fresh_svfg(), "sfs", jobs=2,
+            solve_parallel(pipeline.svfg(), "sfs", jobs=2,
                            faults=plan, mode="inline",
                            max_worker_failures=1)
         err = info.value

@@ -78,9 +78,9 @@ class TestVersioningProps:
     def test_meld_strategies_agree(self, config):
         module = generate_program(config)
         pipeline = AnalysisPipeline(module)
-        scc = ObjectVersioning(pipeline.fresh_svfg()).run(
+        scc = ObjectVersioning(pipeline.svfg()).run(
             strategy="scc", release_masks=False)
-        fixpoint = ObjectVersioning(pipeline.fresh_svfg()).run(
+        fixpoint = ObjectVersioning(pipeline.svfg()).run(
             strategy="fixpoint", release_masks=False)
         assert scc.consumed_masks == fixpoint.consumed_masks
         assert scc.yielded_masks == fixpoint.yielded_masks
@@ -100,7 +100,7 @@ class TestVersioningProps:
 
         module = generate_program(config)
         pipeline = AnalysisPipeline(module)
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         versioning = ObjectVersioning(svfg).run()
         seen = set()
         for node in svfg.nodes:

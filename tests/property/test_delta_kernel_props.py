@@ -76,7 +76,7 @@ class TestDeltaKernelInvisible:
         for solver_cls in (SFSAnalysis, VSFSAnalysis):
             results = {
                 (delta, ptrepo): solver_cls(
-                    pipeline.fresh_svfg(), delta=delta, ptrepo=ptrepo
+                    pipeline.svfg(), delta=delta, ptrepo=ptrepo
                 ).run()
                 for delta, ptrepo in MATRIX
             }

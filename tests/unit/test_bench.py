@@ -210,6 +210,21 @@ class TestGovernedBenchRuns:
             assert report["degraded"] is False
             assert report["attempts"][0]["outcome"] == "completed"
 
+    def test_stage_records_say_which_run_made_them(self):
+        result = run_suite_program("du", jobs=(2,))
+        runs = {}
+        for record in result.stages:
+            runs.setdefault(record["stage"], []).append(record["run"])
+        for name in ("solve:sfs", "solve:vsfs"):
+            assert sorted(runs[name]) == ["memory", "time"], (name, runs)
+        assert runs["solve:sfs-par"] == runs["solve:vsfs-par"] == ["parallel"]
+        assert runs["svfg"] == ["setup"]
+        assert runs["versioning"] == ["time"]  # built by the first VSFS solve
+        for meas in (result.sfs, result.vsfs):
+            report = meas.report.to_dict()
+            assert report["wall_seconds_used"] > 0
+            assert report["steps_used"] == meas.stats.nodes_processed > 0
+
     def test_runner_main_budget_flag_notes_degradation(self, capsys):
         from repro.bench.runner import main
 

@@ -182,7 +182,7 @@ class TestRegionDigests:
 def _solve_payload(src, analysis="sfs", delta=True, ptrepo=True):
     pipeline = AnalysisPipeline.from_source(src)
     svfg = pipeline.svfg()
-    solver = SFSAnalysis(svfg.copy(), delta=delta, ptrepo=ptrepo)
+    solver = SFSAnalysis(svfg, delta=delta, ptrepo=ptrepo)
     result = solver.run()
     node_in, node_out = solver.export_node_memory()
     return build_payload(svfg, pipeline.modref(), result, node_in,

@@ -64,8 +64,8 @@ class TestMdeEngine:
 
         pipeline = AnalysisPipeline(suite_program("du"))
         engine = MdeEngine()
-        first = SFSAnalysis(pipeline.fresh_svfg(), mde=engine)
-        second = SFSAnalysis(pipeline.fresh_svfg(), mde=engine)
+        first = SFSAnalysis(pipeline.svfg(), mde=engine)
+        second = SFSAnalysis(pipeline.svfg(), mde=engine)
         assert first.ptrepo is engine.repo
         assert second.ptrepo is engine.repo
         assert first.batch is engine.batch and second.batch is engine.batch
@@ -76,7 +76,7 @@ class TestMdeEngine:
         from repro.solvers.sfs import SFSAnalysis
 
         pipeline = AnalysisPipeline(suite_program("du"))
-        solver = SFSAnalysis(pipeline.fresh_svfg(), mde=MdeEngine(),
+        solver = SFSAnalysis(pipeline.svfg(), mde=MdeEngine(),
                              mde_batch=False)
         assert solver.batch is None and solver.ptrepo is not None
         assert solver.stats.mde_batch is False
@@ -153,7 +153,7 @@ class TestRebindOnRestore:
         from repro.pipeline import AnalysisPipeline
 
         pipeline = AnalysisPipeline(suite_program("du"))
-        solver_svfg = pipeline.fresh_svfg()
+        solver_svfg = pipeline.svfg()
         from repro.solvers.sfs import SFSAnalysis
 
         solver = SFSAnalysis(solver_svfg)
@@ -161,7 +161,7 @@ class TestRebindOnRestore:
         snapshot = solver.snapshot_state()
         old_engine = solver.mde
 
-        restored = SFSAnalysis(pipeline.fresh_svfg())
+        restored = SFSAnalysis(pipeline.svfg())
         restored.restore_state(snapshot, solver.stats.nodes_processed)
         assert restored.mde is not old_engine
         assert restored.mde.repo is restored.ptrepo

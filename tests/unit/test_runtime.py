@@ -6,6 +6,7 @@ touching the solvers (integration coverage lives in
 tests/integration/test_fault_injection.py).
 """
 
+import time
 import tracemalloc
 
 import pytest
@@ -271,6 +272,39 @@ class TestRunLadder:
         assert result == "floor"
         assert meters[0] is meters[1]  # one meter, whole-run budget
         assert report.steps_used == 2
+
+    def test_ungoverned_ladder_reports_wall_and_steps(self):
+        from types import SimpleNamespace
+
+        def solved(meter):
+            assert meter is None  # no budget: no meter, no ticks
+            time.sleep(0.01)
+            return SimpleNamespace(stats=SimpleNamespace(
+                nodes_processed=40, resumed_steps=10))
+
+        def failing(meter):
+            raise ReproError("rung broke")
+
+        result, report = run_ladder([("vsfs", failing), ("sfs", solved)])
+        assert report.precision_level == "sfs"
+        assert report.steps_used == 30  # own steps, not restored ones
+        assert report.wall_seconds_used >= 0.01
+        first, second = report.attempts
+        assert (first.steps, second.steps) == (0, 30)
+        assert 0.0 < first.wall_seconds <= second.wall_seconds
+        assert second.wall_seconds == report.wall_seconds_used
+
+    def test_ungoverned_solve_reports_solver_steps(self):
+        from repro.pipeline import AnalysisPipeline
+        from repro.runtime.degrade import solve_with_ladder
+
+        pipeline = AnalysisPipeline.from_source(
+            "int *g; int x; int main() { g = &x; int *p = g; return 0; }")
+        result = solve_with_ladder(pipeline, analysis="vsfs")
+        report = result.report.to_dict()
+        assert report["steps_used"] == result.stats.nodes_processed > 0
+        assert report["wall_seconds_used"] > 0.0
+        assert report["attempts"][0]["steps"] == report["steps_used"]
 
     def test_empty_ladder_is_an_error(self):
         with pytest.raises(AnalysisError):

@@ -16,7 +16,7 @@ def solver():
         int main() { g = 1; arr[0] = 2; return g; }
     """)
     pipeline = AnalysisPipeline(module)
-    return module, SFSAnalysis(pipeline.fresh_svfg())
+    return module, SFSAnalysis(pipeline.svfg())
 
 
 class TestStrongUpdateTarget:

@@ -73,9 +73,9 @@ class TestWarmRun:
         cold_snapshot = cold.solve("vsfs").snapshot()
         warm, cache = engine_with_cache(tmp_path)
         warm_snapshot = warm.solve("vsfs").snapshot()
-        # solve("vsfs") ensures through the SVFG; the solver versions its
-        # own copy, so 4 substrate stages hit (no versioning entry).
-        assert cache.hits == 4
+        # solve("vsfs") ensures through the versioning stage, which the
+        # solver reads instead of versioning again: every cached stage hits.
+        assert cache.hits == len(CACHED_STAGES)
         assert warm_snapshot == cold_snapshot
 
     def test_codec_hit_skips_andersen_solve(self, tmp_path):

@@ -68,8 +68,9 @@ class TestStructure:
 
     def test_edge_deduplication(self):
         __, svfg = build(self.SRC)
-        assert svfg.add_indirect_edge(0, 1, 0) is True
-        assert svfg.add_indirect_edge(0, 1, 0) is False
+        edges = [(src, dst, oid) for src, row in enumerate(svfg.ind_succs)
+                 for oid, dsts in row.items() for dst in dsts]
+        assert len(edges) == len(set(edges)) == svfg.num_indirect_edges()
         assert svfg.add_direct_edge(0, 1) in (True, False)
         before = svfg.num_direct_edges()
         svfg.add_direct_edge(0, 1)

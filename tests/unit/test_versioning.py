@@ -33,7 +33,7 @@ class TestPrelabelling:
             int g;
             int main() { g = 1; return g; }
         """)
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         versioning = ObjectVersioning(svfg).run()
         store = node_of(svfg, StoreInst, "main")
         g = next(o for o in module.objects if o.name == "g")
@@ -44,7 +44,7 @@ class TestPrelabelling:
             int g;
             int main() { g = 1; g = 2; return g; }
         """)
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         versioning = ObjectVersioning(svfg).run()
         g = next(o for o in module.objects if o.name == "g")
         second = node_of(svfg, StoreInst, "main", index=1)
@@ -56,7 +56,7 @@ class TestPrelabelling:
             int g;
             int main(int c) { if (c) { g = 1; } else { g = 2; } return g; }
         """)
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         versioning = ObjectVersioning(svfg).run()
         g = next(o for o in module.objects if o.name == "g")
         s1 = node_of(svfg, StoreInst, "main", index=0)
@@ -69,7 +69,7 @@ class TestPrelabelling:
             int g;
             int main() { g = 1; return g; }
         """)
-        versioning = ObjectVersioning(pipeline.fresh_svfg()).run()
+        versioning = ObjectVersioning(pipeline.svfg()).run()
         assert versioning.stats.prelabels >= 1
 
 
@@ -79,7 +79,7 @@ class TestSharing:
             int g;
             int main() { g = 1; return g; }
         """)
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         versioning = ObjectVersioning(svfg).run()
         g = next(o for o in module.objects if o.name == "g")
         store = node_of(svfg, StoreInst, "main")
@@ -99,7 +99,7 @@ class TestSharing:
                 return 0;
             }
         """)
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         versioning = ObjectVersioning(svfg).run()
         g = next(o for o in module.objects if o.name == "g")
         load1 = node_of(svfg, LoadInst, "main", index=0)
@@ -119,7 +119,7 @@ class TestSharing:
                 return 0;
             }
         """)
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         versioning = ObjectVersioning(svfg).run()
         g = next(o for o in module.objects if o.name == "g")
         load1 = node_of(svfg, LoadInst, "main", index=0)
@@ -132,7 +132,7 @@ class TestSharing:
             int g;
             int main() { return g; }
         """)
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         versioning = ObjectVersioning(svfg).run()
         g = next(o for o in module.objects if o.name == "g")
         load = node_of(svfg, LoadInst, "main")
@@ -146,7 +146,7 @@ class TestConstraints:
             int *g; int x;
             int main() { g = &x; int *a; a = g; int *b; b = g; return 0; }
         """)
-        versioning = ObjectVersioning(pipeline.fresh_svfg()).run()
+        versioning = ObjectVersioning(pipeline.svfg()).run()
         # every edge from the single store shares the same version pair
         assert versioning.num_constraints() == 0
 
@@ -155,13 +155,13 @@ class TestConstraints:
             int g;
             int main(int c) { if (c) { g = 1; } else { g = 2; } return g; }
         """)
-        versioning = ObjectVersioning(pipeline.fresh_svfg()).run()
+        versioning = ObjectVersioning(pipeline.svfg()).run()
         # two store versions meld into the memphi'd consumed version
         assert versioning.num_constraints() >= 2
 
     def test_add_constraint_dedups(self):
         __, pipeline = build("int g; int main() { g = 1; return g; }")
-        versioning = ObjectVersioning(pipeline.fresh_svfg()).run()
+        versioning = ObjectVersioning(pipeline.svfg()).run()
         assert versioning.add_constraint(0, 1, 2) is True
         assert versioning.add_constraint(0, 1, 2) is False
         assert versioning.add_constraint(0, 3, 3) is False  # self-loop
@@ -190,9 +190,9 @@ class TestStrategies:
 
     def test_scc_equals_fixpoint_labels(self):
         __, pipeline = build(self.SRC)
-        scc = ObjectVersioning(pipeline.fresh_svfg()).run(
+        scc = ObjectVersioning(pipeline.svfg()).run(
             strategy="scc", release_masks=False)
-        fixpoint = ObjectVersioning(pipeline.fresh_svfg()).run(
+        fixpoint = ObjectVersioning(pipeline.svfg()).run(
             strategy="fixpoint", release_masks=False)
         assert scc.consumed_masks == fixpoint.consumed_masks
         assert scc.yielded_masks == fixpoint.yielded_masks
@@ -201,16 +201,16 @@ class TestStrategies:
     def test_unknown_strategy_rejected(self):
         __, pipeline = build("int g; int main() { g = 1; return g; }")
         with pytest.raises(AnalysisError):
-            ObjectVersioning(pipeline.fresh_svfg()).run(strategy="nope")
+            ObjectVersioning(pipeline.svfg()).run(strategy="nope")
 
     def test_version_objects_helper(self):
         __, pipeline = build("int g; int main() { g = 1; return g; }")
-        versioning = version_objects(pipeline.fresh_svfg())
+        versioning = version_objects(pipeline.svfg())
         assert versioning.stats.time > 0
 
     def test_versions_fewer_than_nodes(self):
         """Interning must make versions far sparser than SVFG nodes."""
         __, pipeline = build(self.SRC)
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         versioning = ObjectVersioning(svfg).run()
         assert versioning.stats.versions < len(svfg.nodes)

@@ -71,8 +71,8 @@ def partition(versioning: ObjectVersioning) -> Dict[int, FrozenSet[FrozenSet[Tup
 @pytest.mark.parametrize("strategy", ["fixpoint", "hashcons"])
 def test_strategy_partition_matches_scc(name, strategy):
     pipeline = AnalysisPipeline(compile_c(PROGRAMS[name]))
-    base = ObjectVersioning(pipeline.fresh_svfg(), keep_all_versions=True).run("scc")
-    other = ObjectVersioning(pipeline.fresh_svfg(), keep_all_versions=True).run(strategy)
+    base = ObjectVersioning(pipeline.svfg(), keep_all_versions=True).run("scc")
+    other = ObjectVersioning(pipeline.svfg(), keep_all_versions=True).run(strategy)
     assert partition(base) == partition(other)
     assert base.num_constraints() == other.num_constraints()
 
@@ -83,7 +83,7 @@ def test_vsfs_correct_under_every_strategy(strategy):
 
     pipeline = AnalysisPipeline(compile_c(PROGRAMS["interprocedural"]))
     sfs_snapshot = pipeline.sfs().snapshot()
-    svfg = pipeline.fresh_svfg()
+    svfg = pipeline.svfg()
     versioning = ObjectVersioning(svfg).run(strategy)
     result = VSFSAnalysis(svfg, versioning=versioning).run()
     assert result.snapshot() == sfs_snapshot
@@ -96,6 +96,6 @@ def test_hashcons_on_generated_workload():
                                              stmts_per_function=8,
                                              indirect_call_rate=0.2))
     pipeline = AnalysisPipeline(module)
-    base = ObjectVersioning(pipeline.fresh_svfg(), keep_all_versions=True).run("scc")
-    hashcons = ObjectVersioning(pipeline.fresh_svfg(), keep_all_versions=True).run("hashcons")
+    base = ObjectVersioning(pipeline.svfg(), keep_all_versions=True).run("scc")
+    hashcons = ObjectVersioning(pipeline.svfg(), keep_all_versions=True).run("hashcons")
     assert partition(base) == partition(hashcons)

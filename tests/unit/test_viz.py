@@ -53,7 +53,7 @@ class TestSVFGDot:
         assert "peripheries=2" in dot       # store nodes double-lined
 
     def test_version_labels(self, pipeline):
-        svfg = pipeline.fresh_svfg()
+        svfg = pipeline.svfg()
         versioning = ObjectVersioning(svfg, keep_all_versions=True).run()
         dot = svfg_to_dot(svfg, versioning=versioning)
         assert "k" in dot and "->k" in dot  # κ-annotated edge labels
