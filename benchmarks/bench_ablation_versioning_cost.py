@@ -50,24 +50,6 @@ def bench_versioning_fixpoint(benchmark, name):
 
 
 @pytest.mark.parametrize("name", SIZES)
-def bench_versioning_hashcons(benchmark, name):
-    """Ablation: hash-consed labels (the paper's §V-B future-work remark:
-    'a data structure specifically catered to versioning')."""
-    pipeline = suite_pipeline(name)
-    svfg = pipeline.svfg()
-
-    versioning = benchmark.pedantic(
-        lambda: ObjectVersioning(svfg).run(strategy="hashcons"), rounds=1, iterations=1
-    )
-    benchmark.extra_info.update(
-        bench=name,
-        strategy="hashcons",
-        versions=versioning.stats.versions,
-        meld_steps=versioning.stats.meld_steps,
-    )
-
-
-@pytest.mark.parametrize("name", SIZES)
 def bench_versioning_share_of_total(benchmark, name):
     """Versioning time relative to the SFS main phase it replaces."""
     pipeline = suite_pipeline(name)

@@ -49,8 +49,9 @@ def main() -> None:
     print(f"  ({memssa.num_memphis()} MEMPHI nodes inserted)")
 
     print("\n== SVFG indirect (value-flow) edges ==")
+    ind_succs = svfg.indirect_succs()
     for node in svfg.nodes:
-        for oid, succs in svfg.ind_succs[node.id].items():
+        for oid, succs in ind_succs[node.id].items():
             obj = module.objects[oid]
             for succ in succs:
                 print(f"  {node.describe():40s} --[{obj.name}]--> "

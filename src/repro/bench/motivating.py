@@ -110,11 +110,7 @@ def run_motivating_example() -> MotivatingReport:
     sfs_sets = sum(1 for table in sfs.in_sets.values() if table.get(o1.id))
     sfs_sets += sum(1 for table in sfs.out_sets.values() if table.get(o1.id))
     sfs_props = sum(
-        len(succs)
-        for node_id in range(len(sfs_svfg.nodes))
-        for oid, succs in sfs_svfg.ind_succs[node_id].items()
-        if oid == o1.id
-    )
+        len(row.get(o1.id, ())) for row in sfs_svfg.indirect_succs())
 
     # --- Observed precision at the sinks (from the VSFS run; SFS agrees,
     # asserted by the test suite).

@@ -47,6 +47,7 @@ class DeadStoreReport:
 
 def _reaches_a_load(svfg: SVFG, start: int, cache: Dict[int, bool]) -> bool:
     """Can any LOAD node be reached from *start* along indirect edges?"""
+    ind_succs = svfg.indirect_succs()
     stack = [start]
     seen: Set[int] = {start}
     trail: List[int] = []
@@ -65,7 +66,7 @@ def _reaches_a_load(svfg: SVFG, start: int, cache: Dict[int, bool]) -> bool:
             for visited in trail:
                 cache[visited] = True
             return True
-        for succs in svfg.ind_succs[node_id].values():
+        for succs in ind_succs[node_id].values():
             for succ in succs:
                 if succ not in seen:
                     seen.add(succ)

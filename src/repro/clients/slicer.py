@@ -24,8 +24,6 @@ class ValueFlowSlicer:
     def __init__(self, svfg: SVFG):
         self.svfg = svfg
         self.module = svfg.module
-        # direct predecessor lists mirror svfg.direct_preds; indirect preds
-        # are stored per node already.
 
     # ------------------------------------------------------------- resolve
 
@@ -50,10 +48,11 @@ class ValueFlowSlicer:
         start = self._node_id(where)
         seen = {start}
         stack = [start]
+        ind_preds = self.svfg.indirect_preds()
         while stack:
             node_id = stack.pop()
             preds = list(self.svfg.direct_preds[node_id])
-            preds.extend(src for src, __ in self.svfg.ind_preds[node_id])
+            preds.extend(src for src, __ in ind_preds[node_id])
             for pred in preds:
                 if pred not in seen:
                     seen.add(pred)
@@ -65,10 +64,11 @@ class ValueFlowSlicer:
         start = self._node_id(where)
         seen = {start}
         stack = [start]
+        ind_succs = self.svfg.indirect_succs()
         while stack:
             node_id = stack.pop()
             succs = list(self.svfg.direct_succs[node_id])
-            for per_obj in self.svfg.ind_succs[node_id].values():
+            for per_obj in ind_succs[node_id].values():
                 succs.extend(per_obj)
             for succ in succs:
                 if succ not in seen:

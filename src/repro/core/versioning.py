@@ -26,13 +26,15 @@ store, whose points-to set for that object is permanently empty.
 
 Two propagation strategies are provided (cross-checked in the tests):
 
-- ``"scc"`` (default): per object, collapse the cycles of the *relay*
-  subgraph (nodes that forward what they consume — non-STORE, non-δ), then
+- ``"scc"`` (default): per object, read that object's edge table
+  (``SVFG.ind_edges[oid]``), collapse the cycles of the *relay* subgraph
+  (nodes that forward what they consume — non-STORE, non-δ), then
   propagate prelabels in one topological pass; each object's label masks
   are interned and **released** before the next object is processed, so
   peak memory is bounded by the largest single object, mirroring SVF's
   conversion of SparseBitVector melds to plain version numbers.
-- ``"fixpoint"``: the literal worklist reading of Figure 8.
+- ``"fixpoint"``: the literal worklist reading of Figure 8, kept as the
+  oracle the tests check ``"scc"`` against.
 """
 
 from __future__ import annotations
@@ -281,131 +283,11 @@ class ObjectVersioning:
             self._run_fixpoint(store_prelabels, delta_prelabels, release_masks)
             self.stats.consume_entries = sum(len(cons) for cons in self.consumed)
             self.stats.yield_entries = sum(len(y) for y in self.yielded)
-        elif strategy == "hashcons":
-            self._run_hashcons(store_prelabels, delta_prelabels)
-            self.stats.consume_entries = sum(len(cons) for cons in self.consumed)
-            self.stats.yield_entries = sum(len(y) for y in self.yielded)
         else:
             raise AnalysisError(f"unknown meld strategy {strategy!r}")
         self.stats.versions = sum(self._version_counts.values())
         self.stats.time = time.perf_counter() - start
         return self
-
-    # ------------------------------------------------- strategy: hash-consing
-
-    def _run_hashcons(
-        self,
-        store_prelabels: Dict[int, Dict[int, int]],
-        delta_prelabels: Dict[int, Dict[int, int]],
-    ) -> None:
-        """Meld labelling with *hash-consed* labels — the paper's closing
-        remark suggests "a data structure specifically catered to
-        versioning rather than ... LLVM's SparseBitVector".
-
-        Labels here are already-interned version ids: the meld of two ids
-        is looked up in (or added to) a pairwise meld table, so labels stay
-        machine ints regardless of how many prelabels meld into them, and
-        interning happens *during* propagation instead of afterwards.
-        Produces the same equivalence classes as the mask strategies
-        (cross-checked in the test suite) with cost O(meld-table size)
-        instead of O(set bits) per meld.
-        """
-        from collections import deque
-
-        svfg = self.svfg
-        is_store = self._is_store
-        delta = svfg.delta_nodes
-        ind_succs = svfg.ind_succs
-
-        # Per object: version id <-> canonical frozenset of prelabel ids.
-        tables: Dict[int, Dict[frozenset, int]] = {}
-        sets_of: Dict[int, List[frozenset]] = {}
-        meld_cache: Dict[Tuple[int, int, int], int] = {}
-
-        def intern_set(oid: int, items: frozenset) -> int:
-            table = tables.get(oid)
-            if table is None:
-                table = tables[oid] = {frozenset(): 0}
-                sets_of[oid] = [frozenset()]
-            ident = table.get(items)
-            if ident is None:
-                ident = len(sets_of[oid])
-                table[items] = ident
-                sets_of[oid].append(items)
-            return ident
-
-        def meld(oid: int, a: int, b: int) -> int:
-            if a == b:
-                return a
-            if a > b:
-                a, b = b, a
-            key = (oid, a, b)
-            cached = meld_cache.get(key)
-            if cached is None:
-                cached = intern_set(oid, sets_of[oid][a] | sets_of[oid][b])
-                meld_cache[key] = cached
-            return cached
-
-        consumed: List[Dict[int, int]] = [{} for __ in svfg.nodes]
-        yielded: List[Dict[int, int]] = [
-            {} if store else consumed[node_id]
-            for node_id, store in enumerate(is_store)
-        ]
-        seeds: List[Tuple[int, int]] = []
-        prelabel_counters: Dict[int, int] = {}
-        for labels, target in ((store_prelabels, yielded), (delta_prelabels, consumed)):
-            for oid, per_node in labels.items():
-                for node_id in per_node:
-                    index = prelabel_counters.get(oid, 0)
-                    prelabel_counters[oid] = index + 1
-                    target[node_id][oid] = intern_set(oid, frozenset({index}))
-                    seeds.append((node_id, oid))
-
-        work = deque(seeds)
-        in_work = set(seeds)
-        while work:
-            item = work.popleft()
-            in_work.discard(item)
-            node_id, oid = item
-            label = yielded[node_id].get(oid, 0)
-            if not label:
-                continue
-            succs = ind_succs[node_id].get(oid)
-            if not succs:
-                continue
-            for succ in succs:
-                if succ in delta:
-                    continue
-                old = consumed[succ].get(oid, 0)
-                new = meld(oid, old, label)
-                if new == old:
-                    continue
-                consumed[succ][oid] = new
-                self.stats.meld_steps += 1
-                if not is_store[succ]:
-                    key = (succ, oid)
-                    if key not in in_work:
-                        in_work.add(key)
-                        work.append(key)
-
-        # Labels are already dense version ids: persist + collect constraints.
-        epsilon = self.EPSILON
-        for node_id in range(len(svfg.nodes)):
-            for oid, ver in consumed[node_id].items():
-                self._set_consumed(node_id, oid, ver)
-            if is_store[node_id]:
-                for oid, ver in yielded[node_id].items():
-                    self._set_yielded(node_id, oid, ver)
-        self._version_counts = {oid: len(sets) for oid, sets in sets_of.items()}
-        for src in range(len(svfg.nodes)):
-            for oid, dsts in ind_succs[src].items():
-                src_ver = self.yielded_version(src, oid)
-                if src_ver == epsilon:
-                    continue
-                for dst in dsts:
-                    dst_ver = self.consumed_version(dst, oid)
-                    if src_ver != dst_ver:
-                        self.add_constraint(oid, src_ver, dst_ver)
 
     def _prelabel(self) -> Tuple[Dict[int, Dict[int, int]], Dict[int, Dict[int, int]]]:
         """Figure 6: fresh yield labels at stores, fresh consume labels at
@@ -443,23 +325,22 @@ class ObjectVersioning:
         if not release_masks:
             self.consumed_masks = [{} for __ in svfg.nodes]
             self.yielded_masks = [{} for __ in svfg.nodes]
-        # Group o-labelled edges per object.  Edges into δ nodes do not
-        # meld (frozen prelabels) but still induce propagation constraints.
-        edges_by_obj: Dict[int, List[Tuple[int, int]]] = {}
-        for src in range(len(svfg.nodes)):
-            for oid, dsts in svfg.ind_succs[src].items():
-                bucket = edges_by_obj.setdefault(oid, [])
-                for dst in dsts:
-                    bucket.append((src, dst))
-        oids = set(edges_by_obj) | set(store_prelabels) | set(delta_prelabels)
+        # Relay nodes forward what they consume: non-STORE, non-δ.
+        delta = svfg.delta_nodes
+        relay = [not store and node_id not in delta
+                 for node_id, store in enumerate(self._is_store)]
+        ind_edges = svfg.ind_edges
+        no_edges: Dict[int, Tuple[int, ...]] = {}
+        oids = set(ind_edges) | set(store_prelabels) | set(delta_prelabels)
         for oid in oids:
+            edges = ind_edges.get(oid, no_edges)
             consumed, yielded = self._meld_one_object(
-                oid,
-                edges_by_obj.get(oid, []),
+                edges,
+                relay,
                 store_prelabels.get(oid, {}),
                 delta_prelabels.get(oid, {}),
             )
-            self._intern_object(oid, consumed, yielded, edges_by_obj.get(oid, []))
+            self._intern_object(oid, consumed, yielded, edges)
             if self.consumed_masks is not None and self.yielded_masks is not None:
                 for node_id, mask in consumed.items():
                     self.consumed_masks[node_id][oid] = mask
@@ -468,27 +349,25 @@ class ObjectVersioning:
 
     def _meld_one_object(
         self,
-        oid: int,
-        edges: List[Tuple[int, int]],
+        edges: Dict[int, Tuple[int, ...]],
+        relay: List[bool],
         store_labels: Dict[int, int],
         delta_labels: Dict[int, int],
     ) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Meld labels for one object; returns (consumed, yielded) masks."""
+        """Meld labels for one object's edge table (``{src: dsts}``);
+        returns (consumed, yielded) masks."""
         delta = self.svfg.delta_nodes
-        is_store = self._is_store
-
-        def is_relay(n: int) -> bool:
-            return not is_store[n] and n not in delta
 
         # Relay adjacency and membership.
-        relay_succs: Dict[int, List[int]] = {}
+        relay_succs: Dict[int, Tuple[int, ...]] = {}
         relay_nodes: Set[int] = set()
-        for src, dst in edges:
-            if is_relay(src):
-                relay_succs.setdefault(src, []).append(dst)
+        for src, dsts in edges.items():
+            if relay[src]:
+                relay_succs[src] = dsts
                 relay_nodes.add(src)
-            if is_relay(dst):
-                relay_nodes.add(dst)
+            for dst in dsts:
+                if relay[dst]:
+                    relay_nodes.add(dst)
 
         # SCC over the relay-to-relay subgraph (iterative Tarjan).
         comp_of: Dict[int, int] = {}
@@ -510,7 +389,7 @@ class ObjectVersioning:
                 node, succs = work[-1]
                 advanced = False
                 for succ in succs:
-                    if not is_relay(succ):
+                    if not relay[succ]:
                         continue
                     if succ not in index:
                         index[succ] = low[succ] = counter
@@ -541,29 +420,30 @@ class ObjectVersioning:
 
         # Condensation DAG: fixed sources contribute prelabels; store
         # consumers are sinks (encoded as negative ids); δ targets are
-        # frozen and receive nothing.
+        # frozen and receive nothing (their constraints come later).
         comp_label = [0] * len(comps)
         comp_succs: List[Set[int]] = [set() for __ in comps]
         store_in: Dict[int, int] = {}
-        for src, dst in edges:
-            if dst in delta:
-                continue  # frozen prelabel; constraint added later
-            if is_relay(src):
+        for src, dsts in edges.items():
+            if relay[src]:
                 src_comp = comp_of[src]
-                if is_relay(dst):
-                    dst_comp = comp_of[dst]
-                    if dst_comp != src_comp:
-                        comp_succs[src_comp].add(dst_comp)
-                else:
-                    comp_succs[src_comp].add(-dst - 1)
+                succ_comps = comp_succs[src_comp]
+                for dst in dsts:
+                    if relay[dst]:
+                        dst_comp = comp_of[dst]
+                        if dst_comp != src_comp:
+                            succ_comps.add(dst_comp)
+                    elif dst not in delta:
+                        succ_comps.add(-dst - 1)
             else:
-                label = store_labels.get(src) or delta_labels.get(src) or 0
+                label = store_labels.get(src) or delta_labels.get(src)
                 if not label:
                     continue
-                if is_relay(dst):
-                    comp_label[comp_of[dst]] |= label
-                else:
-                    store_in[dst] = store_in.get(dst, 0) | label
+                for dst in dsts:
+                    if relay[dst]:
+                        comp_label[comp_of[dst]] |= label
+                    elif dst not in delta:
+                        store_in[dst] = store_in.get(dst, 0) | label
 
         # One pass, predecessors first (Tarjan emits successors first).
         for comp_id in range(len(comps) - 1, -1, -1):
@@ -603,7 +483,7 @@ class ObjectVersioning:
         oid: int,
         consumed: Dict[int, int],
         yielded: Dict[int, int],
-        edges: List[Tuple[int, int]],
+        edges: Dict[int, Tuple[int, ...]],
     ) -> None:
         """Phase 3 for one object: dense ids + constraints, then release."""
         interner: Interner = Interner()
@@ -614,13 +494,14 @@ class ObjectVersioning:
         self.stats.consume_entries += len(consumed_ver)
         self.stats.yield_entries += len(yielded_ver)
         epsilon = self.EPSILON
-        for src, dst in edges:
+        for src, dsts in edges.items():
             src_ver = yielded_ver.get(src, epsilon)
             if src_ver == epsilon:
                 continue
-            dst_ver = consumed_ver.get(dst, epsilon)
-            if src_ver != dst_ver:
-                self.add_constraint(oid, src_ver, dst_ver)
+            for dst in dsts:
+                dst_ver = consumed_ver.get(dst, epsilon)
+                if src_ver != dst_ver:
+                    self.add_constraint(oid, src_ver, dst_ver)
         # Persist only the entries the solver will consult again.
         keep = self._keep
         for node_id, ver in consumed_ver.items():
@@ -658,7 +539,8 @@ class ObjectVersioning:
                 seeds.append((node_id, oid))
 
         delta = svfg.delta_nodes
-        ind_succs = svfg.ind_succs
+        ind_edges = svfg.ind_edges
+        no_edges: Dict[int, Tuple[int, ...]] = {}
         work = deque(seeds)
         in_work = set(seeds)
         while work:
@@ -668,7 +550,7 @@ class ObjectVersioning:
             label = yielded_masks[node_id].get(oid, 0)
             if not label:
                 continue
-            succs = ind_succs[node_id].get(oid)
+            succs = ind_edges.get(oid, no_edges).get(node_id)
             if not succs:
                 continue
             for succ in succs:
@@ -705,8 +587,8 @@ class ObjectVersioning:
                 for oid, mask in yielded_masks[node_id].items():
                     self._set_yielded(node_id, oid, intern(oid, mask))
         self._version_counts = {oid: len(interner) for oid, interner in interners.items()}
-        for src in range(len(svfg.nodes)):
-            for oid, dsts in ind_succs[src].items():
+        for oid, table in ind_edges.items():
+            for src, dsts in table.items():
                 src_ver = self.yielded_version(src, oid)
                 if src_ver == self.EPSILON:
                     continue

@@ -318,21 +318,11 @@ class VSFSAnalysis(StagedSolverBase):
         replay already-computed points-to sets across them."""
         assert self.versioning is not None
         versioning = self.versioning
-        for oid, ain in self.svfg.actual_in.get(call, {}).items():
-            fin = self.svfg.formal_in.get(callee, {}).get(oid)
-            if fin is None:
-                continue
-            src = versioning.yielded_version(ain, oid)
-            dst = versioning.consumed_version(fin, oid)
-            if self._add_constraint(oid, src, dst):
-                self.stats.propagations += 1
-                self._ptv_join(oid, dst, self.ptv_mask(oid, src))
-        for oid, aout in self.svfg.actual_out.get(call, {}).items():
-            fout = self.svfg.formal_out.get(callee, {}).get(oid)
-            if fout is None:
-                continue
-            src = versioning.yielded_version(fout, oid)
-            dst = versioning.consumed_version(aout, oid)
+        for src_node, dst_node, oid in self.svfg.call_edges(call, callee):
+            if oid is None:
+                continue  # top-level binding: no versions involved
+            src = versioning.yielded_version(src_node, oid)
+            dst = versioning.consumed_version(dst_node, oid)
             if self._add_constraint(oid, src, dst):
                 self.stats.propagations += 1
                 self._ptv_join(oid, dst, self.ptv_mask(oid, src))

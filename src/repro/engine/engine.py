@@ -16,7 +16,8 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.engine.context import StageContext
-from repro.engine.events import StageEvent, StageTrace, heal_event
+from repro.engine.events import (StageEvent, StageTrace, gc_collections,
+                                 gc_detail, heal_event)
 from repro.engine.stages import Stage, default_stages
 from repro.errors import AnalysisError, CheckpointError, InjectedFault
 
@@ -133,6 +134,7 @@ class Engine:
         ctx.bus.emit(StageEvent("stage_start", name,
                                 main_phase=stage.main_phase, fingerprint=fp))
         begun = time.perf_counter()
+        gc_begun = gc_collections()
         cache_label: Optional[str] = None
         try:
             artifact: Any = None
@@ -180,7 +182,8 @@ class Engine:
             ctx.bus.emit(StageEvent(
                 "stage_end", name, wall_s=time.perf_counter() - begun,
                 main_phase=stage.main_phase, cache=cache_label,
-                fingerprint=fp, outcome=type(exc).__name__))
+                fingerprint=fp, outcome=type(exc).__name__,
+                detail=gc_detail(gc_begun)))
             raise
         ctx.artifacts[name] = artifact
         if fp is None:
@@ -188,7 +191,8 @@ class Engine:
         ctx.bus.emit(StageEvent(
             "stage_end", name, wall_s=time.perf_counter() - begun,
             steps=stage.steps(artifact), main_phase=stage.main_phase,
-            cache=cache_label, fingerprint=fp, outcome="ok"))
+            cache=cache_label, fingerprint=fp, outcome="ok",
+            detail=gc_detail(gc_begun)))
         return artifact
 
     def prime_substrate(self, analysis: str) -> None:
@@ -276,13 +280,14 @@ class Engine:
         ctx.bus.emit(StageEvent("stage_start", name, main_phase=True,
                                 fingerprint=fp))
         begun = time.perf_counter()
+        gc_begun = gc_collections()
         try:
             result = stage.run(rung)
         except BaseException as exc:
             ctx.bus.emit(StageEvent(
                 "stage_end", name, wall_s=time.perf_counter() - begun,
                 main_phase=True, fingerprint=fp,
-                outcome=type(exc).__name__))
+                outcome=type(exc).__name__, detail=gc_detail(gc_begun)))
             raise
         if level == "andersen":
             ctx.artifacts["andersen"] = result
@@ -324,7 +329,7 @@ class Engine:
         ctx.bus.emit(StageEvent(
             "stage_end", name, wall_s=time.perf_counter() - begun,
             steps=stage.steps(result), main_phase=True, fingerprint=fp,
-            outcome="ok", detail=detail))
+            outcome="ok", detail=gc_detail(gc_begun, detail)))
         return result
 
     # ----------------------------------------------------------- integration
@@ -338,4 +343,5 @@ class Engine:
         self.ctx.bus.emit(StageEvent("cache_hit", stage_name, cache=label,
                                      artifact_bytes=nbytes or None))
         self.ctx.bus.emit(StageEvent("stage_end", stage_name, wall_s=0.0,
-                                     main_phase=True, outcome="ok"))
+                                     main_phase=True, outcome="ok",
+                                     detail=gc_detail(gc_collections())))

@@ -10,10 +10,17 @@ substrate-vs-main-phase flag — the breakdown behind ``repro-wpa
 --trace``, the batch driver's stage totals, and the bench runner's JSON
 (the paper's Table III excludes everything with ``main_phase=False``
 from the timed main phase).
+
+Every ``stage_end`` detail carries ``gc_collections``: the cyclic
+collector's collections per generation (0, 1, 2) during the stage.  The
+counts are read from ``gc.get_stats()`` and are process-wide, so a
+daemon stage that overlaps other workers' stages includes their
+collections too.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -48,6 +55,22 @@ class StageEvent:
     #: Optional stage-specific observations (solve stages attach their
     #: dedup-engine figures: batch memo hit rate, arena resident bytes).
     detail: Optional[Dict[str, object]] = None
+
+
+def gc_collections() -> List[int]:
+    """Collections the cyclic collector has run so far, per generation
+    (read-only; process-wide)."""
+    return [gen["collections"] for gen in gc.get_stats()]
+
+
+def gc_detail(since: List[int],
+              detail: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+    """*detail* plus ``gc_collections``: the collections per generation
+    since the :func:`gc_collections` reading *since*."""
+    merged: Dict[str, object] = dict(detail or {})
+    merged["gc_collections"] = [now - then for now, then
+                                in zip(gc_collections(), since)]
+    return merged
 
 
 def heal_event(stage: str, domain: str, action: str,
@@ -196,16 +219,18 @@ class StageTrace:
         """Text table for ``repro-wpa --trace``."""
         lines = ["--- stage trace ---",
                  f"{'stage':<16} {'phase':<9} {'wall':>9} {'steps':>8} "
-                 f"{'cache':<12} {'bytes':>8} outcome"]
+                 f"{'cache':<12} {'bytes':>8} {'gc2':>4} outcome"]
         for record in self.records:
             phase = "main" if record.main_phase else "substrate"
             cache = record.cache or "-"
             size = str(record.artifact_bytes) if record.artifact_bytes else "-"
+            detail = record.detail or {}
+            collections = detail.get("gc_collections")
+            gc2 = str(collections[2]) if collections else "-"
             lines.append(
                 f"{record.stage:<16} {phase:<9} {record.wall_s:>8.4f}s "
-                f"{record.steps:>8} {cache:<12} {size:>8} "
+                f"{record.steps:>8} {cache:<12} {size:>8} {gc2:>4} "
                 f"{record.outcome or '-'}")
-            detail = record.detail or {}
             memo_calls = (int(detail.get("batch_memo_hits") or 0)
                           + int(detail.get("batch_memo_misses") or 0))
             if memo_calls:

@@ -252,7 +252,7 @@ class SVFGStage(Stage):
                 for dst in succs),
             "indirect": sorted(
                 [src, dst, oid]
-                for src, row in enumerate(artifact.ind_succs)
+                for src, row in enumerate(artifact.indirect_succs())
                 for oid, dsts in row.items()
                 for dst in dsts),
             "delta": sorted(artifact.delta_nodes),

@@ -182,7 +182,7 @@ def node_dirty_closure(svfg, seed_functions: Iterable[str], andersen=None,
     for nid in seed_nodes:
         enqueue(nid)
     direct_succs = svfg.direct_succs
-    ind_succs = svfg.ind_succs
+    ind_succs = svfg.indirect_succs()
     while frontier:
         nid = frontier.pop()
         for dst in direct_succs[nid]:
@@ -219,9 +219,10 @@ def node_flow_graph(svfg) -> Dict[int, List[int]]:
     taint everything the caller touches.
     """
     graph: Dict[int, List[int]] = {}
+    ind_succs = svfg.indirect_succs()
     for nid in range(len(svfg.nodes)):
         succs = set(svfg.direct_succs[nid])
-        for dsts in svfg.ind_succs[nid].values():
+        for dsts in ind_succs[nid].values():
             succs.update(dsts)
         succs.discard(nid)
         if succs:
@@ -239,6 +240,7 @@ def function_flow_graph(svfg) -> Dict[str, List[str]]:
     new-graph closure alone cannot see.
     """
     nodes = svfg.nodes
+    ind_succs = svfg.indirect_succs()
     edges: Dict[str, Set[str]] = {}
 
     def name_of(nid: int) -> str:
@@ -250,7 +252,7 @@ def function_flow_graph(svfg) -> Dict[str, List[str]]:
         bucket = edges.setdefault(src, set())
         for dst in svfg.direct_succs[nid]:
             bucket.add(name_of(dst))
-        for dsts in svfg.ind_succs[nid].values():
+        for dsts in ind_succs[nid].values():
             for dst in dsts:
                 bucket.add(name_of(dst))
     return {src: sorted(dsts - {src, ""})

@@ -62,11 +62,7 @@ def region_digests(svfg, modref, andersen=None) -> Dict[str, str]:
     vkeys = variable_keys(module)
     nkeys = node_keys(svfg)
     nodes = svfg.nodes
-
-    direct_preds: List[List[int]] = [[] for _ in nodes]
-    for src in range(len(nodes)):
-        for dst in svfg.direct_succs[src]:
-            direct_preds[dst].append(src)
+    ind_preds = svfg.indirect_preds()
 
     # Variables owned by each function (locals key as ``v:<fn>:<ord>``).
     vars_by_fn: Dict[str, List[int]] = {}
@@ -94,10 +90,10 @@ def region_digests(svfg, modref, andersen=None) -> Dict[str, str]:
             sequence.append([kind, detail])
             edges.append([
                 nkeys[nid],
-                sorted(nkeys[src] for src in direct_preds[nid]),
+                sorted(nkeys[src] for src in svfg.direct_preds[nid]),
                 sorted(
                     [okeys[oid], nkeys[src]]
-                    for src, oid in svfg.ind_preds[nid]
+                    for src, oid in ind_preds[nid]
                 ),
             ])
         aux = {

@@ -430,8 +430,9 @@ def plan_warm(payload: Dict[str, Any], svfg, modref, analysis: str,
     # 6. Boundary: values a dirty node receives over *static* indirect
     # edges from clean predecessors.  (On-the-fly edges re-deliver theirs
     # when the clean call sites are reprocessed.)
+    ind_preds = svfg.indirect_preds()
     for nid in dirty_nodes:
-        for pred, oid in svfg.ind_preds[nid]:
+        for pred, oid in ind_preds[nid]:
             table = plan.node_out.get(pred)
             mask = table.get(oid) if table else None
             if mask is None:

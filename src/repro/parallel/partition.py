@@ -74,7 +74,7 @@ def _dependency_adjacency(svfg: SVFG) -> List[List[int]]:
     succs: List[List[int]] = [[] for _ in range(len(svfg.nodes))]
     for src, dsts in enumerate(svfg.direct_succs):
         succs[src].extend(dsts)
-    for src, table in enumerate(svfg.ind_succs):
+    for src, table in enumerate(svfg.indirect_succs()):
         for dsts in table.values():
             succs[src].extend(dsts)
     # Potential OTF call wiring, over-approximated by Andersen.
@@ -94,21 +94,8 @@ def _dependency_adjacency(svfg: SVFG) -> List[List[int]]:
         for callee in callees:
             if callee.is_declaration:
                 continue
-            succs[node.id].append(svfg.inst_node[callee.entry_inst].id)
-            # connect_callsite only wires exit -> call when the call uses
-            # its return value; mirroring that keeps value-ignoring calls
-            # out of caller/callee SCCs.
-            exit_inst = callee.exit_inst()
-            if exit_inst is not None and inst.dst is not None:
-                succs[svfg.inst_node[exit_inst].id].append(node.id)
-            for oid, ain in svfg.actual_in.get(inst, {}).items():
-                fin = svfg.formal_in.get(callee, {}).get(oid)
-                if fin is not None:
-                    succs[ain].append(fin)
-            for oid, aout in svfg.actual_out.get(inst, {}).items():
-                fout = svfg.formal_out.get(callee, {}).get(oid)
-                if fout is not None:
-                    succs[fout].append(aout)
+            for src, dst, __ in svfg.call_edges(inst, callee):
+                succs[src].append(dst)
     return succs
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Tuple
+from typing import Deque, Dict, Iterable, Iterator, List, Tuple
 
 from repro.core.vsfs import VSFSAnalysis
 from repro.datastructs.worklist import DeltaWorkList, FIFOWorkList
@@ -422,40 +422,43 @@ class ShardedSolverMixin:
 class ShardedSFS(ShardedSolverMixin, SFSAnalysis):
     """SFS restricted to an owned region.
 
-    Indirect successor lists of owned nodes are split into a local part
-    (walked by the unmodified ``_propagate``) and an **export part**
+    Each object's edge table is split, for owned sources, into a local
+    part (walked by the unmodified ``_propagate``) and an **export part**
     whose growth is diffed against a per-``(dst, object)`` sent-mask and
     queued as frontier memory deltas.
     """
 
     def __init__(self, svfg: SVFG, partition: Partition, worker_id: int,
                  **kwargs) -> None:
+        #: obj id -> owned src id -> successors owned by other workers.
         self._export_succs: Dict[int, Dict[int, List[int]]] = {}
         self._export_sent: Dict[Tuple[int, int], int] = {}
         super().__init__(svfg, partition, worker_id, **kwargs)
-        owned = self.owned
-        for node_id in range(len(self.svfg.nodes)):
-            if owned[node_id]:
-                self._split_node_edges(node_id)
+        self._split_all()
 
-    def _split_node_edges(self, node_id: int) -> None:
-        """Move cross-worker successors of *node_id* to the export table."""
+    def _split_all(self) -> None:
+        for oid, table in list(self.svfg.ind_edges.items()):
+            self._split_edges(oid, table)
+
+    def _split_edges(self, oid: int, srcs: Iterable[int]) -> None:
+        """Move cross-worker successors of the owned *srcs* in *oid*'s
+        table to the export table."""
         owned = self.owned
-        table = self.svfg.ind_succs[node_id]
-        split = [oid for oid, dsts in table.items()
-                 if any(not owned[dst] for dst in dsts)]
+        table = self.svfg.ind_edges.get(oid, {})
+        split = [src for src in srcs
+                 if owned[src] and not all(owned[dst] for dst in table[src])]
         if not split:
             return
-        # The row is the build's: split a copy on this solver's view.
-        table = self.svfg.ind_succs[node_id] = dict(table)
-        for oid in split:
-            dsts = table[oid]
+        # The table is the build's: split this solver view's own copy.
+        table = self.svfg.own_table(oid)
+        exports = self._export_succs.setdefault(oid, {})
+        for src in split:
+            dsts = table[src]
             exported = [dst for dst in dsts if not owned[dst]]
-            table[oid] = [dst for dst in dsts if owned[dst]]
-            bucket = self._export_succs.setdefault(node_id, {})
-            seen = bucket.get(oid)
+            table[src] = tuple(dst for dst in dsts if owned[dst])
+            seen = exports.get(src)
             if seen is None:
-                bucket[oid] = exported  # SVFG successor lists are deduped
+                exports[src] = exported  # SVFG successor lists are deduped
             else:
                 known = set(seen)
                 seen.extend(dst for dst in exported if dst not in known)
@@ -464,17 +467,16 @@ class ShardedSFS(ShardedSolverMixin, SFSAnalysis):
                        touched: List[int]) -> None:
         # connect_callsite may have appended cross-worker indirect edges
         # (ActualIN→FormalIN / FormalOUT→ActualOUT) to owned sources.
-        owned = self.owned
-        for src in touched:
-            if owned[src]:
-                self._split_node_edges(src)
+        for src, __, oid in self.svfg.call_edges(call, callee):
+            if oid is not None and src in touched:
+                self._split_edges(oid, (src,))
 
     def _propagate(self, node_id: int, oid: int, mask: int) -> None:
         super()._propagate(node_id, oid, mask)
-        exports = self._export_succs.get(node_id)
+        exports = self._export_succs.get(oid)
         if not exports or not mask:
             return
-        dsts = exports.get(oid)
+        dsts = exports.get(node_id)
         if not dsts:
             return
         sent = self._export_sent
@@ -545,10 +547,7 @@ class ShardedSFS(ShardedSolverMixin, SFSAnalysis):
         ``restore_state`` replayed the call edges without splitting the
         rows they grew; split them now (construction's exports stay).
         """
-        owned = self.owned
-        for node_id in range(len(self.svfg.nodes)):
-            if owned[node_id]:
-                self._split_node_edges(node_id)
+        self._split_all()
 
 
 class ShardedVSFS(ShardedSolverMixin, VSFSAnalysis):

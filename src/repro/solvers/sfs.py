@@ -71,7 +71,8 @@ class SFSAnalysis(StagedSolverBase):
         """
         if not mask:
             return
-        succs = self.svfg.ind_succs[node_id].get(oid)
+        table = self.svfg.ind_edges.get(oid)
+        succs = table.get(node_id) if table is not None else None
         if not succs:
             return
         faults = self.faults

@@ -15,11 +15,19 @@ Edges:
   connect the definition of one memory-SSA version of ``o`` to each of its
   uses.
 
+The built graph's edges are immutable and hold no per-node containers:
+direct rows are tuples, and indirect edges are stored object-major as
+``SVFG.ind_edges[oid][src] = (dst, ...)`` — the layout versioning melds
+and SFS propagates over.  Node-major readers use
+:meth:`SVFG.indirect_succs` / :meth:`SVFG.indirect_preds`.
+
 Interprocedural edges of *indirect* calls are not added at build time: the
 solvers resolve the call graph on the fly and call
 :meth:`SVFG.connect_callsite` when flow-sensitive analysis discovers a
 callee — the nodes that may acquire new incoming edges this way are the
-paper's *δ nodes* (Definition 3).
+paper's *δ nodes* (Definition 3).  Each solver does so on its own
+:meth:`SVFG.copy` view, which copies an object's edge table before its
+first new edge and so never changes the built graph.
 """
 
 from repro.svfg.nodes import (

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.andersen import AndersenResult
-from repro.analysis.modref import ModRefInfo
 from repro.datastructs.bitset import iter_bits
 from repro.errors import AnalysisError
 from repro.ir.function import Function
@@ -46,7 +45,21 @@ class SVFGStats:
 
 
 class SVFG:
-    """The sparse value-flow graph (see package docstring)."""
+    """The sparse value-flow graph (see package docstring).
+
+    Edges are laid out once by :func:`build_svfg`; afterwards no shared
+    row or table is extended in place:
+
+    - :attr:`direct_succs` / :attr:`direct_preds` hold one tuple of node
+      ids per node (nodes without direct edges share the empty tuple);
+    - :attr:`ind_edges` is object-major, ``{oid: {src: (dst, ...)}}``,
+      with sources ascending within each object and destinations in
+      build order (a view's on-the-fly edges follow them).  Versioning
+      melds one object's table at a time and SFS propagates along
+      ``ind_edges[oid][src]``; node-major readers use
+      :meth:`indirect_succs` / :meth:`indirect_preds`, which derive rows
+      from it on first use.
+    """
 
     def __init__(self, module: Module, andersen: AndersenResult, memssa: MemSSA):
         self.module = module
@@ -55,11 +68,10 @@ class SVFG:
         self.nodes: List[SVFGNode] = []
         self.inst_node: Dict[Instruction, InstNode] = {}
         # Direct (top-level) edges, by node id.
-        self.direct_succs: List[List[int]] = []
-        self.direct_preds: List[List[int]] = []
-        # Indirect (address-taken) edges, labelled with object ids.
-        self.ind_succs: List[Dict[int, List[int]]] = []
-        self.ind_preds: List[List[Tuple[int, int]]] = []  # (pred id, obj id)
+        self.direct_succs: List[Tuple[int, ...]] = []
+        self.direct_preds: List[Tuple[int, ...]] = []
+        # Indirect (address-taken) edges: obj id -> src id -> dst ids.
+        self.ind_edges: Dict[int, Dict[int, Tuple[int, ...]]] = {}
         # Per-call-site / per-function object nodes (obj id -> node id).
         self.actual_in: Dict[CallInst, Dict[int, int]] = {}
         self.actual_out: Dict[CallInst, Dict[int, int]] = {}
@@ -72,16 +84,18 @@ class SVFG:
         #: edges during on-the-fly call graph resolution.
         self.delta_nodes: Set[int] = set()
         self._connected: Set[Tuple[CallInst, Function]] = set()
+        # Object tables this graph copied and may extend; every other
+        # table may be shared with a view (see copy()).
+        self._owned: Set[int] = set()
+        # Node-major rows derived from ind_edges on first use.
+        self._succ_rows: Optional[List[Dict[int, Tuple[int, ...]]]] = None
+        self._pred_rows: Optional[List[Sequence[Tuple[int, int]]]] = None
 
     # ------------------------------------------------------------ structure
 
     def _add_node(self, node: SVFGNode) -> SVFGNode:
         node.id = len(self.nodes)
         self.nodes.append(node)
-        self.direct_succs.append([])
-        self.direct_preds.append([])
-        self.ind_succs.append({})
-        self.ind_preds.append([])
         return node
 
     def add_direct_edge(self, src: int, dst: int) -> bool:
@@ -89,24 +103,46 @@ class SVFG:
         extended copies (safe on a :meth:`copy` view)."""
         if dst in self.direct_succs[src]:
             return False
-        self.direct_succs[src] = self.direct_succs[src] + [dst]
-        self.direct_preds[dst] = self.direct_preds[dst] + [src]
+        self.direct_succs[src] += (dst,)
+        self.direct_preds[dst] += (src,)
         return True
-
-    def add_indirect_edge(self, src: int, dst: int, oid: int) -> None:
-        """Build-time only: appends to the rows in place (the caller
-        deduplicates)."""
-        self.ind_succs[src].setdefault(oid, []).append(dst)
-        self.ind_preds[dst].append((src, oid))
 
     def num_direct_edges(self) -> int:
         return sum(len(succs) for succs in self.direct_succs)
 
     def num_indirect_edges(self) -> int:
-        return sum(len(dsts) for row in self.ind_succs for dsts in row.values())
+        return sum(len(dsts) for table in self.ind_edges.values()
+                   for dsts in table.values())
 
-    def node(self, ident: int) -> SVFGNode:
-        return self.nodes[ident]
+    def indirect_succs(self) -> List[Dict[int, Tuple[int, ...]]]:
+        """Per node id, its outgoing indirect edges as ``{oid: dsts}``
+        (derived from :attr:`ind_edges` and cached; read-only)."""
+        if self._succ_rows is None:
+            empty: Dict[int, Tuple[int, ...]] = {}
+            rows = [empty] * len(self.nodes)
+            for oid, table in self.ind_edges.items():
+                for src, dsts in table.items():
+                    row = rows[src]
+                    if row is empty:
+                        row = rows[src] = {}
+                    row[oid] = dsts
+            self._succ_rows = rows
+        return self._succ_rows
+
+    def indirect_preds(self) -> List[Sequence[Tuple[int, int]]]:
+        """Per node id, the ``(src, oid)`` pairs of its incoming indirect
+        edges (derived from :attr:`ind_edges` and cached; read-only)."""
+        if self._pred_rows is None:
+            rows: List[Sequence[Tuple[int, int]]] = [()] * len(self.nodes)
+            for oid, table in self.ind_edges.items():
+                for src, dsts in table.items():
+                    for dst in dsts:
+                        row = rows[dst]
+                        if not row:
+                            row = rows[dst] = []
+                        row.append((src, oid))  # type: ignore[union-attr]
+            self._pred_rows = rows
+        return self._pred_rows
 
     # ------------------------------------------------------ region ownership
 
@@ -127,64 +163,81 @@ class SVFG:
     def is_connected(self, call: CallInst, callee: Function) -> bool:
         return (call, callee) in self._connected
 
+    def call_edges(self, call: CallInst, callee: Function
+                   ) -> Iterator[Tuple[int, int, Optional[int]]]:
+        """The edges wiring *call* to *callee*, as ``(src, dst, oid)``
+        with ``oid`` None for direct edges: call → entry, exit → call
+        (when the call uses its return value), ActualIN → FormalIN and
+        FormalOUT → ActualOUT per shared object."""
+        call_node = self.inst_node[call].id
+        yield call_node, self.inst_node[callee.entry_inst].id, None
+        exit_inst = callee.exit_inst()
+        if exit_inst is not None and call.dst is not None:
+            yield self.inst_node[exit_inst].id, call_node, None
+        formal_in = self.formal_in.get(callee, {})
+        for oid, ain in self.actual_in.get(call, {}).items():
+            fin = formal_in.get(oid)
+            if fin is not None:
+                yield ain, fin, oid
+        formal_out = self.formal_out.get(callee, {})
+        for oid, aout in self.actual_out.get(call, {}).items():
+            fout = formal_out.get(oid)
+            if fout is not None:
+                yield fout, aout, oid
+
     def connect_callsite(self, call: CallInst, callee: Function) -> List[int]:
         """Wire *call* to *callee* (parameter/return + μ/χ edges).
 
         Returns the node ids whose outputs must be (re)propagated — the
         sources of every newly created edge.  Used by the solvers when
-        on-the-fly call graph resolution discovers an edge; also used at
-        build time for direct calls.  The rows it grows are replaced by
-        extended copies, never extended in place (see :meth:`copy`).
+        on-the-fly call graph resolution discovers an edge.  It never
+        extends a row in place: direct rows are replaced by extended
+        copies, and an object's table is copied before its first new
+        edge (see :meth:`copy`).
         """
         if (call, callee) in self._connected or callee.is_declaration:
             return []
         self._connected.add((call, callee))
         touched: List[int] = []
-        call_node = self.inst_node[call].id
-
-        entry_node = self.inst_node[callee.entry_inst].id
-        if self.add_direct_edge(call_node, entry_node):
-            touched.append(call_node)
-        exit_inst = callee.exit_inst()
-        if exit_inst is not None and call.dst is not None:
-            exit_node = self.inst_node[exit_inst].id
-            if self.add_direct_edge(exit_node, call_node):
-                touched.append(exit_node)
-
-        for oid, ain in self.actual_in.get(call, {}).items():
-            fin = self.formal_in.get(callee, {}).get(oid)
-            if fin is not None and self._extend_indirect(ain, fin, oid):
-                touched.append(ain)
-        for oid, aout in self.actual_out.get(call, {}).items():
-            fout = self.formal_out.get(callee, {}).get(oid)
-            if fout is not None and self._extend_indirect(fout, aout, oid):
-                touched.append(fout)
+        for src, dst, oid in self.call_edges(call, callee):
+            if oid is None:
+                added = self.add_direct_edge(src, dst)
+            else:
+                dsts = self.ind_edges.get(oid, {}).get(src, ())
+                added = dst not in dsts
+                if added:
+                    self.own_table(oid)[src] = dsts + (dst,)
+            if added:
+                touched.append(src)
         return touched
 
-    def _extend_indirect(self, src: int, dst: int, oid: int) -> bool:
-        row = self.ind_succs[src]
-        dsts = row.get(oid, [])
-        if dst in dsts:
-            return False
-        self.ind_succs[src] = {**row, oid: dsts + [dst]}
-        self.ind_preds[dst] = self.ind_preds[dst] + [(src, oid)]
-        return True
+    def own_table(self, oid: int) -> Dict[int, Tuple[int, ...]]:
+        """This graph's private table of *oid*'s edges, copied from the
+        shared one the first time; drops the derived node-major rows."""
+        if oid not in self._owned:
+            self._owned.add(oid)
+            self.ind_edges[oid] = dict(self.ind_edges.get(oid, {}))
+        self._succ_rows = self._pred_rows = None
+        return self.ind_edges[oid]
 
     # ----------------------------------------------------------------- view
 
     def copy(self) -> "SVFG":
-        """A solver's private view: it shares nodes, tables and every edge
-        row, and owns only the per-node lists of row pointers (O(nodes)
-        to make) and its connected pairs, so the rows
-        :meth:`connect_callsite` replaces on it leave this graph intact.
+        """A solver's private view: it shares nodes, tables and every
+        edge row and object table, and owns only the per-node lists of
+        direct rows, the object map and its connected pairs, so the
+        edges :meth:`connect_callsite` adds on it leave this graph
+        intact.
         """
         view = SVFG.__new__(SVFG)
         view.__dict__.update(self.__dict__)
         view.direct_succs = list(self.direct_succs)
         view.direct_preds = list(self.direct_preds)
-        view.ind_succs = list(self.ind_succs)
-        view.ind_preds = list(self.ind_preds)
+        view.ind_edges = dict(self.ind_edges)
         view._connected = set(self._connected)
+        # Every table is shared now: either graph copies before extending.
+        view._owned = set()
+        self._owned = set()
         return view
 
     # ---------------------------------------------------------------- stats
@@ -207,11 +260,43 @@ def build_svfg(module: Module, andersen: AndersenResult, memssa: MemSSA) -> SVFG
     """Assemble the SVFG (nodes, direct edges, indirect edges, δ set)."""
     svfg = SVFG(module, andersen, memssa)
     _create_nodes(svfg)
-    _add_direct_edges(svfg)
-    _add_indirect_edges(svfg)
-    _connect_direct_calls(svfg)
+    # Edge rows per label (None: direct), extended in place, deduplicated.
+    rows: Dict[Optional[int], Dict[int, List[int]]] = {None: {}}
+
+    def add_edge(src: int, dst: int, oid: Optional[int] = None) -> None:
+        table = rows.get(oid)
+        if table is None:
+            table = rows[oid] = {}
+        row = table.get(src)
+        if row is None:
+            table[src] = [dst]
+        elif dst not in row:
+            row.append(dst)
+
+    _add_direct_edges(svfg, add_edge)
+    _add_indirect_edges(svfg, add_edge)
+    _connect_direct_calls(svfg, add_edge)
+    _lay_out_edges(svfg, rows)
     _mark_delta_nodes(svfg)
     return svfg
+
+
+def _lay_out_edges(svfg: SVFG, rows: Dict[Optional[int], Dict[int, List[int]]]) -> None:
+    """Freeze the build's rows into the SVFG's immutable edge layout."""
+    num_nodes = len(svfg.nodes)
+    svfg.direct_succs = [()] * num_nodes
+    preds: Dict[int, List[int]] = {}
+    for src, dsts in rows.pop(None).items():
+        svfg.direct_succs[src] = tuple(dsts)
+        for dst in dsts:
+            preds.setdefault(dst, []).append(src)
+    svfg.direct_preds = [()] * num_nodes
+    for dst, srcs in preds.items():
+        svfg.direct_preds[dst] = tuple(srcs)
+    svfg.ind_edges = {
+        oid: {src: tuple(dsts) for src, dsts in sorted(table.items())}
+        for oid, table in rows.items()
+    }
 
 
 def _create_nodes(svfg: SVFG) -> None:
@@ -251,9 +336,8 @@ def _create_nodes(svfg: SVFG) -> None:
                         out_table[chi.obj.id] = aout.id
 
 
-def _add_direct_edges(svfg: SVFG) -> None:
+def _add_direct_edges(svfg: SVFG, add_edge: Callable[..., None]) -> None:
     """Top-level def-use edges: unique definition → every reader."""
-    module = svfg.module
     # Definitions.
     for inst, node in svfg.inst_node.items():
         result = inst.result()
@@ -269,10 +353,10 @@ def _add_direct_edges(svfg: SVFG) -> None:
                 svfg.var_uses.setdefault(operand.id, []).append(node.id)
                 def_node = svfg.var_def_node.get(operand.id)
                 if def_node is not None:
-                    svfg.add_direct_edge(def_node, node.id)
+                    add_edge(def_node, node.id)
 
 
-def _add_indirect_edges(svfg: SVFG) -> None:
+def _add_indirect_edges(svfg: SVFG, add_edge: Callable[..., None]) -> None:
     """Link each memory-SSA version's definition to its uses."""
     memssa = svfg.memssa
     # Version definitions, keyed by (function, obj id, version).
@@ -291,18 +375,13 @@ def _add_indirect_edges(svfg: SVFG) -> None:
             for chi in memssa.call_chis.get(inst, []):
                 defs[(node.function, chi.obj.id, chi.new_ver)] = svfg.actual_out[inst][chi.obj.id]
 
-    seen: Set[Tuple[int, int, int]] = set()  # (src, dst, oid)
-
     def link(function: Function, oid: int, ver: int, use_node: int) -> None:
         def_node = defs.get((function, oid, ver))
         if def_node is None:
             raise AnalysisError(
                 f"no definition for version {ver} of object id {oid} in @{function.name}"
             )
-        key = (def_node, use_node, oid)
-        if key not in seen:
-            seen.add(key)
-            svfg.add_indirect_edge(def_node, use_node, oid)
+        add_edge(def_node, use_node, oid)
 
     for node in svfg.nodes:
         if isinstance(node, MemPhiNode):
@@ -329,12 +408,14 @@ def _add_indirect_edges(svfg: SVFG) -> None:
                 link(function, mu.obj.id, mu.ver, svfg.formal_out[function][mu.obj.id])
 
 
-def _connect_direct_calls(svfg: SVFG) -> None:
-    for inst, node in list(svfg.inst_node.items()):
+def _connect_direct_calls(svfg: SVFG, add_edge: Callable[..., None]) -> None:
+    for inst in svfg.inst_node:
         if isinstance(inst, CallInst) and not inst.is_indirect():
             assert isinstance(inst.callee, Function)
             if not inst.callee.is_declaration:
-                svfg.connect_callsite(inst, inst.callee)
+                svfg._connected.add((inst, inst.callee))
+                for src, dst, oid in svfg.call_edges(inst, inst.callee):
+                    add_edge(src, dst, oid)
 
 
 def _mark_delta_nodes(svfg: SVFG) -> None:
@@ -342,7 +423,9 @@ def _mark_delta_nodes(svfg: SVFG) -> None:
     of indirect call sites (Definition 3), per the auxiliary analysis."""
     andersen = svfg.andersen
     module = svfg.module
-    indirect_targets: Set[Function] = set()
+    # Targets in discovery order (not address order): the δ set's
+    # insertion order reaches the version ids through the prelabels.
+    indirect_targets: Dict[Function, None] = {}
     for inst in svfg.inst_node:
         if isinstance(inst, CallInst) and inst.is_indirect():
             for oid, aout in svfg.actual_out.get(inst, {}).items():
@@ -351,7 +434,7 @@ def _mark_delta_nodes(svfg: SVFG) -> None:
                 for oid in iter_bits(andersen.pts_mask(inst.callee)):
                     obj = module.objects[oid]
                     if isinstance(obj, FunctionObject):
-                        indirect_targets.add(obj.function)
+                        indirect_targets[obj.function] = None
     for function in indirect_targets:
         for oid, fin in svfg.formal_in.get(function, {}).items():
             svfg.delta_nodes.add(fin)

@@ -66,11 +66,12 @@ def svfg_to_dot(
     lines = ['digraph "svfg" {', "  node [shape=box, fontsize=10];"]
     used = set()
     edge_lines: List[str] = []
+    ind_succs = svfg.indirect_succs()
 
     for node in svfg.nodes:
         if not wanted(node.id):
             continue
-        for oid, succs in svfg.ind_succs[node.id].items():
+        for oid, succs in ind_succs[node.id].items():
             obj = svfg.module.objects[oid]
             for succ in succs:
                 if not wanted(succ):

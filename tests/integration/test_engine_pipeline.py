@@ -78,6 +78,11 @@ class TestSolverIsolation:
                     VersioningStage().digest(None, versioning))
 
         before = digests()
+        # Views copy an object's table before extending it: the built
+        # graph's tables must survive every solve as the same objects.
+        tables = dict(svfg.ind_edges)
+        contents = {oid: dict(table) for oid, table in tables.items()}
+        direct = (list(svfg.direct_succs), list(svfg.direct_preds))
         cold = VSFSAnalysis(svfg, versioning).run()
         assert cold.stats.indirect_calls_resolved > 0
         assert SFSAnalysis(svfg).run().snapshot() == cold.snapshot()
@@ -111,6 +116,11 @@ class TestSolverIsolation:
                                      versioning=versioning)
                 assert par.snapshot() == cold.snapshot()
         assert digests() == before
+        assert svfg.ind_edges.keys() == tables.keys()
+        for oid, table in tables.items():
+            assert svfg.ind_edges[oid] is table
+            assert table == contents[oid]
+        assert (svfg.direct_succs, svfg.direct_preds) == direct
 
     def test_two_vsfs_solves_count_the_same_work(self):
         pipeline = AnalysisPipeline.from_source(INDIRECT_SRC)
@@ -127,13 +137,16 @@ class TestSolverIsolation:
     def test_svfg_view_shares_rows_not_row_lists(self):
         pipeline = AnalysisPipeline.from_source(INDIRECT_SRC)
         base = pipeline.svfg()
+        base_succs = base.indirect_succs()  # cached before the copy
         view = base.copy()
         assert view is not base
         assert view.nodes is base.nodes
         assert view.direct_succs is not base.direct_succs
-        assert view.ind_succs is not base.ind_succs
         assert all(mine is theirs for mine, theirs
-                   in zip(view.ind_succs, base.ind_succs))
+                   in zip(view.direct_succs, base.direct_succs))
+        assert view.ind_edges is not base.ind_edges
+        assert all(view.ind_edges[oid] is table
+                   for oid, table in base.ind_edges.items())
         call = next(inst for inst in base.inst_node
                     if isinstance(inst, CallInst) and inst.is_indirect())
         target = pipeline.module.functions["cb1"]
@@ -142,6 +155,18 @@ class TestSolverIsolation:
         assert touched and view.is_connected(call, target)
         assert not base.is_connected(call, target)
         assert view.num_indirect_edges() > base.num_indirect_edges()
+        # Copy-on-write per object: exactly the tables the new edges went
+        # into were copied, and the view's derived rows see the new edges.
+        wired = [(src, dst, oid) for src, dst, oid
+                 in view.call_edges(call, target) if oid is not None]
+        assert wired
+        copied = {oid for oid, table in view.ind_edges.items()
+                  if table is not base.ind_edges.get(oid)}
+        assert copied == {oid for __, __, oid in wired}
+        for src, dst, oid in wired:
+            assert dst in view.indirect_succs()[src][oid]
+            assert dst not in base_succs[src].get(oid, ())
+        assert base.indirect_succs() is base_succs
 
 
 @pytest.fixture

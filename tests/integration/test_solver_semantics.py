@@ -8,6 +8,11 @@ value of interest to an empty ``sink_*`` function; the solver binds it to
 the sink's formal parameter, which we read back by name.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.andersen import run_andersen
@@ -345,3 +350,28 @@ class TestMultiLevelPointers:
             # context-insensitive swap: both end up {x, y} at the sinks
             assert "y" in observed(module, result, "sink_a")
             assert "x" in observed(module, result, "sink_b")
+
+
+class TestDeterminism:
+    def test_sfs_counters_repeat_across_hash_seeds(self):
+        """SFS pushes work in discovery order, never in the order of
+        object addresses or string hashes: processes with different hash
+        seeds count the same work on one program."""
+        script = ("from repro.bench.workloads import suite_program\n"
+                  "from repro.pipeline import AnalysisPipeline\n"
+                  "s = AnalysisPipeline(suite_program('du')).sfs().stats\n"
+                  "print(s.nodes_processed, s.propagations, s.unions)\n")
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        counts = []
+        for first in range(0, 8, 2):  # two processes at a time
+            procs = [subprocess.Popen(
+                [sys.executable, "-c", script], stdout=subprocess.PIPE,
+                text=True, env={**os.environ, "PYTHONPATH": src,
+                                "PYTHONHASHSEED": str(seed)})
+                for seed in (first, first + 1)]
+            for proc in procs:
+                out, __ = proc.communicate(timeout=300)
+                assert proc.returncode == 0
+                counts.append(out.split())
+        assert len(counts) == 8
+        assert all(count == counts[0] for count in counts), counts

@@ -35,21 +35,31 @@ RELAXED = settings(
 @given(configs)
 @RELAXED
 def test_indirect_edges_mirror(config):
-    """ind_preds and ind_succs describe the same edge set."""
+    """The accessor rows are exactly the projection (successors) and the
+    reverse (predecessors) of the object-major ``ind_edges`` layout."""
     svfg = AnalysisPipeline(generate_program(config)).svfg()
-    forward = {
+    edges = [
         (src, dst, oid)
-        for src in range(len(svfg.nodes))
-        for oid, dsts in svfg.ind_succs[src].items()
+        for oid, table in svfg.ind_edges.items()
+        for src, dsts in table.items()
         for dst in dsts
-    }
-    backward = {
-        (src, dst, oid)
-        for dst in range(len(svfg.nodes))
-        for src, oid in svfg.ind_preds[dst]
-    }
-    assert forward == backward
-    assert len(forward) == svfg.num_indirect_edges()
+    ]
+    assert len(edges) == len(set(edges)) == svfg.num_indirect_edges()
+    for table in svfg.ind_edges.values():
+        assert list(table) == sorted(table)  # sources ascending
+        assert all(isinstance(dsts, tuple) and dsts for dsts in table.values())
+    succs = svfg.indirect_succs()
+    preds = svfg.indirect_preds()
+    assert len(succs) == len(preds) == len(svfg.nodes)
+    projection = [
+        {oid: table[src] for oid, table in svfg.ind_edges.items() if src in table}
+        for src in range(len(svfg.nodes))
+    ]
+    assert succs == projection
+    reverse = [[] for __ in svfg.nodes]
+    for src, dst, oid in edges:
+        reverse[dst].append((src, oid))
+    assert [sorted(row) for row in preds] == [sorted(row) for row in reverse]
 
 
 @given(configs)
@@ -59,8 +69,9 @@ def test_indirect_sources_are_definitions(config):
     o-labelled edges: stores, MEMPHIs, entry-χ (FormalIN), call-χ
     (ActualOUT) — plus ActualIN/FormalOUT relay nodes."""
     svfg = AnalysisPipeline(generate_program(config)).svfg()
+    succs = svfg.indirect_succs()
     for node in svfg.nodes:
-        if not svfg.ind_succs[node.id]:
+        if not succs[node.id]:
             continue
         if isinstance(node, InstNode):
             assert isinstance(node.inst, StoreInst), node.describe()
@@ -77,9 +88,10 @@ def test_loads_never_forward_indirect(config):
     """Loads are pure uses of object versions (the paper's def-use edges go
     definition → use, never through a load)."""
     svfg = AnalysisPipeline(generate_program(config)).svfg()
+    succs = svfg.indirect_succs()
     for node in svfg.nodes:
         if isinstance(node, InstNode) and isinstance(node.inst, LoadInst):
-            assert not svfg.ind_succs[node.id]
+            assert not succs[node.id]
 
 
 @given(configs)
@@ -88,13 +100,15 @@ def test_single_object_nodes_edge_labels_match(config):
     """Actual/Formal IN/OUT and MEMPHI nodes only carry edges labelled with
     their own object."""
     svfg = AnalysisPipeline(generate_program(config)).svfg()
+    succs = svfg.indirect_succs()
+    preds = svfg.indirect_preds()
     for node in svfg.nodes:
         obj = getattr(node, "obj", None)
         if obj is None:
             continue
-        for oid in svfg.ind_succs[node.id]:
+        for oid in succs[node.id]:
             assert oid == obj.id, node.describe()
-        for __, oid in svfg.ind_preds[node.id]:
+        for __, oid in preds[node.id]:
             assert oid == obj.id, node.describe()
 
 

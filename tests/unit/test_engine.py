@@ -160,6 +160,27 @@ class TestTrace:
             assert set(record) >= {"stage", "main_phase", "wall_s", "steps",
                                    "cache", "cache_hit", "fingerprint"}
 
+    def test_stage_end_reports_collector_work(self, monkeypatch):
+        import gc
+
+        from repro.engine.stages import SVFGStage
+
+        build = SVFGStage.run
+
+        def collecting_build(self, ctx):
+            gc.collect()
+            return build(self, ctx)
+
+        monkeypatch.setattr(SVFGStage, "run", collecting_build)
+        engine = make_engine()
+        engine.solve("sfs")
+        records = {rec.stage: rec for rec in engine.trace.records}
+        assert records["svfg"].detail["gc_collections"][2] >= 1
+        for record in engine.trace.to_dict():
+            counts = record["detail"]["gc_collections"]
+            assert len(counts) == 3 and min(counts) >= 0
+        assert " gc2 " in engine.trace.render()
+
     def test_external_hit_recorded(self):
         engine = make_engine()
         engine.record_external_hit("solve:vsfs", "result-store", nbytes=7)

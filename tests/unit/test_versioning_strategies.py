@@ -1,8 +1,7 @@
-"""Cross-validation of the three meld-labelling strategies.
+"""Cross-validation of the two meld-labelling strategies.
 
-``scc`` and ``fixpoint`` must agree on raw label masks; ``hashcons``
-(interned labels, the paper's future-work representation) numbers versions
-differently but must induce the *same partition* of (node, side) pairs per
+``fixpoint`` (the literal worklist reading of Figure 8) is the oracle for
+``scc``: both must induce the *same partition* of (node, side) pairs per
 object and the same amount of propagation work.
 """
 
@@ -50,11 +49,10 @@ def partition(versioning: ObjectVersioning) -> Dict[int, FrozenSet[FrozenSet[Tup
     svfg = versioning.svfg
     num_nodes = len(svfg.nodes)
     oids = set()
-    for node_id in range(num_nodes):
-        for oid in svfg.ind_succs[node_id]:
-            oids.add(oid)
-        for __, oid in svfg.ind_preds[node_id]:
-            oids.add(oid)
+    for row in svfg.indirect_succs():
+        oids.update(row)
+    for row in svfg.indirect_preds():
+        oids.update(oid for __, oid in row)
     result: Dict[int, FrozenSet] = {}
     for oid in oids:
         classes: Dict[int, set] = {}
@@ -68,7 +66,7 @@ def partition(versioning: ObjectVersioning) -> Dict[int, FrozenSet[FrozenSet[Tup
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
-@pytest.mark.parametrize("strategy", ["fixpoint", "hashcons"])
+@pytest.mark.parametrize("strategy", ["fixpoint"])
 def test_strategy_partition_matches_scc(name, strategy):
     pipeline = AnalysisPipeline(compile_c(PROGRAMS[name]))
     base = ObjectVersioning(pipeline.svfg(), keep_all_versions=True).run("scc")
@@ -77,7 +75,7 @@ def test_strategy_partition_matches_scc(name, strategy):
     assert base.num_constraints() == other.num_constraints()
 
 
-@pytest.mark.parametrize("strategy", ["scc", "fixpoint", "hashcons"])
+@pytest.mark.parametrize("strategy", ["scc", "fixpoint"])
 def test_vsfs_correct_under_every_strategy(strategy):
     from repro.core.vsfs import VSFSAnalysis
 
@@ -89,7 +87,7 @@ def test_vsfs_correct_under_every_strategy(strategy):
     assert result.snapshot() == sfs_snapshot
 
 
-def test_hashcons_on_generated_workload():
+def test_fixpoint_on_generated_workload():
     from repro.bench.workloads import WorkloadConfig, generate_program
 
     module = generate_program(WorkloadConfig(seed=77, num_functions=6,
@@ -97,5 +95,6 @@ def test_hashcons_on_generated_workload():
                                              indirect_call_rate=0.2))
     pipeline = AnalysisPipeline(module)
     base = ObjectVersioning(pipeline.svfg(), keep_all_versions=True).run("scc")
-    hashcons = ObjectVersioning(pipeline.svfg(), keep_all_versions=True).run("hashcons")
-    assert partition(base) == partition(hashcons)
+    fixpoint = ObjectVersioning(pipeline.svfg(), keep_all_versions=True).run("fixpoint")
+    assert partition(base) == partition(fixpoint)
+    assert base.num_constraints() == fixpoint.num_constraints()
