@@ -60,16 +60,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="analysis to run on every program (default vsfs)")
     parser.add_argument("--ir", action="store_true",
                         help="inputs are textual IR")
-    parser.add_argument("--no-delta", action="store_true",
-                        help="disable the delta propagation kernel")
     parser.add_argument("--no-ptrepo", action="store_true",
-                        help="disable deduplicated points-to storage")
-    parser.add_argument("--no-mde-batch", action="store_true",
-                        help="disable propagation-batch memoisation "
-                             "(dedup-engine ablation)")
-    parser.add_argument("--no-arena", action="store_true",
-                        help="disable the shared memory-mapped mask arena "
-                             "that --store otherwise enables")
+                        help="store raw masks instead of deduplicated "
+                             "points-to sets")
     parser.add_argument("--budget-seconds", type=float, metavar="S",
                         help="per-attempt solver wall-clock budget")
     parser.add_argument("--budget-mb", type=float, metavar="MB",
@@ -135,14 +128,8 @@ def _attempt_cmd(args: argparse.Namespace, file: str, ckdir: Optional[str],
            _ANALYSIS_FLAGS[args.analysis], file]
     if args.ir:
         cmd.append("--ir")
-    if args.no_delta:
-        cmd.append("--no-delta")
     if args.no_ptrepo:
         cmd.append("--no-ptrepo")
-    if args.no_mde_batch:
-        cmd.append("--no-mde-batch")
-    if args.no_arena:
-        cmd.append("--no-arena")
     if args.budget_seconds is not None:
         cmd += ["--budget-seconds", str(args.budget_seconds)]
     if args.budget_mb is not None:

@@ -93,18 +93,10 @@ class SuiteResult:
                     union_cache_hits=stats.union_cache_hits,
                     union_cache_misses=stats.union_cache_misses,
                     union_cache_hit_rate=stats.union_cache_hit_rate(),
-                    delta_kernel=stats.delta_kernel,
                     ptrepo_enabled=stats.ptrepo_enabled,
-                    mde_batch=stats.mde_batch,
-                    batch_memo_hits=stats.batch_memo_hits,
-                    batch_memo_misses=stats.batch_memo_misses,
-                    batch_memo_hit_rate=stats.batch_memo_hit_rate(),
                     interner_entries=stats.interner_entries,
                     union_cache_entries=stats.union_cache_entries,
-                    batch_cache_entries=stats.batch_cache_entries,
                     dedup_resident_bytes=stats.dedup_resident_bytes,
-                    arena_masks=stats.arena_masks,
-                    arena_resident_bytes=stats.arena_resident_bytes,
                 )
             if meas.report is not None:
                 record["run_report"] = meas.report.to_dict()
@@ -191,11 +183,6 @@ def run_suite_program(name: str, check_equivalence: bool = True,
 
     def governed(label: str):
         """Run one engine solve under the ladder; tag the result."""
-        # Fresh dedup engine per measurement: rungs *within* one governed
-        # run still share it (that is the cross-rung hash-consing under
-        # test), but the sfs and vsfs columns must not warm each other or
-        # Table III's comparison loses meaning.
-        pipeline.engine.ctx.mde = None
         method = pipeline.sfs if label == "sfs" else pipeline.vsfs
         result, report = run_ladder(
             [
@@ -255,7 +242,6 @@ def run_suite_program(name: str, check_equivalence: bool = True,
                             - pipeline.versioning().stats.time)
         runs: List[Dict[str, object]] = []
         for n in jobs:
-            pipeline.engine.ctx.mde = None  # cold per worker-count run
             par = window("parallel", lambda: method(jobs=n))()
             pstats = par.parallel
             runs.append({

@@ -172,7 +172,7 @@ def _build_pipeline(source: str, workdir: str, plan):
     store = ResultStore(os.path.join(workdir, "results"))
     cache = StageCache(os.path.join(workdir, "stages"))
     pipeline = AnalysisPipeline.from_source(
-        source, cache=cache, arena_path=store.arena_path, faults=plan)
+        source, cache=cache, faults=plan)
     return pipeline, store
 
 
@@ -194,7 +194,7 @@ def _resilient_put(store, pipeline, analysis: str, result, plan) -> None:
 
     try:
         IO_RETRY.run(
-            lambda: store.put(pipeline.module, analysis, True, True, result,
+            lambda: store.put(pipeline.module, analysis, True, result,
                               faults=plan),
             retry_on=(OSError, InjectedFault), on_retry=on_retry)
     except (OSError, InjectedFault) as exc:

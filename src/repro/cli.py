@@ -18,7 +18,7 @@ Crash safety: ``--checkpoint-dir`` snapshots the in-flight solver on a
 cadence (``--checkpoint-every`` pops and/or ``--checkpoint-seconds``) and
 when a budget trips; ``--resume`` picks the work back up bit-identically.
 ``--store`` caches completed results content-addressed by IR hash ×
-analysis × ablation flags, and additionally caches intermediate stage
+analysis × storage flag, and additionally caches intermediate stage
 artifacts (``DIR/stages``) so repeat runs skip unchanged substrate.
 ``--trace`` prints the per-stage breakdown (wall/steps/cache), with the
 substrate stages marked excluded from the timed main phase.
@@ -95,18 +95,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile", action="store_true",
                         help="print a solver work/dedup report (propagations, "
                              "unions, unique vs referenced sets, union cache)")
-    parser.add_argument("--no-delta", action="store_true",
-                        help="disable the delta propagation kernel (SFS/VSFS)")
     parser.add_argument("--no-ptrepo", action="store_true",
-                        help="disable deduplicated points-to storage (SFS/VSFS)")
-    parser.add_argument("--no-mde-batch", action="store_true",
-                        help="disable propagation-batch memoisation in the "
-                             "staged kernels (dedup-engine ablation; results "
-                             "are bit-identical either way)")
-    parser.add_argument("--no-arena", action="store_true",
-                        help="disable the memory-mapped mask arena that "
-                             "--store otherwise shares across runs and "
-                             "fork workers")
+                        help="store raw masks instead of deduplicated "
+                             "points-to sets (SFS/VSFS reference path)")
     parser.add_argument("--budget-seconds", type=float, metavar="S",
                         help="wall-clock budget for the solve phase")
     parser.add_argument("--budget-mb", type=float, metavar="MB",
@@ -246,7 +237,6 @@ def _checkpoint_config(args: argparse.Namespace) -> Optional[CheckpointConfig]:
 
 def _run(args: argparse.Namespace, source: str) -> int:
     store = cache = None
-    arena_path = None
     if args.store is not None:
         import os
 
@@ -255,16 +245,11 @@ def _run(args: argparse.Namespace, source: str) -> int:
 
         store = ResultStore(args.store)
         cache = StageCache(os.path.join(args.store, "stages"))
-        if not args.no_arena:
-            # Persist the mask arena next to the results: warm runs (and
-            # fork workers) attach it instead of re-interning from scratch.
-            arena_path = store.arena_path
     pipeline = AnalysisPipeline.from_source(
         source, language="ir" if args.ir else "c", cache=cache,
-        mde_batch=not args.no_mde_batch, arena_path=arena_path,
         strict_cache=args.strict_io)
     module = pipeline.module
-    delta, ptrepo = not args.no_delta, not args.no_ptrepo
+    ptrepo = not args.no_ptrepo
 
     # --jobs routes the staged analyses through the sharded parallel
     # stages.  The result store stays keyed by the serial analysis name:
@@ -290,7 +275,7 @@ def _run(args: argparse.Namespace, source: str) -> int:
         # result also comes straight from the result store.
         pipeline.engine.prime_substrate(args.analysis)
         try:
-            cached = store.get(module, args.analysis, delta, ptrepo)
+            cached = store.get(module, args.analysis, ptrepo)
         except CheckpointError as err:
             # Degraded-not-dead: the store already quarantined the bad
             # entry; recompute the answer instead of dying.
@@ -334,7 +319,7 @@ def _run(args: argparse.Namespace, source: str) -> int:
         incr_store = IncrementalStore(
             os.path.join(args.store, "incremental"))
         try:
-            payload = incr_store.load(args.analysis, delta, ptrepo)
+            payload = incr_store.load(args.analysis, ptrepo)
         except CheckpointError as err:
             if args.strict_io:
                 raise
@@ -351,7 +336,7 @@ def _run(args: argparse.Namespace, source: str) -> int:
         if payload is not None:
             warm_plan = plan_warm(
                 payload, pipeline.svfg(), pipeline.modref(),
-                args.analysis, delta, ptrepo, pipeline.andersen())
+                args.analysis, ptrepo, pipeline.andersen())
             if not warm_plan.usable:
                 print(f"repro-wpa: notice: incremental plan fell back "
                       f"({warm_plan.fallback_reason}); solving cold",
@@ -361,7 +346,7 @@ def _run(args: argparse.Namespace, source: str) -> int:
     resume_meta = resume_state = None
     if args.resume is not None:
         resume_meta, resume_state = _load_resume_state(
-            module, args.analysis, args.resume, checkpoint, delta, ptrepo)
+            module, args.analysis, args.resume, checkpoint, ptrepo)
 
     tracemalloc.start()
     result = solve_with_ladder(
@@ -369,7 +354,6 @@ def _run(args: argparse.Namespace, source: str) -> int:
         analysis=ladder_analysis,
         budget=_budget_from(args),
         fallback=not args.no_fallback,
-        delta=delta,
         ptrepo=ptrepo,
         checkpoint=checkpoint,
         resume_state=resume_state,
@@ -393,8 +377,7 @@ def _run(args: argparse.Namespace, source: str) -> int:
     if store is not None and not run_report.precision_lost:
         try:
             path = IO_RETRY.run(
-                lambda: store.put(module, args.analysis, delta, ptrepo,
-                                  result))
+                lambda: store.put(module, args.analysis, ptrepo, result))
         except OSError as err:
             from repro.engine.events import heal_event
 
@@ -421,7 +404,7 @@ def _run(args: argparse.Namespace, source: str) -> int:
             payload = build_payload(
                 pipeline.svfg(), pipeline.modref(), result,
                 capture["node_in"], capture["node_out"], capture["flow"],
-                args.analysis, delta, ptrepo, pipeline.andersen())
+                args.analysis, ptrepo, pipeline.andersen())
             IO_RETRY.run(lambda: incr_store.save(payload))
         except OSError as err:
             print(f"repro-wpa: warning: incremental solution not stored "
@@ -503,8 +486,8 @@ def _client_flags(args: argparse.Namespace, module, pipeline, result) -> int:
                   file=sys.stderr)
             return 1
         print("--- solver profile ---")
-        print(f"delta kernel: {'on' if stats.delta_kernel else 'off'}, "
-              f"points-to repository: {'on' if stats.ptrepo_enabled else 'off'}")
+        print(f"points-to repository: "
+              f"{'on' if stats.ptrepo_enabled else 'off'}")
         print(f"nodes processed: {stats.nodes_processed}, "
               f"propagations: {stats.propagations}, unions applied: {stats.unions}")
         print(f"stored points-to sets: {stats.stored_ptsets} "
@@ -516,18 +499,9 @@ def _client_flags(args: argparse.Namespace, module, pipeline, result) -> int:
             print(f"union cache: {stats.union_cache_hits} hits / "
                   f"{stats.union_cache_misses} misses "
                   f"({stats.union_cache_hit_rate():.1%} hit rate)")
-            print(f"batch memo: {'on' if stats.mde_batch else 'off'}, "
-                  f"{stats.batch_memo_hits} hits / "
-                  f"{stats.batch_memo_misses} misses "
-                  f"({stats.batch_memo_hit_rate():.1%} hit rate)")
             print(f"dedup memory: {stats.interner_entries} interned sets, "
                   f"{stats.union_cache_entries} union-cache entries, "
-                  f"{stats.batch_cache_entries} batch-memo entries, "
                   f"~{stats.dedup_resident_bytes} resident bytes")
-            if stats.arena_masks:
-                print(f"arena: {stats.arena_masks} masks, "
-                      f"{stats.arena_resident_bytes} resident bytes "
-                      f"(memory-mapped, shared across runs/workers)")
         incr = getattr(result, "incremental", None)
         if incr is not None:
             entry = incr.to_dict()

@@ -16,12 +16,9 @@ pre-analysis (:mod:`repro.core.versioning`).
 MEMPHI/ActualIN/ActualOUT/FormalIN/FormalOUT nodes need no processing at
 solve time: their behaviour is entirely compiled into version constraints.
 
-On top of the versioned formulation sit the same two switchable
-optimisations as SFS (:class:`StagedSolverBase`): the delta kernel, which
-forwards only the new bits (``new & ~old``) along version constraints and
-wakes a load/store only with the delta that concerns it, and the points-to
-repository, which stores each distinct version set once behind a memoised
-union cache.
+On top of the versioned formulation sits the same storage option as SFS
+(:class:`StagedSolverBase`): the points-to repository, which stores each
+distinct version set once behind a memoised union cache.
 """
 
 from __future__ import annotations
@@ -44,12 +41,10 @@ class VSFSAnalysis(StagedSolverBase):
     analysis_name = "vsfs"
 
     def __init__(self, svfg: SVFG, versioning: Optional[ObjectVersioning] = None,
-                 delta: bool = True, ptrepo: bool = True, meter=None,
-                 faults=None, checkpointer=None, ctx=None,
-                 mde=None, mde_batch=None):
-        super().__init__(svfg, delta=delta, ptrepo=ptrepo, meter=meter,
-                         faults=faults, checkpointer=checkpointer, ctx=ctx,
-                         mde=mde, mde_batch=mde_batch)
+                 ptrepo: bool = True, meter=None,
+                 faults=None, checkpointer=None, ctx=None):
+        super().__init__(svfg, ptrepo=ptrepo, meter=meter,
+                         faults=faults, checkpointer=checkpointer, ctx=ctx)
         #: Read-only (often the engine's shared artifact); OTF constraints
         #: go to this solve's :attr:`constraints` overlay.
         self.versioning: Optional[ObjectVersioning] = versioning
@@ -132,15 +127,8 @@ class VSFSAnalysis(StagedSolverBase):
     def _ptv_join(self, oid: int, ver: int, mask: int) -> None:
         """Grow pt_κ(o) and run [A-PROP]ⱽ transitively.
 
-        The delta kernel forwards only the bits each version had not seen;
-        the eager path re-merges and re-forwards whole masks.
-
-        With the batch memo on, the whole per-version step is one
-        ``BatchMemo.apply`` lookup, and — because global (object, version)
-        keying makes identical (entry, delta) pairs recur across versions
-        and nodes — the transitive closure walks the constraint chain in
-        *id space*: a forwarded delta is never re-interned, and a chain
-        the solver already walked anywhere costs one lookup per hop.
+        Eager: every visited version counts one union, and a version
+        that grew wakes its readers and re-forwards its whole mask.
         """
         if not mask:
             return
@@ -150,42 +138,8 @@ class VSFSAnalysis(StagedSolverBase):
         constraints = self.constraints
         readers = self.readers
         repo = self.ptrepo
-        batch = self.batch
-        delta_mode = self.delta
-        worklist = self.worklist
+        push = self.worklist.push
         stats = self.stats
-        if batch is not None:
-            id_stack = [(oid, ver, repo.intern(mask))]
-            while id_stack:
-                oid, ver, mask_id = id_stack.pop()
-                table = self._table(oid)
-                while ver >= len(table):  # defensive: OTF-interned versions
-                    table.append(0)
-                new, added_id = batch.apply(table[ver], mask_id)
-                if delta_mode:
-                    if not added_id:
-                        continue
-                    stats.unions += 1
-                else:
-                    stats.unions += 1  # eager: union applied on every visit
-                    if not added_id:
-                        continue
-                if faults is not None:
-                    faults.fire("ptrepo_union", self.analysis_name)
-                table[ver] = new
-                if delta_mode:
-                    added = repo.mask(added_id)
-                    for reader in readers.get((oid, ver), ()):
-                        worklist.push_delta(reader, oid, added)
-                    forward_id = added_id
-                else:
-                    for reader in readers.get((oid, ver), ()):
-                        worklist.push(reader)
-                    forward_id = new  # old | added
-                for dst_ver in constraints.get((oid, ver), ()):
-                    stats.propagations += 1
-                    id_stack.append((oid, dst_ver, forward_id))
-            return
         stack = [(oid, ver, mask)]
         while stack:
             oid, ver, mask = stack.pop()
@@ -194,97 +148,44 @@ class VSFSAnalysis(StagedSolverBase):
                 table.append(0)
             entry = table[ver]
             old = repo.mask(entry) if repo is not None else entry
+            stats.unions += 1  # eager: union applied on every visit
             added = mask & ~old
-            if delta_mode:
-                if not added:
-                    continue
-                stats.unions += 1
-            else:
-                stats.unions += 1  # eager: union applied on every visit
-                if not added:
-                    continue
+            if not added:
+                continue
             if repo is not None:
                 if faults is not None:
                     faults.fire("ptrepo_union", self.analysis_name)
                 table[ver] = repo.union_mask(entry, added)
             else:
                 table[ver] = old | added
-            if delta_mode:
-                for reader in readers.get((oid, ver), ()):
-                    worklist.push_delta(reader, oid, added)
-                forward = added
-            else:
-                for reader in readers.get((oid, ver), ()):
-                    worklist.push(reader)
-                forward = old | added
+            for reader in readers.get((oid, ver), ()):
+                push(reader)
+            forward = old | added
             for dst_ver in constraints.get((oid, ver), ()):
                 stats.propagations += 1
                 stack.append((oid, dst_ver, forward))
 
     # -------------------------------------------------------------- mem rules
 
-    def _process_load(self, node: InstNode, inst: LoadInst,
-                      dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_load(self, node: InstNode, inst: LoadInst) -> None:
         """[LOAD]ⱽ: pt(p) ⊇ pt_{C_ℓ(o)}(o) for each o ∈ pt(q)."""
         assert self.versioning is not None
-        ptr_mask = self.value_mask(inst.ptr)
-        if dirty is not None:
-            # Deltas were pushed from exactly the (o, C_ℓ(o)) entries this
-            # load reads, so the new bits are all that can flow to pt(p).
-            mask = 0
-            for oid, delta in dirty.items():
-                if ptr_mask >> oid & 1:
-                    mask |= delta
-            if mask:
-                self.set_pt(inst.dst, mask)
-            return
         consumed = self.versioning.consumed[node.id]
-        batch = self.batch
-        if batch is not None:
-            # The n-way gather over the consumed versions' entry ids is a
-            # recurring batch (loads sharing versions share the gather).
-            ids = []
-            ptv = self.ptv
-            for oid in iter_bits(ptr_mask):
-                ver = consumed.get(oid)
-                if ver is None:
-                    continue
-                table = ptv.get(oid)
-                if table is not None and ver < len(table):
-                    ids.append(table[ver])
-            mask = batch.gather_mask(ids)
-        else:
-            mask = 0
-            for oid in iter_bits(ptr_mask):
-                ver = consumed.get(oid)
-                if ver is not None:
-                    mask |= self.ptv_mask(oid, ver)
+        mask = 0
+        for oid in iter_bits(self.value_mask(inst.ptr)):
+            ver = consumed.get(oid)
+            if ver is not None:
+                mask |= self.ptv_mask(oid, ver)
         if mask:
             self.set_pt(inst.dst, mask)
 
-    def _process_store(self, node: InstNode, inst: StoreInst,
-                       dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_store(self, node: InstNode, inst: StoreInst) -> None:
         """[STORE]ⱽ + [SU/WU]ⱽ: write the yielded versions."""
         assert self.versioning is not None
         versioning = self.versioning
         ptr_mask = self.value_mask(inst.ptr)
         su_oid = self.strong_update_target(ptr_mask)
         yielded = versioning.yielded[node.id]
-        if dirty is not None:
-            # Only consumed versions grew; gen and the pointer are
-            # unchanged, so each surviving delta flows through unchanged.
-            for oid, delta in dirty.items():
-                if oid == su_oid:
-                    continue  # killed: the consumed set does not survive
-                if self.defers_passthrough(ptr_mask, oid):
-                    continue  # deferred until pt(ptr) resolves (full revisit)
-                y_ver = yielded.get(oid)
-                if y_ver is None:
-                    continue
-                if ptr_mask >> oid & 1:
-                    self.stats.weak_updates += 1
-                self._ptv_join(oid, y_ver, delta)
-            return
         gen = self.value_mask(inst.value)
         consumed = versioning.consumed[node.id]
         for chi in self.memssa.store_chis.get(inst, ()):
@@ -306,8 +207,7 @@ class VSFSAnalysis(StagedSolverBase):
                 out = incoming  # pass-through (χ over-approximation)
             self._ptv_join(oid, y_ver, out)
 
-    def _process_mem_node(self, node: SVFGNode,
-                          dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_mem_node(self, node: SVFGNode) -> None:
         """MEMPHI and actual/formal IN/OUT nodes are fully compiled into
         version constraints — nothing to do at solve time."""
 
@@ -469,7 +369,6 @@ class VSFSAnalysis(StagedSolverBase):
                 raise CheckpointError(
                     "checkpoint lacks the ptrepo interning table")
             self.ptrepo = PTRepo.from_snapshot(mem["repo"])
-            self._rebind_mde()  # memo keys/arena positions are per-repo
         self.ptv = {int(oid): [int(entry, 16) for entry in table]
                     for oid, table in mem["ptv"].items()}
 

@@ -9,17 +9,12 @@ chosen for speed under CPython:
 - :class:`~repro.datastructs.interning.Interner` deduplicates hashable values
   to dense integer ids; it is how meld-labelling results become version ids.
 - :class:`~repro.datastructs.worklist.WorkList` /
+  :class:`~repro.datastructs.worklist.FIFOWorkList` /
   :class:`~repro.datastructs.worklist.PriorityWorkList` drive the fixed-point
-  solvers; :class:`~repro.datastructs.worklist.DeltaWorkList` additionally
-  carries per-``(node, object)`` dirty masks for the staged solvers' delta
-  propagation kernel.
+  solvers; the staged solvers pop SVFG node ids from one FIFO list.
 - :class:`~repro.datastructs.ptrepo.PTRepo` interns points-to masks to dense
-  ids and memoises pairwise unions, so byte-identical sets are stored once.
-- :class:`~repro.datastructs.mde.MdeEngine` stacks the multi-level dedup
-  layers on one repository: :class:`~repro.datastructs.mde.BatchMemo`
-  memoises whole propagation batches, and
-  :class:`~repro.datastructs.arena.PTArena` persists the interned masks in
-  a memory-mapped region fork workers attach read-shared.
+  ids and memoises pairwise unions, so byte-identical sets are stored once;
+  every staged solve owns one.
 - :class:`~repro.datastructs.unionfind.UnionFind` backs constraint-graph cycle
   collapsing in Andersen's analysis.
 - :class:`~repro.datastructs.graph.DiGraph` is a small adjacency-list digraph
@@ -27,26 +22,15 @@ chosen for speed under CPython:
   graph and the constraint graph.
 """
 
-from repro.datastructs.arena import ArenaError, PTArena
 from repro.datastructs.bitset import BitSet, bits_of, count_bits, iter_bits
 from repro.datastructs.graph import DiGraph, strongly_connected_components, topological_order
 from repro.datastructs.interning import Interner
-from repro.datastructs.mde import BatchMemo, MdeEngine
 from repro.datastructs.ptrepo import EMPTY_ID, PTRepo
 from repro.datastructs.unionfind import UnionFind
-from repro.datastructs.worklist import (
-    DeltaWorkList,
-    FIFOWorkList,
-    PriorityWorkList,
-    WorkList,
-)
+from repro.datastructs.worklist import FIFOWorkList, PriorityWorkList, WorkList
 
 __all__ = [
-    "ArenaError",
-    "BatchMemo",
     "BitSet",
-    "MdeEngine",
-    "PTArena",
     "bits_of",
     "count_bits",
     "iter_bits",
@@ -57,7 +41,6 @@ __all__ = [
     "EMPTY_ID",
     "PTRepo",
     "UnionFind",
-    "DeltaWorkList",
     "FIFOWorkList",
     "PriorityWorkList",
     "WorkList",

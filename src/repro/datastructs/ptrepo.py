@@ -168,10 +168,6 @@ class PTRepo:
         domain of :meth:`export_ids`/:meth:`import_ids`)."""
         return len(self._masks)
 
-    def masks_since(self, watermark: int) -> List[int]:
-        """Raw masks appended since *watermark* (arena flush suffix)."""
-        return self._masks[watermark:]
-
     # ----------------------------------------------------------------- stats
 
     @property

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, Generic, Iterable, List, Set, Tuple, TypeVar
+from typing import Callable, Deque, Generic, Iterable, List, Set, TypeVar
 
 T = TypeVar("T")
 
@@ -99,105 +99,6 @@ class FIFOWorkList(Generic[T]):
         """Reload :meth:`snapshot` output into this (empty) worklist."""
         self._items = deque(state["items"])
         self._member = set(self._items)
-
-
-class DeltaWorkList(FIFOWorkList[int]):
-    """FIFO node worklist carrying per-``(node, object)`` dirty delta masks.
-
-    The staged solvers' delta propagation kernel layers object-granular
-    dirty information on :class:`FIFOWorkList`: a node queued with
-    :meth:`push_delta` remembers *which* objects grew and by *which* bits,
-    so a popped memory node re-propagates only those, not its entire IN
-    map.  :meth:`push` (no delta) marks the node for a **full** revisit —
-    used when top-level operands change or new edges are wired in, where
-    everything must be reconsidered; a full mark subsumes any pending or
-    later deltas for that node.
-
-    Subclasses :class:`FIFOWorkList` directly (rather than wrapping one) so
-    the per-propagation cost stays one call deep — this is the solvers'
-    innermost loop.
-    """
-
-    __slots__ = ("_dirty", "_full")
-
-    def __init__(self, items: Iterable[int] = ()):
-        self._dirty: Dict[int, Dict[int, int]] = {}
-        self._full: Set[int] = set()
-        super().__init__(items)
-
-    def push(self, node: int) -> bool:
-        """Queue *node* for a full revisit (drops narrower dirty info)."""
-        self._full.add(node)
-        self._dirty.pop(node, None)
-        member = self._member
-        if node in member:
-            return False
-        member.add(node)
-        self._items.append(node)
-        return True
-
-    def push_delta(self, node: int, oid: int, delta: int) -> bool:
-        """Queue *node* with *delta* bits of object *oid* marked dirty."""
-        if node not in self._full:  # a pending full revisit subsumes deltas
-            per_obj = self._dirty.get(node)
-            if per_obj is None:
-                self._dirty[node] = {oid: delta}
-            else:
-                per_obj[oid] = per_obj.get(oid, 0) | delta
-        member = self._member
-        if node in member:
-            return False
-        member.add(node)
-        self._items.append(node)
-        return True
-
-    def take_dirty(self, node: int) -> "Dict[int, int] | None":
-        """Consume the dirty map recorded for *node*.
-
-        ``None`` means "revisit fully" (the node was queued with
-        :meth:`push`, or defensively if no record exists); a dict maps each
-        dirty object id to the bits that arrived since the node last ran.
-        """
-        full = self._full
-        if node in full:
-            full.discard(node)
-            return None
-        return self._dirty.pop(node, None)
-
-    def pop_with_dirty(self) -> "Tuple[int, Dict[int, int] | None]":
-        """Pop the next node together with its dirty map (one call, for
-        the solver's inner loop)."""
-        node = self._items.popleft()
-        self._member.discard(node)
-        full = self._full
-        if node in full:
-            full.discard(node)
-            return node, None
-        return node, self._dirty.pop(node, None)
-
-    # ----------------------------------------------------------- persistence
-
-    def snapshot(self) -> dict:
-        """Queue order plus the full/dirty annotations (hex delta masks)."""
-        return {
-            "items": list(self._items),
-            "full": sorted(self._full),
-            "dirty": {
-                str(node): {str(oid): format(delta, "x")
-                            for oid, delta in per_obj.items()}
-                for node, per_obj in self._dirty.items()
-            },
-        }
-
-    def restore(self, state: dict) -> None:
-        self._items = deque(int(node) for node in state["items"])
-        self._member = set(self._items)
-        self._full = {int(node) for node in state["full"]}
-        self._dirty = {
-            int(node): {int(oid): int(delta, 16)
-                        for oid, delta in per_obj.items()}
-            for node, per_obj in state["dirty"].items()
-        }
 
 
 class PriorityWorkList(Generic[T]):

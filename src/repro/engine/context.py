@@ -29,20 +29,9 @@ class StageContext:
     module: Optional[Any] = None  # pre-built, already-prepared Module
     source: Optional[str] = None
     language: str = "c"
-    # ---- solver configuration (ablation flags) ----
-    delta: bool = True
+    # ---- solver configuration ----
+    #: Deduplicated storage (PTRepo); off = the raw-mask reference.
     ptrepo: bool = True
-    #: Propagation-batch memoisation (repro.datastructs.mde); off = the
-    #: --no-mde-batch ablation.  Only meaningful while *ptrepo* is on.
-    mde_batch: bool = True
-    #: Where the shared mask arena lives (usually <store>/arena.bin);
-    #: None = no arena (--no-arena, or no result store configured).
-    arena_path: Optional[str] = None
-    #: The multi-level dedup engine every rung solved on this context
-    #: shares (interner + batch memo + arena).  Created lazily by
-    #: Engine.solve; for_solve copies the *reference*, which is exactly
-    #: what makes a vsfs→sfs ladder fallback reuse instead of re-intern.
-    mde: Optional[Any] = None
     # ---- parallel solving (repro.parallel) ----
     #: Worker count for the solve:*-par stages (1 = serial stages only).
     jobs: int = 1
@@ -80,5 +69,5 @@ class StageContext:
     def for_solve(self, **overrides: Any) -> "StageContext":
         """A per-rung view: same program, artifacts, cache and bus, with
         this rung's governance (meter/faults/checkpointer/resume) and
-        ablation flags swapped in."""
+        solver configuration swapped in."""
         return replace(self, **overrides)

@@ -204,7 +204,7 @@ class Engine:
 
     # ------------------------------------------------------------ main phase
 
-    def solve(self, level: str, delta: Optional[bool] = None,
+    def solve(self, level: str,
               ptrepo: Optional[bool] = None, meter: Any = None,
               faults: Any = None, checkpointer: Any = None,
               resume_state: Any = None, resume_step: int = 0,
@@ -235,38 +235,7 @@ class Engine:
             # Build the substrate outside the solve's timed window.
             for dep in stage.inputs:
                 self.ensure(dep)
-        base_level = level[:-len("-par")] if level.endswith("-par") else level
-        effective_ptrepo = ctx.ptrepo if ptrepo is None else bool(ptrepo)
-        rung_faults = faults if faults is not None else ctx.faults
-        if (effective_ptrepo and base_level in ("sfs", "vsfs")
-                and ctx.mde is None):
-            # Lazily create the dedup engine on the *base* context: every
-            # rung view copies the reference, so a degradation-ladder
-            # fallback (or a second governed solve on this pipeline)
-            # shares one interner/batch memo, and the arena — when a
-            # result store configured one — is opened exactly once.
-            from repro.datastructs.mde import MdeEngine
-
-            arena_path = ctx.arena_path
-            if arena_path is not None and rung_faults is not None:
-                try:
-                    rung_faults.fire("arena_attach", stage=name)
-                except InjectedFault as exc:
-                    # The arena is a cache: proceed arena-less rather
-                    # than fail the solve over an unattachable file.
-                    arena_path = None
-                    ctx.bus.emit(heal_event(
-                        name, "io", "detached", point="arena_attach",
-                        error=type(exc).__name__))
-            ctx.mde = MdeEngine.open(arena_path)
-            if ctx.mde.arena_quarantined is not None:
-                # MdeEngine already quarantined the corrupt file and
-                # re-created a fresh arena; surface the rebuild.
-                ctx.bus.emit(heal_event(
-                    name, "io", "rebuilt", point="arena_attach",
-                    path=ctx.mde.arena_quarantined))
         rung = ctx.for_solve(
-            delta=ctx.delta if delta is None else bool(delta),
             ptrepo=ctx.ptrepo if ptrepo is None else bool(ptrepo),
             jobs=ctx.jobs if jobs is None else max(1, int(jobs)),
             parallel_mode=(ctx.parallel_mode if parallel_mode is None
@@ -299,33 +268,8 @@ class Engine:
                 worker_failures=getattr(pstats, "worker_failures", 0) or None,
                 heartbeat_timeouts=(
                     getattr(pstats, "heartbeat_timeouts", 0) or None)))
-        detail: Optional[Dict[str, Any]] = None
-        if ctx.mde is not None and base_level in ("sfs", "vsfs"):
-            # Persist masks interned by this rung so the next run (or the
-            # next process) warm-attaches them; a read-only or misaligned
-            # arena makes this a no-op — and a failing flush must never
-            # fail a completed solve (the arena is a cache).
-            try:
-                if rung_faults is not None:
-                    rung_faults.fire("arena_append", stage=name)
-                ctx.mde.flush()
-            except (InjectedFault, OSError) as exc:
-                ctx.bus.emit(heal_event(
-                    name, "io", "skip-flush", point="arena_append",
-                    error=type(exc).__name__))
-            stats = getattr(result, "stats", None)
-            if stats is not None and getattr(stats, "ptrepo_enabled", False):
-                detail = {
-                    "batch_memo_hits": getattr(stats, "batch_memo_hits", 0),
-                    "batch_memo_misses": getattr(stats, "batch_memo_misses", 0),
-                    "interner_entries": getattr(stats, "interner_entries", 0),
-                    "arena_resident_bytes": getattr(
-                        stats, "arena_resident_bytes", 0),
-                }
         incr = getattr(result, "incremental", None)
-        if incr is not None:
-            detail = dict(detail or {})
-            detail["incremental"] = incr.to_dict()
+        detail = {"incremental": incr.to_dict()} if incr is not None else None
         ctx.bus.emit(StageEvent(
             "stage_end", name, wall_s=time.perf_counter() - begun,
             steps=stage.steps(result), main_phase=True, fingerprint=fp,

@@ -52,8 +52,8 @@ class StageEvent:
     fingerprint: Optional[str] = None
     #: "ok" or the exception type name that ended the stage.
     outcome: Optional[str] = None
-    #: Optional stage-specific observations (solve stages attach their
-    #: dedup-engine figures: batch memo hit rate, arena resident bytes).
+    #: Optional stage-specific observations (every stage attaches its
+    #: collector work; solve stages add their incremental summary).
     detail: Optional[Dict[str, object]] = None
 
 
@@ -77,8 +77,8 @@ def heal_event(stage: str, domain: str, action: str,
                **detail: object) -> StageEvent:
     """Build a ``self_heal`` event: *domain* (fault domain the incident
     belongs to), *action* (what the healer did: ``recompute``,
-    ``rebuilt``, ``skip-write``, ``skip-flush``, ``detached``,
-    ``revive``, ``retry``), plus free-form detail."""
+    ``skip-write``, ``retry``, ``revive``, ``collapse``), plus
+    free-form detail."""
     payload: Dict[str, object] = {"domain": domain, "action": action}
     payload.update({key: value for key, value in detail.items()
                     if value is not None})
@@ -231,16 +231,6 @@ class StageTrace:
                 f"{record.stage:<16} {phase:<9} {record.wall_s:>8.4f}s "
                 f"{record.steps:>8} {cache:<12} {size:>8} {gc2:>4} "
                 f"{record.outcome or '-'}")
-            memo_calls = (int(detail.get("batch_memo_hits") or 0)
-                          + int(detail.get("batch_memo_misses") or 0))
-            if memo_calls:
-                rate = int(detail.get("batch_memo_hits") or 0) / memo_calls
-                lines.append(
-                    f"  {'':<14} dedup: batch memo "
-                    f"{detail.get('batch_memo_hits')}/{memo_calls} hits "
-                    f"({rate:.1%}), interner "
-                    f"{detail.get('interner_entries', 0)} sets, arena "
-                    f"{detail.get('arena_resident_bytes', 0)} B")
             incr = detail.get("incremental")
             if isinstance(incr, dict):
                 if incr.get("fallback_reason"):

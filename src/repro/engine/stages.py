@@ -17,7 +17,7 @@ The graph mirrors the paper's staging::
 Fingerprints are content hashes: a stage's fingerprint mixes its name,
 its version, its configuration token and every upstream fingerprint; the
 root is the prepared module's printed-IR hash, so editing the program or
-flipping an ablation flag changes exactly the fingerprints downstream of
+flipping the storage flag changes exactly the fingerprints downstream of
 the change.
 """
 
@@ -297,7 +297,7 @@ class SolveStage(Stage):
 
     def config_token(self, ctx: Any) -> str:
         if self.level in ("sfs", "vsfs"):
-            return f"delta={ctx.delta},ptrepo={ctx.ptrepo}"
+            return f"ptrepo={ctx.ptrepo}"
         return ""
 
     def run(self, ctx: Any) -> Any:
@@ -340,13 +340,12 @@ class SolveStage(Stage):
         if self.level == "sfs":
             from repro.solvers.sfs import SFSAnalysis
 
-            return SFSAnalysis(svfg, delta=ctx.delta, ptrepo=ctx.ptrepo,
-                               ctx=ctx)
+            return SFSAnalysis(svfg, ptrepo=ctx.ptrepo, ctx=ctx)
         if self.level == "vsfs":
             from repro.core.vsfs import VSFSAnalysis
 
             return VSFSAnalysis(svfg, ctx.artifacts["versioning"],
-                                delta=ctx.delta, ptrepo=ctx.ptrepo, ctx=ctx)
+                                ptrepo=ctx.ptrepo, ctx=ctx)
         raise AnalysisError(f"unknown solve level {self.level!r}")
 
     def steps(self, artifact: Any) -> int:
@@ -377,7 +376,7 @@ class ParallelSolveStage(SolveStage):
         self.name = f"solve:{level}"
 
     def config_token(self, ctx: Any) -> str:
-        return (f"delta={ctx.delta},ptrepo={ctx.ptrepo},"
+        return (f"ptrepo={ctx.ptrepo},"
                 f"jobs={ctx.jobs},mode={ctx.parallel_mode}")
 
     def run(self, ctx: Any) -> Any:
@@ -403,10 +402,9 @@ class ParallelSolveStage(SolveStage):
         budget = ctx.meter.budget if ctx.meter is not None else None
         result = solve_parallel(
             ctx.artifacts["svfg"], self.base_level, ctx.jobs,
-            delta=ctx.delta, ptrepo=ctx.ptrepo, budget=budget,
+            ptrepo=ctx.ptrepo, budget=budget,
             faults=ctx.faults, versioning=ctx.artifacts.get("versioning"),
-            mode=ctx.parallel_mode, mde=getattr(ctx, "mde", None),
-            mde_batch=getattr(ctx, "mde_batch", True))
+            mode=ctx.parallel_mode)
         if ctx.meter is not None:
             # The workers metered themselves (per-worker budgets); reflect
             # their pops into the governing meter so ladder reports and

@@ -1,6 +1,6 @@
 """Stored solutions and warm re-solve planning.
 
-The incremental spine stores one solved program per ``(analysis, delta,
+The incremental spine stores one solved program per ``(analysis,
 ptrepo)`` configuration — latest-solution semantics, like a build cache.
 A stored solution is written entirely in the **stable entity-key spaces**
 of :mod:`repro.ir.fingerprint` (object keys, variable keys, node keys),
@@ -49,7 +49,9 @@ from repro.store.atomic import (
 from repro.svfg.nodes import InstNode
 
 INCREMENTAL_KIND = "incremental-solution"
-INCREMENTAL_SCHEMA = 1
+#: Bumped whenever the slot layout changes.
+#: 2: slots are ``warm-<analysis>-p<0|1>`` and payloads drop ``delta``.
+INCREMENTAL_SCHEMA = 2
 
 
 # ------------------------------------------------------------------- stats
@@ -106,7 +108,6 @@ class WarmPlan:
     """
 
     analysis: str
-    delta: bool
     ptrepo: bool
     dirty_functions: Set[str] = dataclass_field(default_factory=set)
     pt_preload: Dict[int, int] = dataclass_field(default_factory=dict)
@@ -126,7 +127,7 @@ class WarmPlan:
 # ----------------------------------------------------------------- capture
 
 def build_payload(svfg, modref, result, node_in, node_out, flow,
-                  analysis: str, delta: bool, ptrepo: bool,
+                  analysis: str, ptrepo: bool,
                   andersen=None) -> Dict[str, Any]:
     """Encode a finished solve as a warm-start payload (JSON-clean).
 
@@ -142,7 +143,6 @@ def build_payload(svfg, modref, result, node_in, node_out, flow,
     return {
         "fp_scheme": FINGERPRINT_SCHEME,
         "analysis": analysis,
-        "delta": bool(delta),
         "ptrepo": bool(ptrepo),
         "module_fp": module_fingerprint(module),
         "function_fps": module_function_fingerprints(module),
@@ -172,7 +172,7 @@ class IncrementalStore:
     """Latest-solution slots, one per solver configuration.
 
     With a *directory* the slots are sealed JSON documents under
-    ``<directory>/warm-{analysis}-d{δ}p{π}.json``; without one (the
+    ``<directory>/warm-{analysis}-p{π}.json``; without one (the
     service's default) they live in memory.  :meth:`load` refuses — with
     a typed :class:`CheckpointError`, quarantining the file — any
     payload minted under a different fingerprint scheme, so
@@ -184,22 +184,20 @@ class IncrementalStore:
         self._memory: Dict[str, Dict[str, Any]] = {}
 
     @staticmethod
-    def slot(analysis: str, delta: bool, ptrepo: bool) -> str:
-        return f"warm-{analysis}-d{int(bool(delta))}p{int(bool(ptrepo))}"
+    def slot(analysis: str, ptrepo: bool) -> str:
+        return f"warm-{analysis}-p{int(bool(ptrepo))}"
 
     def _path(self, slot: str) -> str:
         return os.path.join(self.directory, slot + ".json")
 
     def save(self, payload: Dict[str, Any]) -> Optional[str]:
-        slot = self.slot(payload["analysis"], payload["delta"],
-                         payload["ptrepo"])
+        slot = self.slot(payload["analysis"], payload["ptrepo"])
         if self.directory is None:
             self._memory[slot] = payload
             return None
         os.makedirs(self.directory, exist_ok=True)
         meta = {
             "analysis": payload["analysis"],
-            "delta": payload["delta"],
             "ptrepo": payload["ptrepo"],
             "fp_scheme": payload["fp_scheme"],
             "module_fp": payload["module_fp"],
@@ -209,14 +207,14 @@ class IncrementalStore:
                           meta, payload)
         return path
 
-    def load(self, analysis: str, delta: bool,
+    def load(self, analysis: str,
              ptrepo: bool) -> Optional[Dict[str, Any]]:
         """Stored payload for this configuration, or ``None`` if absent.
 
         Raises :class:`CheckpointError` (after quarantining the slot) on
         corruption or a fingerprint-scheme mismatch.
         """
-        slot = self.slot(analysis, delta, ptrepo)
+        slot = self.slot(analysis, ptrepo)
         if self.directory is None:
             payload = self._memory.get(slot)
             if payload is None:
@@ -264,7 +262,7 @@ def _decode_node_table(encoded: Dict[str, Dict[str, str]]
 
 
 def plan_warm(payload: Dict[str, Any], svfg, modref, analysis: str,
-              delta: bool, ptrepo: bool, andersen=None) -> WarmPlan:
+              ptrepo: bool, andersen=None) -> WarmPlan:
     """Plan a warm re-solve of *svfg* from a stored *payload*.
 
     Always returns a plan; one with ``fallback_reason`` set means "solve
@@ -272,8 +270,7 @@ def plan_warm(payload: Dict[str, Any], svfg, modref, analysis: str,
     """
     stats = IncrStats(analysis=analysis,
                       cold_steps_baseline=int(payload.get("steps", 0)))
-    plan = WarmPlan(analysis=analysis, delta=bool(delta),
-                    ptrepo=bool(ptrepo), stats=stats)
+    plan = WarmPlan(analysis=analysis, ptrepo=bool(ptrepo), stats=stats)
 
     def fallback(reason: str) -> WarmPlan:
         plan.fallback_reason = reason
@@ -283,7 +280,6 @@ def plan_warm(payload: Dict[str, Any], svfg, modref, analysis: str,
     if payload.get("fp_scheme") != FINGERPRINT_SCHEME:
         return fallback("scheme")
     if (payload.get("analysis") != analysis
-            or bool(payload.get("delta")) != bool(delta)
             or bool(payload.get("ptrepo")) != bool(ptrepo)):
         return fallback("config")
 

@@ -27,17 +27,8 @@ Re-application is idempotent (joins are monotone) and the revived
 worker's fresh wire repo is announced by an incarnation bump, so peers
 reset their mirrors instead of resolving against a dead table.
 
-Mask sharing: fork start hands each child the parent's heap by
-copy-on-write, but every mask a child *interns* lands on freshly
-written (hence unshared) pages — across ``jobs`` workers the same
-points-to sets were historically duplicated per child.  When the
-driver-side dedup engine carries a memory-mapped arena
-(:class:`~repro.datastructs.arena.PTArena`), workers attach the arena
-file read-shared instead: pre-solved masks live on one set of physical
-pages mapped into every child, and only genuinely new masks of the
-current run pay the COW churn.  After the merge the driver interns the
-run's unique masks and flushes them to the arena, so the next run (or
-the warm ladder rung above it) attaches them for free.
+Each worker interns its points-to sets in its own PTRepo; only the
+frontier's wire repos cross worker boundaries.
 """
 
 from __future__ import annotations
@@ -89,10 +80,6 @@ class ParallelStats:
     wall_s: float = 0.0
     #: Per-worker summary: owned nodes, pops, solve seconds, incarnation.
     workers: List[Dict[str, Any]] = field(default_factory=list)
-    #: Shared-arena attachment summary (None when no arena was in play):
-    #: path, record count/bytes, masks appended post-merge, and how many
-    #: workers actually attached it read-shared.
-    arena: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -109,7 +96,6 @@ class ParallelStats:
             "frontier_table_rows": self.frontier_table_rows,
             "wall_s": round(self.wall_s, 6),
             "workers": self.workers,
-            "arena": self.arena,
         }
 
 
@@ -124,12 +110,11 @@ def _make_worker(spec: WorkerSpec, mode: str, mp_ctx):
 
 
 def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
-                   delta: bool = True, ptrepo: bool = True,
+                   ptrepo: bool = True,
                    budget=None, faults=None, versioning=None,
                    shards_per_worker: int = 4, mode: Optional[str] = None,
                    seal_every: int = 0, kill_after_round: Optional[int] = None,
-                   kill_worker: int = 0, mde=None,
-                   mde_batch: bool = True,
+                   kill_worker: int = 0,
                    heartbeat_seconds: Optional[float] = None,
                    max_worker_failures: int = DEFAULT_WORKER_FAILURE_BUDGET,
                    hang_after_round: Optional[int] = None,
@@ -164,15 +149,6 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
 
     ``versioning`` (VSFS only) is the engine's cached versioning stage:
     every worker reads it, none mutates it.
-
-    ``mde`` is the driver-side dedup engine
-    (:class:`~repro.datastructs.mde.MdeEngine`).  When it carries an
-    arena, every worker attaches the arena file read-shared (mmap), so
-    the masks a previous run interned reach the children through shared
-    physical pages instead of per-child copies; after the merge the
-    driver interns the run's global unique masks back into the engine so
-    the owner can flush them for the next run.  ``mde_batch`` toggles
-    the in-kernel propagation-batch memo on every worker.
     """
     begun = time.perf_counter()
     if level not in SHARDED_SOLVERS:
@@ -198,13 +174,10 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
     if mode != "fork":
         heartbeat_seconds = None  # inline workers cannot hang independently
 
-    arena = getattr(mde, "arena", None)
-    arena_path = arena.path if arena is not None else None
     specs = [
         WorkerSpec(worker_id=w, level=level, svfg=svfg, partition=partition,
-                   delta=delta, ptrepo=ptrepo, mde_batch=mde_batch,
-                   arena_path=arena_path,
-                   versioning=versioning, budget=budget, faults=faults,
+                   ptrepo=ptrepo, versioning=versioning, budget=budget,
+                   faults=faults,
                    hang_after_round=(hang_after_round
                                      if w == hang_worker else None))
         for w in range(jobs)
@@ -461,23 +434,6 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
         stats.stored_ptsets = max(p.stored_ptsets for p in parts)
         stats.stored_ptset_bits = max(p.stored_ptset_bits for p in parts)
 
-    if mde is not None:
-        # Fold the run's global unique masks back into the driver-side
-        # interner so the arena owner can flush them for the next run;
-        # sorted order keeps the arena layout deterministic.
-        for mask in sorted(unique):
-            mde.repo.intern(mask)
-        appended = mde.flush()
-        if arena is not None:
-            pstats.arena = {
-                "path": arena.path,
-                "masks": len(arena),
-                "resident_bytes": arena.resident_bytes,
-                "appended": appended,
-                "preloaded": mde.arena_preloaded,
-                "workers_attached": sum(
-                    1 for p in parts if p.arena_masks > 0),
-            }
 
     sizes = partition.worker_sizes()
     pstats.workers = [
@@ -488,7 +444,6 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
             "solve_s": round(parts[w].solve_time, 6),
             "pre_s": round(parts[w].pre_time, 6),
             "incarnation": specs[w].incarnation,
-            "batch_memo_hits": parts[w].batch_memo_hits,
         }
         for w in range(jobs)
     ]

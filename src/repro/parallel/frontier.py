@@ -19,7 +19,7 @@ A worker's round output is one :class:`FrontierBatch` holding
 
 Receivers keep one positional mirror repo per peer
 (:class:`PeerMirrors`) and resolve wire ids through it.  The codec is
-independent of the solver's ``ptrepo`` ablation flag: raw sets never
+independent of the solver's ``ptrepo`` storage flag: raw sets never
 travel even when deduplicated storage is switched off.
 """
 

@@ -25,7 +25,7 @@ from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, List, Tuple
 
 from repro.core.vsfs import VSFSAnalysis
-from repro.datastructs.worklist import DeltaWorkList, FIFOWorkList
+from repro.datastructs.worklist import FIFOWorkList
 from repro.ir.function import Function
 from repro.ir.instructions import CallInst
 from repro.ir.values import Variable
@@ -35,125 +35,19 @@ from repro.svfg.builder import SVFG
 from repro.svfg.nodes import InstNode
 
 
-class OwnedDeltaWorkList(DeltaWorkList):
-    """Delta worklist over an owned region, popped shard-staged.
+class OwnedFIFOWorkList(FIFOWorkList):
+    """FIFO worklist over an owned region, popped shard-staged.
 
     Drops pushes of nodes the worker does not own, and pops from the
     topologically earliest non-empty *shard* (shards are contiguous
     topological segments of the SCC condensation), FIFO within a shard.
     The staged drain is the sharded solvers' main work saver: each local
     fixpoint becomes a topological sweep where downstream shards run
-    after their upstream inputs settle — while FIFO order inside a shard
+    after their upstream inputs settle, while FIFO order inside a shard
     keeps SCC cycles draining round-robin exactly like the serial
-    kernel, so deltas batch up instead of triggering eager tiny
-    revisits.  ``_items`` is one deque per shard (the shard count is
-    small, so min-scans are trivial) and the per-queue-operation cost
-    stays at the parent deque's; the dirty/full bookkeeping is inherited
-    unchanged.
+    kernel.  ``_buckets`` holds one deque per shard (the shard count is
+    small, so min-scans are trivial).
     """
-
-    __slots__ = ("_owned", "_shard_of", "_buckets", "_min", "_size")
-
-    def __init__(self, owned: List[bool], shard_of: List[int],
-                 num_shards: int) -> None:
-        super().__init__()
-        self._owned = owned
-        self._shard_of = shard_of
-        self._buckets: List[Deque[int]] = [deque()
-                                           for _ in range(num_shards)]
-        self._min = num_shards
-        self._size = 0
-
-    def push(self, node: int) -> bool:
-        if not self._owned[node]:
-            return False
-        self._full.add(node)
-        self._dirty.pop(node, None)
-        member = self._member
-        if node in member:
-            return False
-        member.add(node)
-        sid = self._shard_of[node]
-        self._buckets[sid].append(node)
-        self._size += 1
-        if sid < self._min:
-            self._min = sid
-        return True
-
-    def push_delta(self, node: int, oid: int, delta: int) -> bool:
-        if not self._owned[node]:
-            return False
-        if node not in self._full:
-            per_obj = self._dirty.get(node)
-            if per_obj is None:
-                self._dirty[node] = {oid: delta}
-            else:
-                per_obj[oid] = per_obj.get(oid, 0) | delta
-        member = self._member
-        if node in member:
-            return False
-        member.add(node)
-        sid = self._shard_of[node]
-        self._buckets[sid].append(node)
-        self._size += 1
-        if sid < self._min:
-            self._min = sid
-        return True
-
-    def _next(self) -> int:
-        buckets = self._buckets
-        sid = self._min
-        while not buckets[sid]:
-            sid += 1
-        self._min = sid
-        self._size -= 1
-        return buckets[sid].popleft()
-
-    def pop(self) -> int:
-        node = self._next()
-        self._member.discard(node)
-        return node
-
-    def pop_with_dirty(self) -> "Tuple[int, Dict[int, int] | None]":
-        node = self._next()
-        self._member.discard(node)
-        full = self._full
-        if node in full:
-            full.discard(node)
-            return node, None
-        return node, self._dirty.pop(node, None)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    # ----------------------------------------------------------- persistence
-
-    def snapshot(self) -> dict:
-        state = super().snapshot()
-        state["items"] = [node for bucket in self._buckets
-                          for node in bucket]
-        return state
-
-    def restore(self, state: dict) -> None:
-        super().restore(state)
-        shard_of = self._shard_of
-        buckets = self._buckets
-        for node in state["items"]:
-            sid = shard_of[node]
-            buckets[sid].append(node)
-            if sid < self._min:
-                self._min = sid
-        self._size = len(state["items"])
-        self._items = deque()  # unused; parent restore filled it
-
-
-class OwnedFIFOWorkList(FIFOWorkList):
-    """Eager-mode sibling of :class:`OwnedDeltaWorkList`: same owned
-    filter and shard-staged pop order (FIFO within a shard), no dirty
-    tracking."""
 
     __slots__ = ("_owned", "_shard_of", "_buckets", "_min", "_size")
 
@@ -233,13 +127,8 @@ class ShardedSolverMixin:
         self._call_outbox: List[Tuple[int, str]] = []
         self.rounds_run = 0
         super().__init__(svfg, **kwargs)
-        owned = self.owned
-        shard_of = partition.shard_of
-        num_shards = len(partition.shards)
-        if self.delta:
-            self.worklist = OwnedDeltaWorkList(owned, shard_of, num_shards)
-        else:
-            self.worklist = OwnedFIFOWorkList(owned, shard_of, num_shards)
+        self.worklist = OwnedFIFOWorkList(self.owned, partition.shard_of,
+                                          len(partition.shards))
 
     # -------------------------------------------------------- owned filtering
 
@@ -314,21 +203,12 @@ class ShardedSolverMixin:
         tick = meter.tick if meter is not None else None
         process = self._process
         try:
-            if isinstance(worklist, DeltaWorkList):
-                pop_with_dirty = worklist.pop_with_dirty
-                while worklist:
-                    if tick is not None:
-                        tick()
-                    node_id, dirty = pop_with_dirty()
-                    processed += 1
-                    process(nodes[node_id], dirty)
-            else:
-                pop = worklist.pop
-                while worklist:
-                    if tick is not None:
-                        tick()
-                    processed += 1
-                    process(nodes[pop()], None)
+            pop = worklist.pop
+            while worklist:
+                if tick is not None:
+                    tick()
+                processed += 1
+                process(nodes[pop()])
         finally:
             self._steps_done += processed
             self.stats.nodes_processed = self._steps_done
@@ -510,10 +390,7 @@ class ShardedSFS(ShardedSolverMixin, SFSAnalysis):
                 in_set[oid] = self.ptrepo.union_mask(entry, added)
             else:
                 in_set[oid] = old | added
-            if self.delta:
-                self.worklist.push_delta(node_id, oid, added)
-            else:
-                self.worklist.push(node_id)
+            self.worklist.push(node_id)
         finally:
             self._suppress_outbox = False
 

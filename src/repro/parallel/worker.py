@@ -61,14 +61,7 @@ class WorkerSpec:
     level: str
     svfg: Any
     partition: Partition
-    delta: bool = True
     ptrepo: bool = True
-    #: Propagation-batch memoisation inside each worker's kernel.
-    mde_batch: bool = True
-    #: Shared mask arena to attach read-only (mmap): under fork the
-    #: mapped pages are physically shared with the parent and siblings,
-    #: so pre-solved masks do not get copy-on-write duplicated per child.
-    arena_path: Optional[str] = None
     #: The shared meld versioning (VSFS), read by every worker.
     versioning: Any = None
     budget: Any = None
@@ -91,19 +84,10 @@ def build_sharded_solver(spec: WorkerSpec):
     if cls is None:
         raise ValueError(f"no sharded solver for analysis level {spec.level!r}")
     kwargs: Dict[str, Any] = {
-        "delta": spec.delta,
         "ptrepo": spec.ptrepo,
-        "mde_batch": spec.mde_batch,
         "meter": spec.budget.meter() if spec.budget is not None else None,
         "faults": spec.faults,
     }
-    if spec.ptrepo:
-        from repro.datastructs.mde import MdeEngine
-
-        # Best-effort, read-only: a worker must never quarantine or
-        # rewrite the parent-owned arena, and a missing/corrupt file just
-        # means this worker warms up from an empty interner.
-        kwargs["mde"] = MdeEngine.open(spec.arena_path, attach_only=True)
     if spec.level == "vsfs":
         kwargs["versioning"] = spec.versioning
     return cls(spec.svfg, spec.partition, spec.worker_id, **kwargs)

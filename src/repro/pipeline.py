@@ -38,15 +38,12 @@ class AnalysisPipeline:
     def __init__(self, module: Optional[Module] = None,
                  cache: Optional[StageCache] = None,
                  source: Optional[str] = None, language: str = "c",
-                 mde_batch: bool = True,
-                 arena_path: Optional[str] = None,
                  faults=None, strict_cache: bool = False):
         if module is None and source is None:
             raise AnalysisError(
                 "AnalysisPipeline needs a prepared module or source text")
         ctx = StageContext(module=module, source=source, language=language,
-                           cache=cache, mde_batch=mde_batch,
-                           arena_path=arena_path, faults=faults,
+                           cache=cache, faults=faults,
                            strict_cache=strict_cache)
         self.engine = Engine(ctx)
         self.module: Module = self.engine.ensure("prepare")
@@ -54,14 +51,11 @@ class AnalysisPipeline:
     @classmethod
     def from_source(cls, source: str, language: str = "c",
                     cache: Optional[StageCache] = None,
-                    mde_batch: bool = True,
-                    arena_path: Optional[str] = None,
                     faults=None,
                     strict_cache: bool = False) -> "AnalysisPipeline":
         """Route parsing/preparation through the engine's own stages."""
         return cls(source=source, language=language, cache=cache,
-                   mde_batch=mde_batch, arena_path=arena_path, faults=faults,
-                   strict_cache=strict_cache)
+                   faults=faults, strict_cache=strict_cache)
 
     @property
     def trace(self) -> StageTrace:
@@ -95,11 +89,11 @@ class AnalysisPipeline:
 
     # ------------------------------------------------------------- main phase
 
-    def sfs(self, delta: bool = True, ptrepo: bool = True, meter=None,
+    def sfs(self, ptrepo: bool = True, meter=None,
             faults=None, checkpointer=None, resume_state=None,
             resume_step: int = 0, warm_plan=None,
             capture_regions: Optional[bool] = None) -> FlowSensitiveResult:
-        return self.engine.solve("sfs", delta=delta, ptrepo=ptrepo,
+        return self.engine.solve("sfs", ptrepo=ptrepo,
                                  meter=meter, faults=faults,
                                  checkpointer=checkpointer,
                                  resume_state=resume_state,
@@ -107,11 +101,11 @@ class AnalysisPipeline:
                                  warm_plan=warm_plan,
                                  capture_regions=capture_regions)
 
-    def vsfs(self, delta: bool = True, ptrepo: bool = True, meter=None,
+    def vsfs(self, ptrepo: bool = True, meter=None,
              faults=None, checkpointer=None, resume_state=None,
              resume_step: int = 0, warm_plan=None,
              capture_regions: Optional[bool] = None) -> FlowSensitiveResult:
-        return self.engine.solve("vsfs", delta=delta, ptrepo=ptrepo,
+        return self.engine.solve("vsfs", ptrepo=ptrepo,
                                  meter=meter, faults=faults,
                                  checkpointer=checkpointer,
                                  resume_state=resume_state,
@@ -119,19 +113,19 @@ class AnalysisPipeline:
                                  warm_plan=warm_plan,
                                  capture_regions=capture_regions)
 
-    def sfs_par(self, jobs: int = 2, delta: bool = True, ptrepo: bool = True,
+    def sfs_par(self, jobs: int = 2, ptrepo: bool = True,
                 meter=None, faults=None, mode: Optional[str] = None,
                 warm_plan=None,
                 capture_regions: Optional[bool] = None) -> FlowSensitiveResult:
         """Sharded parallel SFS on *jobs* workers (bit-identical to
         :meth:`sfs`; see :mod:`repro.parallel`).  A usable *warm_plan*
         collapses the run onto the serial kernel (same result)."""
-        return self.engine.solve("sfs-par", delta=delta, ptrepo=ptrepo,
+        return self.engine.solve("sfs-par", ptrepo=ptrepo,
                                  meter=meter, faults=faults, jobs=jobs,
                                  parallel_mode=mode, warm_plan=warm_plan,
                                  capture_regions=capture_regions)
 
-    def vsfs_par(self, jobs: int = 2, delta: bool = True, ptrepo: bool = True,
+    def vsfs_par(self, jobs: int = 2, ptrepo: bool = True,
                  meter=None, faults=None, mode: Optional[str] = None,
                  warm_plan=None,
                  capture_regions: Optional[bool] = None
@@ -139,7 +133,7 @@ class AnalysisPipeline:
         """Sharded parallel VSFS on *jobs* workers (bit-identical to
         :meth:`vsfs`).  A usable *warm_plan* collapses the run onto the
         serial kernel (same result)."""
-        return self.engine.solve("vsfs-par", delta=delta, ptrepo=ptrepo,
+        return self.engine.solve("vsfs-par", ptrepo=ptrepo,
                                  meter=meter, faults=faults, jobs=jobs,
                                  parallel_mode=mode, warm_plan=warm_plan,
                                  capture_regions=capture_regions)
@@ -167,7 +161,7 @@ def module_from(source: Union[str, Module], language: str = "c") -> Module:
 
 def analyze(source: Union[str, Module], analysis: str = "vsfs",
             language: str = "c", budget=None, fallback: bool = True,
-            faults=None, delta: bool = True, ptrepo: bool = True,
+            faults=None, ptrepo: bool = True,
             checkpoint=None, resume_from=None):
     """Run one analysis end to end, governed by the degradation ladder.
 
@@ -190,7 +184,7 @@ def analyze(source: Union[str, Module], analysis: str = "vsfs",
     :param resume_from: resume a previous interrupted run: a checkpoint
         file path, a directory to search, or ``True`` to search
         ``checkpoint``'s directory.  Discovery is content-addressed (IR
-        hash × rung × ablation flags) and walks the ladder most-precise
+        hash × rung × storage flag) and walks the ladder most-precise
         first; a stale or mismatched checkpoint raises
         :class:`~repro.errors.CheckpointError`, while "no checkpoint
         found" in directory mode simply starts fresh.
@@ -213,16 +207,16 @@ def analyze(source: Union[str, Module], analysis: str = "vsfs",
     resume_meta = resume_state = None
     if resume_from:
         resume_meta, resume_state = _load_resume_state(
-            module, analysis, resume_from, checkpoint, delta, ptrepo)
+            module, analysis, resume_from, checkpoint, ptrepo)
     return solve_with_ladder(pipeline, analysis=analysis, budget=budget,
-                             fallback=fallback, faults=faults, delta=delta,
+                             fallback=fallback, faults=faults,
                              ptrepo=ptrepo, checkpoint=checkpoint,
                              resume_state=resume_state,
                              resume_meta=resume_meta)
 
 
 def _load_resume_state(module: Module, analysis: str, resume_from,
-                       checkpoint, delta: bool, ptrepo: bool):
+                       checkpoint, ptrepo: bool):
     """Locate and verify the checkpoint ``analyze(resume_from=...)`` names.
 
     Returns ``(meta, payload)`` or ``(None, None)`` when directory-mode
@@ -250,13 +244,12 @@ def _load_resume_state(module: Module, analysis: str, resume_from,
                 "resume_from=True needs a checkpoint directory "
                 "(pass checkpoint=... or a directory path)")
         for level in levels:  # most precise rung first
-            path = find_checkpoint(directory, ir_hash, level, delta, ptrepo)
+            path = find_checkpoint(directory, ir_hash, level, ptrepo)
             if path is not None:
                 break
         if path is None:
             return None, None
-    meta, payload = load_checkpoint(path, ir_hash=ir_hash,
-                                    delta=delta, ptrepo=ptrepo)
+    meta, payload = load_checkpoint(path, ir_hash=ir_hash, ptrepo=ptrepo)
     if meta.get("analysis") not in levels:
         raise CheckpointError(
             f"checkpoint at {path} is for analysis {meta.get('analysis')!r}, "

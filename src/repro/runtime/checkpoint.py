@@ -16,9 +16,9 @@ fixpoint an uninterrupted run reaches — the resume tests assert the
 stronger property that results are **bit-identical**.
 
 The manifest (the sealed document's ``meta``) records the schema version,
-the IR content hash, the ablation flags, and the analysis; loading verifies
+the IR content hash, the storage flag, and the analysis; loading verifies
 all four so a checkpoint from an edited program, another solver, or a
-different ablation configuration is rejected with a typed
+different storage configuration is rejected with a typed
 :class:`~repro.errors.CheckpointError` instead of corrupting a run.
 Checkpoint files are written atomically, so a crash *during* a save leaves
 the previous checkpoint intact.
@@ -49,7 +49,9 @@ __all__ = [
 #: 2: keys derive from the per-function fingerprint scheme
 #: (:data:`repro.ir.fingerprint.FINGERPRINT_SCHEME`); manifests carry
 #: ``fp_scheme`` so pre-refactor checkpoints are rejected, not resumed.
-CHECKPOINT_SCHEMA = 2
+#: 3: one eager kernel — the worklist snapshot is the plain FIFO queue
+#: (no ``full``/``dirty`` annotations) and the key drops ``delta``.
+CHECKPOINT_SCHEMA = 3
 
 #: Artifact kind tag inside the sealed envelope.
 CHECKPOINT_KIND = "checkpoint"
@@ -71,13 +73,13 @@ class CheckpointConfig:
 
 
 def checkpoint_path(directory: str, ir_hash: str, analysis: str,
-                    delta: bool, ptrepo: bool) -> str:
+                    ptrepo: bool) -> str:
     """Deterministic checkpoint file name for one (program, config) pair.
 
     Content-keyed like the result store, so resume discovery is a pure
     function of what is being solved — no run ids to thread through.
     """
-    key = result_key(ir_hash, analysis, delta, ptrepo)[:16]
+    key = result_key(ir_hash, analysis, ptrepo)[:16]
     return os.path.join(directory, f"ckpt-{analysis}-{key}.json")
 
 
@@ -90,15 +92,14 @@ class Checkpointer:
     """
 
     def __init__(self, config: CheckpointConfig, ir_hash: str, analysis: str,
-                 delta: bool = True, ptrepo: bool = True,
+                 ptrepo: bool = True,
                  faults: Any = None, bus: Any = None, retry: Any = None):
         self.config = config
         self.ir_hash = ir_hash
         self.analysis = analysis
-        self.delta = bool(delta)
         self.ptrepo = bool(ptrepo)
         self.path = checkpoint_path(config.directory, ir_hash, analysis,
-                                    delta, ptrepo)
+                                    ptrepo)
         #: FaultPlan whose ``checkpoint_write`` point fires inside save().
         self.faults = faults
         #: EventBus receiving ``self_heal`` events for absorbed failures.
@@ -148,7 +149,6 @@ class Checkpointer:
             "ir_hash": self.ir_hash,
             "fp_scheme": FINGERPRINT_SCHEME,
             "analysis": self.analysis,
-            "delta": self.delta,
             "ptrepo": self.ptrepo,
             "step": step,
             "reason": reason,
@@ -207,7 +207,6 @@ class Checkpointer:
 
 def load_checkpoint(path: str, ir_hash: Optional[str] = None,
                     analysis: Optional[str] = None,
-                    delta: Optional[bool] = None,
                     ptrepo: Optional[bool] = None
                     ) -> Tuple[Dict[str, Any], Any]:
     """Read + verify one checkpoint; returns ``(meta, payload)``.
@@ -215,7 +214,7 @@ def load_checkpoint(path: str, ir_hash: Optional[str] = None,
     Beyond the envelope checks (checksum, kind, schema), any expectation
     passed as a keyword is matched against the manifest: a checkpoint
     recorded for a different program raises ``reason="ir-mismatch"``, one
-    for a different solver or ablation configuration
+    for a different solver or storage configuration
     ``reason="config-mismatch"``.  Corrupt files are quarantined so a
     supervisor's next retry starts fresh instead of tripping again.
     """
@@ -243,10 +242,6 @@ def load_checkpoint(path: str, ir_hash: Optional[str] = None,
         raise CheckpointError(
             f"checkpoint was recorded for analysis {meta.get('analysis')!r}, "
             f"not {analysis!r}", reason="config-mismatch", path=path)
-    if delta is not None and bool(meta.get("delta")) != bool(delta):
-        raise CheckpointError(
-            "checkpoint was recorded under a different delta-kernel setting",
-            reason="config-mismatch", path=path)
     if ptrepo is not None and bool(meta.get("ptrepo")) != bool(ptrepo):
         raise CheckpointError(
             "checkpoint was recorded under a different ptrepo setting",
@@ -258,7 +253,7 @@ def load_checkpoint(path: str, ir_hash: Optional[str] = None,
 
 
 def find_checkpoint(directory: str, ir_hash: str, analysis: str,
-                    delta: bool, ptrepo: bool) -> Optional[str]:
+                    ptrepo: bool) -> Optional[str]:
     """Path of the checkpoint for this (program, config), if one exists."""
-    path = checkpoint_path(directory, ir_hash, analysis, delta, ptrepo)
+    path = checkpoint_path(directory, ir_hash, analysis, ptrepo)
     return path if os.path.exists(path) else None

@@ -155,7 +155,7 @@ def result_steps(result: object) -> int:
 
 def solve_with_ladder(pipeline, analysis: str = "vsfs",
                       budget: Optional[Budget] = None, fallback: bool = True,
-                      faults=None, delta: bool = True, ptrepo: bool = True,
+                      faults=None, ptrepo: bool = True,
                       checkpoint: Optional[CheckpointConfig] = None,
                       resume_state=None, resume_meta=None,
                       jobs: int = 1, parallel_mode: Optional[str] = None,
@@ -168,7 +168,7 @@ def solve_with_ladder(pipeline, analysis: str = "vsfs",
     bit-identical to calling the pipeline directly.
 
     With *checkpoint* (a :class:`CheckpointConfig`) each rung gets its own
-    :class:`Checkpointer`, keyed by IR hash × rung × ablation flags — a
+    :class:`Checkpointer`, keyed by IR hash × rung × storage flag — a
     degraded run's precise-rung checkpoint survives for a later retry.
     *resume_state*/*resume_meta* (as returned by :func:`load_checkpoint`)
     restore the matching rung's solver mid-fixpoint before it runs; the
@@ -198,7 +198,7 @@ def solve_with_ladder(pipeline, analysis: str = "vsfs",
             # the checkpoint_write fault point fires and skipped saves
             # surface as self_heal events on the run's trace.
             ck = checkpointers[level] = Checkpointer(
-                checkpoint, ir_hash, level, delta=delta, ptrepo=ptrepo,
+                checkpoint, ir_hash, level, ptrepo=ptrepo,
                 faults=faults, bus=bus)
         return ck
 
@@ -227,7 +227,7 @@ def solve_with_ladder(pipeline, analysis: str = "vsfs",
             base = level[: -len("-par")]
             return level, lambda meter: (
                 pipeline.sfs_par if base == "sfs" else pipeline.vsfs_par)(
-                    jobs=jobs, delta=delta, ptrepo=ptrepo, meter=meter,
+                    jobs=jobs, ptrepo=ptrepo, meter=meter,
                     faults=faults, mode=parallel_mode,
                     warm_plan=plan_for(level),
                     capture_regions=capture_regions)
@@ -235,12 +235,12 @@ def solve_with_ladder(pipeline, analysis: str = "vsfs",
         state = resume_state if level == resume_level else None
         if level == "vsfs":
             return level, lambda meter: pipeline.vsfs(
-                delta=delta, ptrepo=ptrepo, meter=meter, faults=faults,
+                ptrepo=ptrepo, meter=meter, faults=faults,
                 checkpointer=ck, resume_state=state, resume_step=resume_step,
                 warm_plan=plan_for(level), capture_regions=capture_regions)
         if level == "sfs":
             return level, lambda meter: pipeline.sfs(
-                delta=delta, ptrepo=ptrepo, meter=meter, faults=faults,
+                ptrepo=ptrepo, meter=meter, faults=faults,
                 checkpointer=ck, resume_state=state, resume_step=resume_step,
                 warm_plan=plan_for(level), capture_regions=capture_regions)
         if level == "icfg-fs":

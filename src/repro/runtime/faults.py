@@ -9,7 +9,7 @@ into **fault domains**:
   the solve loops (``pre_meld``, ``otf_edge``, ``propagate``,
   ``ptrepo_union``);
 - ``io`` — the on-disk substrate: stage-cache read/write, checkpoint
-  write, result-store put, arena append/attach;
+  write, result-store put;
 - ``parallel`` — the sharded driver's transport: frontier send/recv,
   worker spawn, worker heartbeat;
 - ``service`` — the always-on daemon's request path (:mod:`repro.service`):
@@ -43,7 +43,7 @@ from repro.errors import AnalysisError, InjectedFault
 FAULT_DOMAINS: Dict[str, Tuple[str, ...]] = {
     "solver": ("pre_meld", "otf_edge", "propagate", "ptrepo_union"),
     "io": ("stage_cache_read", "stage_cache_write", "checkpoint_write",
-           "result_store_put", "arena_attach", "arena_append"),
+           "result_store_put"),
     "parallel": ("worker_spawn", "worker_heartbeat",
                  "frontier_send", "frontier_recv"),
     "service": ("request_decode", "queue_admit", "worker_exec",
@@ -71,10 +71,6 @@ FAULT_DESCRIPTIONS: Dict[str, str] = {
                         "(heals: retry, then skip the save)",
     "result_store_put": "a completed result is about to enter the store "
                         "(heals: retry, then skip the put)",
-    "arena_attach": "the shared mask arena is about to be opened/attached "
-                    "(heals: proceed arena-less)",
-    "arena_append": "freshly interned masks are about to be flushed to the "
-                    "arena (heals: skip the flush)",
     "worker_spawn": "a parallel worker is about to be constructed "
                     "(heals: respawn, counted against the failure budget)",
     "worker_heartbeat": "the driver is about to wait on a worker's round "
@@ -93,7 +89,7 @@ FAULT_DESCRIPTIONS: Dict[str, str] = {
                    "request (fires = retry on a revived worker, charged "
                    "against its failure budget)",
     "cache_attach": "a program session is about to attach the warm "
-                    "store/stage-cache/arena (heals: serve cache-less)",
+                    "store/stage-cache (heals: serve cache-less)",
 }
 
 

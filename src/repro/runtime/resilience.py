@@ -1,7 +1,7 @@
 """Shared self-healing policy: retries with deterministic seeded jitter.
 
 Every layer that talks to a fallible medium — the stage cache, the
-checkpointer, the result store, the arena, the batch supervisor — shares
+checkpointer, the result store, the batch supervisor — shares
 one :class:`RetryPolicy` shape instead of growing its own ad-hoc backoff
 loop.  Three properties the platform depends on:
 

@@ -1,7 +1,7 @@
 """``repro.service`` — the always-on analysis daemon (``repro-wpa serve``).
 
 ROADMAP item 2's server half: a long-running supervised process that
-keeps the stage cache, result store and MDE arena warm between queries,
+keeps the stage cache and result store warm between queries,
 so IDE-latency alias/null-deref/slice lookups (:mod:`repro.clients`) hit
 a hot substrate instead of paying a cold batch run per question.  The
 paper's amortisation argument (and the CFG-free/MDE follow-ups in
@@ -26,7 +26,7 @@ overload and crashes — so robustness is the architecture:
 - **Graceful drain + warm restart** (:mod:`repro.service.server`):
   SIGTERM finishes in-flight requests and sheds the queue with
   retry-after; every durable artifact lives in the content-addressed
-  store/stage-cache/arena, so a restarted daemon answers bit-identically
+  store and stage cache, so a restarted daemon answers bit-identically
   to a cold batch run.
 
 ``repro-wpa chaos --daemon`` soaks the whole request path under the

@@ -10,7 +10,7 @@ of the two transports (:mod:`repro.service.transport`)::
           p = &g; return 0; }"}' | repro-wpa serve --store cache/
 
 Every durable artifact lives under ``--store`` (results, stage cache,
-mask arena), which is the same layout the batch CLI uses — so a daemon
+incremental slots), which is the same layout the batch CLI uses — so a daemon
 restarted onto a warm store answers bit-identically to a cold
 ``repro-wpa --store`` run, and the two can share one directory.
 
@@ -42,7 +42,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--store", metavar="DIR",
                         help="durable substrate directory (results, stage "
-                             "cache, arena); omitting it serves purely "
+                             "cache); omitting it serves purely "
                              "in-memory — no warm restart")
     parser.add_argument("--http", action="store_true",
                         help="serve localhost HTTP instead of stdio JSONL")
@@ -73,8 +73,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         metavar="S",
                         help="seconds an open breaker waits before its "
                              "half-open probe (default 30)")
-    parser.add_argument("--no-arena", action="store_true",
-                        help="disable the shared memory-mapped mask arena")
     parser.add_argument("--strict-io", action="store_true",
                         help="fail requests on corrupt store entries "
                              "instead of quarantining and recomputing")
@@ -111,7 +109,6 @@ def service_from_args(args: argparse.Namespace,
         tenants=_parse_tenants(args.tenant),
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
-        use_arena=not args.no_arena,
         strict_io=args.strict_io,
         faults=faults,
     )

@@ -4,8 +4,8 @@
 raw request lines (or dicts) and it produces typed responses.  One instance
 owns
 
-- the **warm substrate** — a result store, stage cache and mask arena
-  shared by every program session (the same trio ``repro-wpa --store``
+- the **warm substrate** — a result store and stage cache
+  shared by every program session (the same pair ``repro-wpa --store``
   uses, so the daemon and the batch CLI interconvert freely: a warm
   restart recovers from the on-disk stores and answers **bit-identically**
   to a cold batch run);
@@ -74,7 +74,7 @@ def program_key(source: str, language: str) -> str:
 class ServiceConfig:
     """Everything tunable about one daemon instance."""
 
-    #: Durable substrate directory (results, stage cache, arena); None
+    #: Durable substrate directory (results, stage cache); None
     #: runs fully in-memory (no warm restart).
     store_dir: Optional[str] = None
     queue_depth: int = 64
@@ -87,7 +87,6 @@ class ServiceConfig:
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 30.0
-    use_arena: bool = True
     strict_io: bool = False
     faults: Any = None
 
@@ -102,7 +101,6 @@ class ProgramSession:
         self.heals = 0
         self.cacheless = False
         cache = None
-        arena_path = None
         if store is not None:
             try:
                 if config.faults is not None:
@@ -110,8 +108,6 @@ class ProgramSession:
                 from repro.engine import StageCache
 
                 cache = StageCache(os.path.join(config.store_dir, "stages"))
-                if config.use_arena:
-                    arena_path = store.arena_path
             except InjectedFault:
                 # Degraded-not-dead: serve this program cache-less (every
                 # query recomputes) instead of refusing it.
@@ -120,7 +116,7 @@ class ProgramSession:
         from repro.pipeline import AnalysisPipeline
 
         self.pipeline = AnalysisPipeline.from_source(
-            source, language=language, cache=cache, arena_path=arena_path,
+            source, language=language, cache=cache,
             strict_cache=config.strict_io)
         self.module = self.pipeline.module
         #: Clean (full-precision) results memoised per analysis.
@@ -333,7 +329,7 @@ class AnalysisService:
         if self.store is not None and not session.cacheless:
             session.pipeline.engine.prime_substrate(analysis)
             try:
-                cached = self.store.get(module, analysis, True, True)
+                cached = self.store.get(module, analysis, True)
             except CheckpointError:
                 if self.config.strict_io:
                     raise
@@ -353,7 +349,7 @@ class AnalysisService:
         incremental = analysis in ("sfs", "vsfs")
         if incremental:
             try:
-                stored = self.incremental.load(analysis, True, True)
+                stored = self.incremental.load(analysis, True)
             except CheckpointError:
                 if self.config.strict_io:
                     raise
@@ -365,7 +361,7 @@ class AnalysisService:
                 pipeline = session.pipeline
                 warm_plan = plan_warm(
                     stored, pipeline.svfg(), pipeline.modref(), analysis,
-                    True, True, pipeline.andersen())
+                    True, pipeline.andersen())
         policy_steps = None  # per-tenant step caps ride on TenantPolicy
         budget = None
         if remaining is not None:
@@ -386,7 +382,7 @@ class AnalysisService:
             if self.store is not None and not session.cacheless:
                 try:
                     IO_RETRY.run(lambda: self.store.put(
-                        module, analysis, True, True, result))
+                        module, analysis, True, result))
                 except (OSError, ReproError):
                     heals += 1  # skip-write: answer anyway
             capture = getattr(result, "incremental_capture", None)
@@ -399,7 +395,7 @@ class AnalysisService:
                     payload = build_payload(
                         pipeline.svfg(), pipeline.modref(), result,
                         capture["node_in"], capture["node_out"],
-                        capture["flow"], analysis, True, True,
+                        capture["flow"], analysis, True,
                         pipeline.andersen())
                     IO_RETRY.run(lambda: self.incremental.save(payload))
                 except (OSError, ReproError):

@@ -22,9 +22,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph
 from repro.datastructs.bitset import count_bits, iter_bits
-from repro.datastructs.mde import BatchMemo, MdeEngine
 from repro.datastructs.ptrepo import PTRepo
-from repro.datastructs.worklist import DeltaWorkList, FIFOWorkList
+from repro.datastructs.worklist import FIFOWorkList
 from repro.errors import BudgetExceeded
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -58,10 +57,8 @@ class SolverStats:
     ``propagations`` counts indirect (per-object) set propagations along
     SVFG edges / version constraints — the quantity VSFS reduces.
     ``unions`` counts set-union operations *applied* to stored
-    address-taken points-to data: the eager path performs one per
-    propagation target, the delta kernel only when the forwarded bits
-    contain something new, so the gap between the two is exactly the
-    redundant set work the kernel removes.
+    address-taken points-to data: one per propagation target (SFS) or
+    per visited version (VSFS), whether or not the set grows.
     ``stored_ptsets``/``stored_ptset_bits`` describe the final memory
     footprint of address-taken points-to data, the paper's memory story;
     ``unique_ptsets``/``unique_ptset_bits`` are the deduplicated
@@ -87,7 +84,6 @@ class SolverStats:
     top_level_bits: int = 0
     callgraph_edges: int = 0
     indirect_calls_resolved: int = 0
-    delta_kernel: bool = False  # delta propagation enabled for this run
     ptrepo_enabled: bool = False  # deduplicated storage enabled for this run
     #: Pops inherited from a restored checkpoint.  ``nodes_processed`` is
     #: the *logical solve's* total (restored runs continue the count), so
@@ -96,23 +92,13 @@ class SolverStats:
     #: difference — summing ``nodes_processed`` over the attempts of a
     #: crashed-and-resumed run counts every pre-crash pop once per resume.
     resumed_steps: int = 0
-    #: Propagation-batch memoisation (repro.datastructs.mde) enabled,
-    #: plus its hit/miss counters — a hit is one whole transfer step
-    #: answered from the memo instead of recomputed.
-    mde_batch: bool = False
-    batch_memo_hits: int = 0
-    batch_memo_misses: int = 0
     #: Dedup *memory* cost gauges: how many rows the interner holds, how
-    #: many entries the pairwise-union and batch memos have accumulated
-    #: (both grow without bound), the estimated resident bytes of the
-    #: deduplicated mask content, and the size of the memory-mapped
-    #: arena this solve was attached to (0 when arena-less).
+    #: many entries the pairwise-union memo has accumulated (it grows
+    #: without bound), and the estimated resident bytes of the
+    #: deduplicated mask content.
     interner_entries: int = 0
     union_cache_entries: int = 0
-    batch_cache_entries: int = 0
     dedup_resident_bytes: int = 0
-    arena_masks: int = 0
-    arena_resident_bytes: int = 0
 
     #: Work counters that add across disjoint units of work (parallel
     #: shard workers, independent programs).  Times sum to aggregate CPU
@@ -122,7 +108,6 @@ class SolverStats:
         "unions", "strong_updates", "weak_updates", "stored_ptsets",
         "stored_ptset_bits", "unique_ptsets", "unique_ptset_bits",
         "union_cache_hits", "union_cache_misses",
-        "batch_memo_hits", "batch_memo_misses",
         "indirect_calls_resolved", "resumed_steps",
     )
     #: Final-state gauges over structures the units may share (each
@@ -130,12 +115,9 @@ class SolverStats:
     #: merged top-level table is the OR of the workers') — summing would
     #: multiply shared state by the worker count, so a merge takes the
     #: max and the driver overwrites them with globally recomputed values.
-    #: The dedup-memory gauges behave the same way: workers attached to a
-    #: shared arena would sum its bytes once per worker.
     GAUGE_FIELDS = ("top_level_bits", "callgraph_edges",
                     "interner_entries", "union_cache_entries",
-                    "batch_cache_entries", "dedup_resident_bytes",
-                    "arena_masks", "arena_resident_bytes")
+                    "dedup_resident_bytes")
 
     @classmethod
     def merge(cls, parts: "List[SolverStats]") -> "SolverStats":
@@ -156,9 +138,7 @@ class SolverStats:
         if not parts:
             return merged
         merged.analysis = parts[0].analysis
-        merged.delta_kernel = all(p.delta_kernel for p in parts)
         merged.ptrepo_enabled = all(p.ptrepo_enabled for p in parts)
-        merged.mde_batch = all(p.mde_batch for p in parts)
         for name in cls.ADDITIVE_FIELDS:
             setattr(merged, name, sum(getattr(p, name) for p in parts))
         for name in cls.GAUGE_FIELDS:
@@ -180,10 +160,6 @@ class SolverStats:
     def union_cache_hit_rate(self) -> float:
         calls = self.union_cache_hits + self.union_cache_misses
         return self.union_cache_hits / calls if calls else 0.0
-
-    def batch_memo_hit_rate(self) -> float:
-        calls = self.batch_memo_hits + self.batch_memo_misses
-        return self.batch_memo_hits / calls if calls else 0.0
 
 
 class FlowSensitiveResult:
@@ -233,25 +209,13 @@ class FlowSensitiveResult:
 class StagedSolverBase:
     """Worklist solver over the SVFG; see module docstring.
 
-    Two orthogonal performance features are configurable (both on by
-    default; the ablation benchmarks switch them off):
-
-    - ``delta``: the **delta propagation kernel** — the worklist carries
-      object-granular dirty deltas (:class:`DeltaWorkList`) so a popped
-      node re-propagates only the objects whose sets actually grew, and
-      propagation forwards only the new bits (``new & ~old``) instead of
-      whole masks;
-    - ``ptrepo``: **deduplicated storage** — IN/OUT / version-table
-      entries hold dense :class:`~repro.datastructs.ptrepo.PTRepo` ids
-      instead of raw masks, so byte-identical sets are stored once and
-      repeated unions hit a memoised cache.
-
-    On top of ``ptrepo`` sits the multi-level dedup engine
-    (:class:`~repro.datastructs.mde.MdeEngine`): passing ``mde`` makes
-    this solver share its interner, batch memo and arena with other
-    solvers built over the same engine (the degradation ladder's rungs),
-    and ``mde_batch`` ablates the propagation-batch memo alone.  All of
-    it is bit-identity-preserving — only recomputation is avoided.
+    Propagation is eager: a popped node re-runs its whole transfer rule
+    and forwards whole masks.  Storage is deduplicated by default
+    (``ptrepo``): IN/OUT / version-table entries hold dense ids into
+    this solve's own :class:`~repro.datastructs.ptrepo.PTRepo`, so
+    byte-identical sets are stored once and repeated unions hit a
+    memoised cache.  ``ptrepo=False`` stores raw masks — the reference
+    the tests compare the repository against; results are bit-identical.
     """
 
     analysis_name = "base"
@@ -261,10 +225,8 @@ class StagedSolverBase:
     SEED_TYPES = (AllocInst, CopyInst, PhiInst, FieldInst, LoadInst,
                   StoreInst, CallInst, RetInst)
 
-    def __init__(self, svfg: SVFG, delta: bool = True, ptrepo: bool = True,
-                 meter=None, faults=None, checkpointer=None, ctx=None,
-                 mde: Optional[MdeEngine] = None,
-                 mde_batch: Optional[bool] = None):
+    def __init__(self, svfg: SVFG, ptrepo: bool = True,
+                 meter=None, faults=None, checkpointer=None, ctx=None):
         if ctx is not None:
             # Engine path: governance defaults come from the StageContext
             # instead of per-constructor keyword threading; explicit
@@ -272,37 +234,13 @@ class StagedSolverBase:
             meter = ctx.meter if meter is None else meter
             faults = ctx.faults if faults is None else faults
             checkpointer = ctx.checkpointer if checkpointer is None else checkpointer
-            mde = getattr(ctx, "mde", None) if mde is None else mde
-            if mde_batch is None:
-                mde_batch = getattr(ctx, "mde_batch", None)
         self.svfg = svfg.copy()  # private view: OTF edges grow only it
         self.module = svfg.module
         self.andersen = svfg.andersen
         self.memssa = svfg.memssa
         self.pt: List[int] = [0] * len(self.module.variables)
         self.callgraph = CallGraph(self.module)
-        self.delta = bool(delta)
-        # Dedup stack: the repo always comes from an MdeEngine so ladder
-        # rungs handed the same engine hash-cons into one interner; the
-        # batch memo is on by default and ablated via mde_batch=False.
-        if ptrepo:
-            self.mde: Optional[MdeEngine] = mde if mde is not None else MdeEngine()
-            self.ptrepo: Optional[PTRepo] = self.mde.repo
-            use_batch = True if mde_batch is None else bool(mde_batch)
-            self.batch: Optional[BatchMemo] = self.mde.batch if use_batch else None
-        else:
-            self.mde = None
-            self.ptrepo = None
-            self.batch = None
-        # A shared engine's counters accumulate across the rungs solved
-        # on it; remember where they stood when *this* solver started so
-        # its stats stay per-solve.
-        self._repo_counter_base = ((self.ptrepo.union_hits,
-                                    self.ptrepo.union_misses)
-                                   if self.ptrepo is not None else (0, 0))
-        self._batch_counter_base = ((self.batch.hits, self.batch.misses)
-                                    if self.batch is not None else (0, 0))
-        self._batch_baseline = (0, 0)  # pre-resume batch-memo hits/misses
+        self.ptrepo: Optional[PTRepo] = PTRepo() if ptrepo else None
         # Resource governance (repro.runtime): a BudgetMeter ticked once
         # per worklist pop, and a FaultPlan fired at the instrumented
         # trigger points.  Both default to None, leaving the hot loops of
@@ -321,18 +259,10 @@ class StagedSolverBase:
         self._warm_plan = None
         self._steps_done = 0  # pops completed in earlier (resumed) runs
         self._union_baseline = (0, 0)  # pre-resume repo cache hits/misses
-        self.stats = SolverStats(
-            analysis=self.analysis_name,
-            delta_kernel=self.delta,
-            ptrepo_enabled=ptrepo,
-            mde_batch=self.batch is not None,
-        )
-        # Worklist of SVFG node ids with O(1) dedup; the delta kernel's
-        # variant additionally carries per-(node, object) dirty masks.
-        if self.delta:
-            self.worklist: "DeltaWorkList | FIFOWorkList[int]" = DeltaWorkList()
-        else:
-            self.worklist = FIFOWorkList()
+        self.stats = SolverStats(analysis=self.analysis_name,
+                                 ptrepo_enabled=ptrepo)
+        # Worklist of SVFG node ids with O(1) dedup.
+        self.worklist: FIFOWorkList[int] = FIFOWorkList()
         self._function_objects: Dict[int, Function] = {
             obj.id: obj.function
             for obj in self.module.objects
@@ -389,53 +319,28 @@ class StagedSolverBase:
             nodes = self.svfg.nodes
             tick = meter.tick if meter is not None else None
             process = self._process
+            pop = worklist.pop
             if checkpointer is not None:
                 # Governed + checkpointed loop: the cadence probe runs
                 # *before* the pop, so a snapshot always captures a state
                 # whose worklist still holds the next node.
                 maybe = checkpointer.maybe
                 base_steps = self._steps_done
-                if isinstance(worklist, DeltaWorkList):
-                    pop_with_dirty = worklist.pop_with_dirty
-                    while worklist:
-                        if tick is not None:
-                            tick()
-                        maybe(self, base_steps + processed)
-                        node_id, dirty = pop_with_dirty()
-                        processed += 1
-                        process(nodes[node_id], dirty)
-                else:
-                    pop = worklist.pop
-                    while worklist:
-                        if tick is not None:
-                            tick()
-                        maybe(self, base_steps + processed)
-                        processed += 1
-                        process(nodes[pop()], None)
-            elif isinstance(worklist, DeltaWorkList):
-                pop_with_dirty = worklist.pop_with_dirty
-                if tick is None:
-                    while worklist:
-                        node_id, dirty = pop_with_dirty()
-                        processed += 1
-                        process(nodes[node_id], dirty)
-                else:
-                    while worklist:
+                while worklist:
+                    if tick is not None:
                         tick()
-                        node_id, dirty = pop_with_dirty()
-                        processed += 1
-                        process(nodes[node_id], dirty)
+                    maybe(self, base_steps + processed)
+                    processed += 1
+                    process(nodes[pop()])
+            elif tick is None:
+                while worklist:
+                    processed += 1
+                    process(nodes[pop()])
             else:
-                pop = worklist.pop
-                if tick is None:
-                    while worklist:
-                        processed += 1
-                        process(nodes[pop()], None)
-                else:
-                    while worklist:
-                        tick()
-                        processed += 1
-                        process(nodes[pop()], None)
+                while worklist:
+                    tick()
+                    processed += 1
+                    process(nodes[pop()])
         except BudgetExceeded as exc:
             self.stats.nodes_processed = self._steps_done + processed
             self.stats.solve_time = time.perf_counter() - begun
@@ -537,7 +442,6 @@ class StagedSolverBase:
 
         stats = self.stats
         union_hits, union_misses = self._union_counters()
-        batch_hits, batch_misses = self._batch_counters()
         return {
             "pt": [format(mask, "x") for mask in self.pt],
             "worklist": self.worklist.snapshot(),
@@ -551,15 +455,12 @@ class StagedSolverBase:
                 "strong_updates": stats.strong_updates,
                 "weak_updates": stats.weak_updates,
                 "indirect_calls_resolved": stats.indirect_calls_resolved,
-                # Union-cache and batch-memo tallies live on the repo /
-                # engine, whose snapshots are deliberately content-only;
-                # carrying the cumulative per-solve figures here keeps
-                # them consistent with the cumulative ``unions`` across
-                # a resume.
+                # Union-cache tallies live on the repo, whose snapshot
+                # is deliberately content-only; carrying the cumulative
+                # per-solve figures here keeps them consistent with the
+                # cumulative ``unions`` across a resume.
                 "union_cache_hits": union_hits,
                 "union_cache_misses": union_misses,
-                "batch_memo_hits": batch_hits,
-                "batch_memo_misses": batch_misses,
             },
         }
 
@@ -599,8 +500,6 @@ class StagedSolverBase:
             # cache numbers matching the cumulative union count.
             self._union_baseline = (counters.get("union_cache_hits", 0),
                                     counters.get("union_cache_misses", 0))
-            self._batch_baseline = (counters.get("batch_memo_hits", 0),
-                                    counters.get("batch_memo_misses", 0))
         except CheckpointError:
             raise
         except (KeyError, ValueError, TypeError, IndexError, AttributeError) as err:
@@ -641,36 +540,8 @@ class StagedSolverBase:
         """Hook: inverse of ``_snapshot_memory``."""
         raise NotImplementedError
 
-    def _rebind_mde(self) -> None:
-        """Re-key the dedup layers after ``self.ptrepo`` was swapped.
-
-        Both memo layers are keyed by one repository instance's dense
-        ids; a checkpoint restore installs a repository rebuilt from the
-        snapshot, whose ids share nothing with the previous repo, any
-        engine peer, or any arena record positions.  Consulting a stale
-        memo (or flushing to a stale arena) would alias unrelated sets,
-        so the restored solver gets a private engine over the restored
-        repo — warm sharing simply starts over, correctness first.
-        Subclass ``_restore_memory`` implementations must call this
-        right after swapping the repo in.
-        """
-        if self.ptrepo is None:
-            return
-        use_batch = self.batch is not None
-        self.mde = MdeEngine(repo=self.ptrepo)
-        self.batch = self.mde.batch if use_batch else None
-        # The fresh repo's live counters start at zero.
-        self._repo_counter_base = (0, 0)
-        self._batch_counter_base = (0, 0)
-
-    def _process(self, node: SVFGNode, dirty: Optional[Dict[int, int]] = None) -> None:
-        """Apply *node*'s transfer rule.
-
-        *dirty* is the delta kernel's per-object dirty map (``None`` means
-        a full revisit): only the memory hooks consume it — the top-level
-        rules are cheap enough that re-running them fully is the faster
-        option under CPython.
-        """
+    def _process(self, node: SVFGNode) -> None:
+        """Apply *node*'s transfer rule."""
         if isinstance(node, InstNode):
             inst = node.inst
             if isinstance(inst, AllocInst):
@@ -685,16 +556,16 @@ class StagedSolverBase:
             elif isinstance(inst, FieldInst):
                 self._process_field(inst)
             elif isinstance(inst, LoadInst):
-                self._process_load(node, inst, dirty)
+                self._process_load(node, inst)
             elif isinstance(inst, StoreInst):
-                self._process_store(node, inst, dirty)
+                self._process_store(node, inst)
             elif isinstance(inst, CallInst):
                 self._process_call(node, inst)
             elif isinstance(inst, RetInst):
                 self._process_ret(node, inst)
             # other instructions (binop/cmp/br/funentry) are pointer-neutral
         else:
-            self._process_mem_node(node, dirty)
+            self._process_mem_node(node)
 
     def _process_field(self, inst: FieldInst) -> None:
         base_mask = self.value_mask(inst.base)
@@ -759,16 +630,13 @@ class StagedSolverBase:
 
     # ------------------------------------------------------------- mem hooks
 
-    def _process_load(self, node: InstNode, inst: LoadInst,
-                      dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_load(self, node: InstNode, inst: LoadInst) -> None:
         raise NotImplementedError
 
-    def _process_store(self, node: InstNode, inst: StoreInst,
-                       dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_store(self, node: InstNode, inst: StoreInst) -> None:
         raise NotImplementedError
 
-    def _process_mem_node(self, node: SVFGNode,
-                          dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_mem_node(self, node: SVFGNode) -> None:
         raise NotImplementedError
 
     def _on_new_call_edge(self, call: CallInst, callee: Function, touched: List[int]) -> None:
@@ -782,23 +650,12 @@ class StagedSolverBase:
 
     def _union_counters(self) -> Tuple[int, int]:
         """This solve's cumulative union-cache (hits, misses): any
-        pre-resume baseline plus the shared repo's growth since this
-        solver was constructed."""
+        pre-resume baseline plus its own repo's tallies."""
         base_hits, base_misses = self._union_baseline
         if self.ptrepo is None:
             return base_hits, base_misses
-        hits0, misses0 = self._repo_counter_base
-        return (base_hits + self.ptrepo.union_hits - hits0,
-                base_misses + self.ptrepo.union_misses - misses0)
-
-    def _batch_counters(self) -> Tuple[int, int]:
-        """This solve's cumulative batch-memo (hits, misses)."""
-        base_hits, base_misses = self._batch_baseline
-        if self.batch is None:
-            return base_hits, base_misses
-        hits0, misses0 = self._batch_counter_base
-        return (base_hits + self.batch.hits - hits0,
-                base_misses + self.batch.misses - misses0)
+        return (base_hits + self.ptrepo.union_hits,
+                base_misses + self.ptrepo.union_misses)
 
     def _finish_footprint(self, entries) -> None:
         """Fill storage stats from every stored table entry (id or mask).
@@ -825,18 +682,10 @@ class StagedSolverBase:
             stats = self.stats
             stats.union_cache_hits, stats.union_cache_misses = \
                 self._union_counters()
-            stats.batch_memo_hits, stats.batch_memo_misses = \
-                self._batch_counters()
             repo = self.ptrepo
             stats.interner_entries = repo.size
             stats.union_cache_entries = repo.union_cache_size
-            stats.batch_cache_entries = (self.batch.entries
-                                         if self.batch is not None else 0)
             stats.dedup_resident_bytes = repo.content_bytes()
-            arena = self.mde.arena if self.mde is not None else None
-            if arena is not None:
-                stats.arena_masks = len(arena)
-                stats.arena_resident_bytes = arena.resident_bytes
 
     def strong_update_target(self, ptr_mask: int) -> Optional[int]:
         """If a store through *ptr_mask* may strong-update, the object id.

@@ -8,20 +8,15 @@ Equations (6)/(7) of the paper.  This is *multiple-object* sparsity only:
 two nodes using identical points-to sets of the same object each store and
 receive their own copy, which is exactly the redundancy VSFS removes.
 
-Two layered optimisations (see :class:`StagedSolverBase`) attack that
-redundancy *within* SFS without changing its results:
-
-- the **delta kernel** forwards only the new bits (``new & ~old``) along
-  indirect edges and revisits a popped memory node only for the objects
-  whose sets actually grew (the worklist carries the dirty map);
-- the **points-to repository** stores every distinct set once — IN/OUT
-  entries are dense ids into a shared :class:`PTRepo` with memoised
-  pairwise unions.
+One storage optimisation (see :class:`StagedSolverBase`) attacks that
+redundancy *within* SFS without changing its results: the **points-to
+repository** stores every distinct set once — IN/OUT entries are dense
+ids into the solve's :class:`PTRepo` with memoised pairwise unions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.datastructs.bitset import iter_bits
 from repro.ir.instructions import LoadInst, StoreInst
@@ -35,12 +30,10 @@ class SFSAnalysis(StagedSolverBase):
 
     analysis_name = "sfs"
 
-    def __init__(self, svfg: SVFG, delta: bool = True, ptrepo: bool = True,
-                 meter=None, faults=None, checkpointer=None, ctx=None,
-                 mde=None, mde_batch=None):
-        super().__init__(svfg, delta=delta, ptrepo=ptrepo, meter=meter,
-                         faults=faults, checkpointer=checkpointer, ctx=ctx,
-                         mde=mde, mde_batch=mde_batch)
+    def __init__(self, svfg: SVFG, ptrepo: bool = True,
+                 meter=None, faults=None, checkpointer=None, ctx=None):
+        super().__init__(svfg, ptrepo=ptrepo, meter=meter,
+                         faults=faults, checkpointer=checkpointer, ctx=ctx)
         # IN/OUT maps, lazily created per node id: {obj id -> entry}, where
         # an entry is a PTRepo id (ptrepo on) or a raw mask (ptrepo off).
         self.in_sets: Dict[int, Dict[int, int]] = {}
@@ -58,16 +51,8 @@ class SFSAnalysis(StagedSolverBase):
     def _propagate(self, node_id: int, oid: int, mask: int) -> None:
         """A-PROP: push *mask* of object *oid* into successors' IN sets.
 
-        Under the delta kernel *mask* is just the newly grown bits; only
-        the part a successor has not seen is merged and forwarded, so no
-        union is applied (or counted) for already-known information.
-
-        With the batch memo on, the whole per-successor step — "what does
-        this entry become under this delta, and what grew?" — is one
-        ``BatchMemo.apply`` lookup keyed by (entry id, delta id).  The
-        mask is interned once per call, so the k successors sharing an
-        entry id cost one recomputation at most, and a batch any node
-        anywhere already executed costs none.
+        Eager: one union is applied (and counted) per successor, and a
+        successor is queued when its set grew.
         """
         if not mask:
             return
@@ -79,152 +64,48 @@ class SFSAnalysis(StagedSolverBase):
         if faults is not None:
             faults.fire("propagate", self.analysis_name)
         repo = self.ptrepo
-        batch = self.batch
-        stats = self.stats
         in_sets = self.in_sets
-        unions = 0
-        if self.delta:
-            push_delta = self.worklist.push_delta
-            if batch is not None:
-                mask_id = repo.intern(mask)
-                for succ in succs:
-                    in_set = in_sets.get(succ)
-                    if in_set is None:
-                        in_set = in_sets[succ] = {}
-                    new, added_id = batch.apply(in_set.get(oid, 0), mask_id)
-                    if added_id:
-                        unions += 1
-                        if faults is not None:
-                            faults.fire("ptrepo_union", self.analysis_name)
-                        in_set[oid] = new
-                        push_delta(succ, oid, repo.mask(added_id))
+        push = self.worklist.push
+        for succ in succs:
+            in_set = in_sets.get(succ)
+            if in_set is None:
+                in_set = in_sets[succ] = {}
+            entry = in_set.get(oid, 0)
+            if repo is not None:
+                if faults is not None:
+                    faults.fire("ptrepo_union", self.analysis_name)
+                new = repo.union_mask(entry, mask)
             else:
-                for succ in succs:
-                    in_set = in_sets.get(succ)
-                    if in_set is None:
-                        in_set = in_sets[succ] = {}
-                    entry = in_set.get(oid, 0)
-                    old = repo.mask(entry) if repo is not None else entry
-                    added = mask & ~old
-                    if added:
-                        unions += 1
-                        if repo is not None:
-                            if faults is not None:
-                                faults.fire("ptrepo_union", self.analysis_name)
-                            in_set[oid] = repo.union_mask(entry, added)
-                        else:
-                            in_set[oid] = old | added
-                        push_delta(succ, oid, added)
-        else:
-            push = self.worklist.push
-            if batch is not None:
-                mask_id = repo.intern(mask)
-                for succ in succs:
-                    in_set = in_sets.get(succ)
-                    if in_set is None:
-                        in_set = in_sets[succ] = {}
-                    unions += 1  # eager: a union is applied per target
-                    if faults is not None:
-                        faults.fire("ptrepo_union", self.analysis_name)
-                    new, added_id = batch.apply(in_set.get(oid, 0), mask_id)
-                    if added_id:
-                        in_set[oid] = new
-                        push(succ)
-            else:
-                for succ in succs:
-                    in_set = in_sets.get(succ)
-                    if in_set is None:
-                        in_set = in_sets[succ] = {}
-                    unions += 1  # eager: a union is applied per target
-                    entry = in_set.get(oid, 0)
-                    if repo is not None:
-                        if faults is not None:
-                            faults.fire("ptrepo_union", self.analysis_name)
-                        new = repo.union_mask(entry, mask)
-                    else:
-                        new = entry | mask
-                    if new != entry:
-                        in_set[oid] = new
-                        push(succ)
+                new = entry | mask
+            if new != entry:
+                in_set[oid] = new
+                push(succ)
+        stats = self.stats
         stats.propagations += len(succs)
-        stats.unions += unions
+        stats.unions += len(succs)
 
     # -------------------------------------------------------------- mem rules
 
-    def _process_load(self, node: InstNode, inst: LoadInst,
-                      dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_load(self, node: InstNode, inst: LoadInst) -> None:
         """[LOAD]: pt(p) ⊇ IN(o) for each o the pointer may target."""
-        ptr_mask = self.value_mask(inst.ptr)
-        if dirty is not None:
-            # Only IN grew (by the recorded deltas); the pointer operand is
-            # unchanged, so the new bits are all that can reach pt(dst).
-            mask = 0
-            for oid, delta in dirty.items():
-                if ptr_mask >> oid & 1:
-                    mask |= delta
-            if mask:
-                self.set_pt(inst.dst, mask)
-            return
         in_set = self.in_sets.get(node.id)
         if in_set is None:
             return
-        batch = self.batch
-        if batch is not None:
-            # The n-way gather over the pointees' entry ids is itself a
-            # recurring batch (every load over the same IN entries).
-            mask = batch.gather_mask(
-                in_set.get(oid, 0) for oid in iter_bits(ptr_mask))
-        else:
-            entry_mask = self._entry_mask
-            mask = 0
-            for oid in iter_bits(ptr_mask):
-                entry = in_set.get(oid)
-                if entry:
-                    mask |= entry_mask(entry)
+        entry_mask = self._entry_mask
+        mask = 0
+        for oid in iter_bits(self.value_mask(inst.ptr)):
+            entry = in_set.get(oid)
+            if entry:
+                mask |= entry_mask(entry)
         if mask:
             self.set_pt(inst.dst, mask)
 
-    def _process_store(self, node: InstNode, inst: StoreInst,
-                       dirty: Optional[Dict[int, int]] = None) -> None:
+    def _process_store(self, node: InstNode, inst: StoreInst) -> None:
         """[STORE] + [SU/WU]: OUT(o) = Gen ∪ (IN(o) − Kill), then A-PROP."""
         ptr_mask = self.value_mask(inst.ptr)
         su_oid = self.strong_update_target(ptr_mask)
         out_set = self.out_sets.setdefault(node.id, {})
         repo = self.ptrepo
-        batch = self.batch
-        if dirty is not None:
-            # Only IN grew: the gen set and pointer are unchanged, so each
-            # dirty object's delta flows straight through OUT (unless this
-            # store strong-updates that object, which kills it).
-            for oid, delta in dirty.items():
-                if oid == su_oid:
-                    continue  # killed: the incoming set does not survive
-                if self.defers_passthrough(ptr_mask, oid):
-                    continue  # deferred until pt(ptr) resolves (full revisit)
-                entry = out_set.get(oid, 0)
-                if batch is not None:
-                    new, added_id = batch.apply(entry, repo.intern(delta))
-                    if not added_id:
-                        continue
-                    self.stats.unions += 1
-                    if ptr_mask >> oid & 1:
-                        self.stats.weak_updates += 1
-                    out_set[oid] = new
-                    self._propagate(node.id, oid, repo.mask(added_id))
-                    continue
-                old = repo.mask(entry) if repo is not None else entry
-                added = delta & ~old
-                if not added:
-                    continue
-                self.stats.unions += 1
-                if ptr_mask >> oid & 1:
-                    self.stats.weak_updates += 1
-                if repo is not None:
-                    out_set[oid] = repo.union_mask(entry, added)
-                else:
-                    out_set[oid] = old | added
-                self._propagate(node.id, oid, added)
-            return
         gen = self.value_mask(inst.value)
         in_set = self.in_sets.get(node.id, {})
         entry_mask = self._entry_mask
@@ -245,50 +126,16 @@ class SFSAnalysis(StagedSolverBase):
             else:
                 out = incoming  # pass-through
             entry = out_set.get(oid, 0)
-            if batch is not None:
-                new, added_id = batch.apply(entry, repo.intern(out))
-                if self.delta:
-                    if not added_id:
-                        continue
-                    self.stats.unions += 1
-                    out_set[oid] = new
-                    self._propagate(node.id, oid, repo.mask(added_id))
-                else:
-                    self.stats.unions += 1  # eager: union applied every visit
-                    out_set[oid] = new
-                    self._propagate(node.id, oid, repo.mask(new))
-                continue
             old = entry_mask(entry)
-            added = out & ~old  # monotone: already-propagated stays
-            if self.delta:
-                if not added:
-                    continue
-                self.stats.unions += 1
-                if repo is not None:
-                    out_set[oid] = repo.union_mask(entry, added)
-                else:
-                    out_set[oid] = old | added
-                self._propagate(node.id, oid, added)
+            self.stats.unions += 1  # eager: union applied every visit
+            if repo is not None:
+                out_set[oid] = repo.union_mask(entry, out)
             else:
-                self.stats.unions += 1  # eager: union applied every visit
-                if repo is not None:
-                    out_set[oid] = repo.union_mask(entry, out)
-                else:
-                    out_set[oid] = old | out
-                self._propagate(node.id, oid, old | added)
+                out_set[oid] = old | out
+            self._propagate(node.id, oid, old | out)  # monotone OUT
 
-    def _process_mem_node(self, node: SVFGNode,
-                          dirty: Optional[Dict[int, int]] = None) -> None:
-        """MEMPHI / ActualIN / ActualOUT / FormalIN / FormalOUT: OUT = IN.
-
-        With the delta kernel a pop caused by set growth re-propagates
-        only the dirty objects' new bits; a full revisit (new edges wired
-        in by on-the-fly call graph resolution) pushes the whole IN map.
-        """
-        if dirty is not None:
-            for oid, delta in dirty.items():
-                self._propagate(node.id, oid, delta)
-            return
+    def _process_mem_node(self, node: SVFGNode) -> None:
+        """MEMPHI / ActualIN / ActualOUT / FormalIN / FormalOUT: OUT = IN."""
         in_set = self.in_sets.get(node.id)
         if not in_set:
             return
@@ -367,7 +214,6 @@ class SFSAnalysis(StagedSolverBase):
                 raise CheckpointError(
                     "checkpoint lacks the ptrepo interning table")
             self.ptrepo = PTRepo.from_snapshot(mem["repo"])
-            self._rebind_mde()  # memo keys/arena positions are per-repo
 
         def decode(sets: Dict[str, Dict[str, str]]) -> Dict[int, Dict[int, int]]:
             return {

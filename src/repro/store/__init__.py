@@ -1,9 +1,9 @@
 """Content-addressed on-disk store for completed analysis results.
 
 Keying is structural, never positional: an entry's name is
-``sha256(ir_hash | analysis | delta | ptrepo)`` where ``ir_hash`` is the
+``sha256(ir_hash | analysis | ptrepo)`` where ``ir_hash`` is the
 SHA-256 of the module's printed IR (:func:`ir_fingerprint`).  Asking for the
-same program under the same solver and ablation configuration therefore hits
+same program under the same solver and storage configuration therefore hits
 the cache; recompiling an *edited* program changes the IR hash and misses —
 stale answers cannot be served.
 
@@ -65,7 +65,8 @@ __all__ = [
 #: (:data:`repro.ir.fingerprint.FINGERPRINT_SCHEME`); entries carry
 #: ``fp_scheme`` so stale pre-refactor entries quarantine instead of
 #: silently (mis)matching.
-STORE_SCHEMA = 2
+#: 3: the key and the manifest drop ``delta`` (one eager kernel).
+STORE_SCHEMA = 3
 
 
 # -------------------------------------------------------------- result codecs
@@ -134,17 +135,9 @@ class ResultStore:
     def entry_path(self, key: str) -> str:
         return os.path.join(self.directory, f"result-{key}.json")
 
-    @property
-    def arena_path(self) -> str:
-        """Where this store keeps the shared mask arena (see
-        :class:`~repro.datastructs.arena.PTArena`).  Deliberately not part
-        of :func:`result_key`: the arena is a pure intern cache and never
-        changes what a solve computes."""
-        return os.path.join(self.directory, "arena.bin")
-
     # ---------------------------------------------------------------- writing
 
-    def put(self, module: Module, analysis: str, delta: bool, ptrepo: bool,
+    def put(self, module: Module, analysis: str, ptrepo: bool,
             result: Union[FlowSensitiveResult, AndersenResult],
             ir_hash: Optional[str] = None, faults: Any = None) -> str:
         """Persist *result* under its content key; returns the entry path.
@@ -158,13 +151,12 @@ class ResultStore:
         if faults is not None:
             faults.fire("result_store_put", stage=f"store:{analysis}")
         ir_hash = ir_hash or ir_fingerprint(module)
-        key = result_key(ir_hash, analysis, delta, ptrepo)
+        key = result_key(ir_hash, analysis, ptrepo)
         path = self.entry_path(key)
         meta = {
             "ir_hash": ir_hash,
             "fp_scheme": FINGERPRINT_SCHEME,
             "analysis": analysis,
-            "delta": bool(delta),
             "ptrepo": bool(ptrepo),
         }
         write_sealed_json(path, self.KIND, STORE_SCHEMA, meta,
@@ -174,7 +166,7 @@ class ResultStore:
 
     # ---------------------------------------------------------------- reading
 
-    def get(self, module: Module, analysis: str, delta: bool, ptrepo: bool,
+    def get(self, module: Module, analysis: str, ptrepo: bool,
             ir_hash: Optional[str] = None
             ) -> Optional[Union[FlowSensitiveResult, AndersenResult]]:
         """Load the entry for this configuration, fully verified.
@@ -185,7 +177,7 @@ class ResultStore:
         reported as :class:`CheckpointError`.
         """
         ir_hash = ir_hash or ir_fingerprint(module)
-        key = result_key(ir_hash, analysis, delta, ptrepo)
+        key = result_key(ir_hash, analysis, ptrepo)
         path = self.entry_path(key)
         if not os.path.exists(path):
             self.misses += 1
@@ -203,12 +195,11 @@ class ResultStore:
                     f"(IR hash {meta.get('ir_hash')!r})",
                     reason="ir-mismatch", path=path)
             if (meta.get("analysis") != analysis
-                    or bool(meta.get("delta")) != bool(delta)
                     or bool(meta.get("ptrepo")) != bool(ptrepo)):
                 raise CheckpointError(
-                    "entry was recorded for a different solver/ablation "
+                    "entry was recorded for a different solver/storage "
                     f"configuration ({meta.get('analysis')}, "
-                    f"delta={meta.get('delta')}, ptrepo={meta.get('ptrepo')})",
+                    f"ptrepo={meta.get('ptrepo')})",
                     reason="config-mismatch", path=path)
             try:
                 result = decode_result(module, payload)

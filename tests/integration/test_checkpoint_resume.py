@@ -7,6 +7,7 @@ source) must converge to exactly the same points-to solution as the
 uninterrupted run — not merely an equivalent one.
 """
 
+import json
 import os
 
 import pytest
@@ -15,6 +16,8 @@ from repro.errors import BudgetExceeded, CheckpointError
 from repro.frontend import compile_c
 from repro.pipeline import analyze
 from repro.runtime import Budget, CheckpointConfig, load_checkpoint
+from repro.store import ResultStore, ir_fingerprint
+from repro.store.atomic import write_sealed_json
 
 # Indirect calls (OTF edges), loads/stores through globals, and heap
 # allocation keep every solver feature on the resume path.
@@ -32,11 +35,10 @@ PROGRAM = """
     }
 """
 
+#: Storage configurations: the PTRepo default and the raw-mask reference.
 ABLATIONS = {
-    "default": (True, True),
-    "no-delta": (False, True),
-    "no-ptrepo": (True, False),
-    "neither": (False, False),
+    "default": True,
+    "no-ptrepo": False,
 }
 
 MATRIX = [
@@ -52,13 +54,13 @@ MATRIX = [
 ]
 
 
-def _interrupt(tmp_path, analysis, delta, ptrepo, kill_at):
+def _interrupt(tmp_path, analysis, ptrepo, kill_at):
     """Budget-kill a run at *kill_at* steps; returns the checkpoint path."""
     config = CheckpointConfig(str(tmp_path), every_steps=2)
     with pytest.raises(BudgetExceeded) as exc:
         analyze(compile_c(PROGRAM), analysis=analysis,
                 budget=Budget(max_steps=kill_at), fallback=False,
-                checkpoint=config, delta=delta, ptrepo=ptrepo)
+                checkpoint=config, ptrepo=ptrepo)
     path = exc.value.checkpoint_path
     assert path is not None and os.path.exists(path)
     report = exc.value.run_report
@@ -72,13 +74,13 @@ class TestKillResumeMatrix:
                              ids=lambda p: str(p))
     def test_resume_is_bit_identical(self, tmp_path, analysis, ablation,
                                      kill_at):
-        delta, ptrepo = ABLATIONS[ablation]
+        ptrepo = ABLATIONS[ablation]
         clean = analyze(compile_c(PROGRAM), analysis=analysis,
-                        delta=delta, ptrepo=ptrepo)
-        config, __ = _interrupt(tmp_path, analysis, delta, ptrepo, kill_at)
+                        ptrepo=ptrepo)
+        config, __ = _interrupt(tmp_path, analysis, ptrepo, kill_at)
         resumed = analyze(compile_c(PROGRAM), analysis=analysis,
                           checkpoint=config, resume_from=True,
-                          delta=delta, ptrepo=ptrepo)
+                          ptrepo=ptrepo)
         assert resumed.report.resumed
         assert resumed.report.resumed_from_step is not None
         assert resumed.snapshot() == clean.snapshot()
@@ -88,7 +90,7 @@ class TestKillResumeMatrix:
 
     def test_resume_via_explicit_path(self, tmp_path):
         clean = analyze(compile_c(PROGRAM), analysis="vsfs")
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", True, 5)
         resumed = analyze(compile_c(PROGRAM), analysis="vsfs",
                           resume_from=path)
         assert resumed.report.resumed
@@ -105,7 +107,7 @@ class TestKillResumeMatrix:
     def test_repeated_interrupts_chain(self, tmp_path):
         """Kill, resume-and-kill again, then finish: still bit-identical."""
         clean = analyze(compile_c(PROGRAM), analysis="vsfs")
-        config, __ = _interrupt(tmp_path, "vsfs", True, True, 3)
+        config, __ = _interrupt(tmp_path, "vsfs", True, 3)
         with pytest.raises(BudgetExceeded):
             analyze(compile_c(PROGRAM), analysis="vsfs", checkpoint=config,
                     resume_from=True, budget=Budget(max_steps=4),
@@ -124,27 +126,27 @@ class TestRejection:
         assert exc.value.reason == "missing"
 
     def test_edited_program_rejected(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", True, 5)
         edited = PROGRAM.replace("g = a", "g = b")
         with pytest.raises(CheckpointError) as exc:
             analyze(compile_c(edited), analysis="vsfs", resume_from=path)
         assert exc.value.reason == "ir-mismatch"
 
     def test_wrong_ablation_rejected(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", True, 5)
         with pytest.raises(CheckpointError) as exc:
             analyze(compile_c(PROGRAM), analysis="vsfs", resume_from=path,
-                    delta=False)
+                    ptrepo=False)
         assert exc.value.reason == "config-mismatch"
 
     def test_wrong_ladder_rejected(self, tmp_path):
-        __, path = _interrupt(tmp_path, "icfg-fs", True, True, 5)
+        __, path = _interrupt(tmp_path, "icfg-fs", True, 5)
         with pytest.raises(CheckpointError) as exc:
             analyze(compile_c(PROGRAM), analysis="sfs", resume_from=path)
         assert exc.value.reason == "config-mismatch"
 
     def test_corrupt_checkpoint_raises_typed_error(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", True, 5)
         with open(path, "r+b") as handle:
             handle.seek(200)
             handle.write(b"\x00\x00\x00")
@@ -155,7 +157,7 @@ class TestRejection:
         assert not os.path.exists(path)
 
     def test_truncated_checkpoint_raises_typed_error(self, tmp_path):
-        config, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        config, path = _interrupt(tmp_path, "vsfs", True, 5)
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:
             handle.truncate(size // 2)
@@ -166,7 +168,7 @@ class TestRejection:
 
     def test_corruption_never_degrades(self, tmp_path):
         """A bad checkpoint must surface even with fallback enabled."""
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", True, 5)
         with open(path, "w") as handle:
             handle.write("garbage")
         with pytest.raises(CheckpointError):
@@ -176,10 +178,11 @@ class TestRejection:
 
 class TestCheckpointManifest:
     def test_manifest_records_run_identity(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", True, 5)
         meta, payload = load_checkpoint(path)
         assert meta["analysis"] == "vsfs"
-        assert meta["delta"] is True and meta["ptrepo"] is True
+        assert meta["ptrepo"] is True
+        assert "delta" not in meta
         assert meta["reason"] == "budget"
         assert isinstance(meta["step"], int) and meta["step"] >= 0
         assert isinstance(payload, dict) and "worklist" in payload
@@ -194,3 +197,57 @@ class TestCheckpointManifest:
         assert exc.value.checkpoint_path is not None
         meta, __ = load_checkpoint(exc.value.checkpoint_path)
         assert meta["reason"] == "budget"
+
+
+def _reseal_as_schema_two(path, kind, payload_edit):
+    """Rewrite a sealed document as the pre-eager-kernel layout: schema
+    2, a ``delta`` flag in the manifest, *payload_edit* applied."""
+    with open(path) as handle:
+        document = json.load(handle)
+    meta = dict(document["meta"], delta=True)
+    payload = document["payload"]
+    payload_edit(payload)
+    write_sealed_json(path, kind, 2, meta, payload)
+
+
+class TestSchemaTwoRefused:
+    """Artifacts written by the delta kernel's layout are refused typed
+    and quarantined, never half-restored."""
+
+    def test_schema_two_checkpoint_with_delta_worklist(self, tmp_path):
+        config, path = _interrupt(tmp_path, "sfs", True, 5)
+
+        def as_delta_worklist(payload):
+            items = payload["worklist"]["items"]
+            payload["worklist"] = {
+                "items": items, "full": sorted(items[1:]),
+                "dirty": {str(items[0]): {"0": "1"}} if items else {}}
+
+        _reseal_as_schema_two(path, "checkpoint", as_delta_worklist)
+        with pytest.raises(CheckpointError) as exc:
+            analyze(compile_c(PROGRAM), analysis="sfs", resume_from=path)
+        assert exc.value.reason == "schema"
+        assert not os.path.exists(path)
+        assert os.path.exists(exc.value.path)  # the quarantined copy
+        # Directory mode now finds nothing and solves from scratch.
+        fresh = analyze(compile_c(PROGRAM), analysis="sfs",
+                        checkpoint=config, resume_from=True)
+        assert not fresh.report.resumed
+        assert fresh.snapshot() == analyze(compile_c(PROGRAM),
+                                           analysis="sfs").snapshot()
+
+    def test_schema_two_result_store_entry(self, tmp_path):
+        module = compile_c(PROGRAM)
+        result = analyze(module, analysis="vsfs")
+        store = ResultStore(str(tmp_path))
+        path = store.put(module, "vsfs", True, result)
+        _reseal_as_schema_two(path, "result", lambda payload: None)
+        with pytest.raises(CheckpointError) as exc:
+            store.get(compile_c(PROGRAM), "vsfs", True,
+                      ir_hash=ir_fingerprint(module))
+        assert exc.value.reason == "schema"
+        assert not os.path.exists(path)
+        assert store.quarantined == [exc.value.path]
+        assert os.path.exists(exc.value.path)
+        # The quarantined entry no longer shadows the key.
+        assert store.get(module, "vsfs", True) is None

@@ -92,9 +92,9 @@ class TestSolverIsolation:
         node_in, node_out = solver.export_node_memory()
         payload = build_payload(svfg, pipeline.modref(), result, node_in,
                                 node_out, node_flow_graph(solver.svfg),
-                                "vsfs", True, True, pipeline.andersen())
+                                "vsfs", True, pipeline.andersen())
         plan = plan_warm(payload, svfg, pipeline.modref(), "vsfs", True,
-                         True, pipeline.andersen())
+                         pipeline.andersen())
         assert plan.usable, plan.fallback_reason
         warm = VSFSAnalysis(svfg, versioning)
         warm.warm_start(plan)

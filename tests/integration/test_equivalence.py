@@ -148,19 +148,18 @@ def test_small_workload_sfs_within_icfg():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_optimisation_matrix_preserves_precision(name):
-    """Delta kernel and points-to repository are result-invisible: all four
-    (delta × ptrepo) configurations of both staged solvers agree bit for
-    bit with the eager full-mask baseline."""
+    """The points-to repository is result-invisible: both storage
+    configurations of both staged solvers agree bit for bit with the
+    raw-mask SFS reference."""
     module = compile_c(SCENARIOS[name])
     pipeline = AnalysisPipeline(module)
-    baseline = masks(module, pipeline.sfs(delta=False, ptrepo=False))
+    baseline = masks(module, pipeline.sfs(ptrepo=False))
     for runner in (pipeline.sfs, pipeline.vsfs):
-        for delta in (False, True):
-            for ptrepo in (False, True):
-                result = runner(delta=delta, ptrepo=ptrepo)
-                assert masks(module, result) == baseline, (
-                    f"{runner.__name__}(delta={delta}, ptrepo={ptrepo}) diverged"
-                )
+        for ptrepo in (False, True):
+            result = runner(ptrepo=ptrepo)
+            assert masks(module, result) == baseline, (
+                f"{runner.__name__}(ptrepo={ptrepo}) diverged"
+            )
 
 
 def test_callgraphs_agree_between_sfs_and_vsfs():

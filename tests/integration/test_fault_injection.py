@@ -42,11 +42,10 @@ PROGRAM = """
 
 SOLVERS = ("sfs", "vsfs")
 
-#: (delta, ptrepo) — default plus the two CI ablations.
+#: ptrepo — the default plus the raw-mask reference CI runs too.
 ABLATIONS = {
-    "default": (True, True),
-    "no-delta": (False, True),
-    "no-ptrepo": (True, False),
+    "default": True,
+    "no-ptrepo": False,
 }
 
 MATRIX = [
@@ -70,20 +69,19 @@ def _precise_masks(solver):
 @pytest.mark.parametrize("point,solver,ablation", MATRIX, ids=_matrix_id)
 class TestFaultMatrix:
     def test_fault_surfaces_typed_without_fallback(self, point, solver, ablation):
-        delta, ptrepo = ABLATIONS[ablation]
+        ptrepo = ABLATIONS[ablation]
         plan = FaultPlan(point=point)
         if point == "ptrepo_union" and not ptrepo:
             # The point is unreachable with the repository disabled: the
             # run must complete precisely and the plan must not fire.
             result = analyze(compile_c(PROGRAM), analysis=solver,
-                             fallback=False, faults=plan,
-                             delta=delta, ptrepo=ptrepo)
+                             fallback=False, faults=plan, ptrepo=ptrepo)
             assert result.precision_level == solver
             assert plan.fired == []
             return
         with pytest.raises(InjectedFault) as info:
             analyze(compile_c(PROGRAM), analysis=solver, fallback=False,
-                    faults=plan, delta=delta, ptrepo=ptrepo)
+                    faults=plan, ptrepo=ptrepo)
         err = info.value
         assert err.point == point
         assert err.stage == solver  # stage context names the solver it hit
@@ -93,10 +91,10 @@ class TestFaultMatrix:
         assert plan.fired and plan.fired[0][0] == point
 
     def test_fault_degrades_to_sound_superset(self, point, solver, ablation):
-        delta, ptrepo = ABLATIONS[ablation]
+        ptrepo = ABLATIONS[ablation]
         plan = FaultPlan(point=point)  # once=True: the retry completes
         result = analyze(compile_c(PROGRAM), analysis=solver, faults=plan,
-                         delta=delta, ptrepo=ptrepo)
+                         ptrepo=ptrepo)
         precise = _precise_masks(solver)
         if point == "ptrepo_union" and not ptrepo:
             assert result.precision_level == solver
@@ -171,12 +169,12 @@ class TestGovernedRunsAreBitIdentical:
     @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("ablation", list(ABLATIONS), ids=_matrix_id)
     def test_unbudgeted_faultfree_matches_ungoverned(self, solver, ablation):
-        delta, ptrepo = ABLATIONS[ablation]
+        ptrepo = ABLATIONS[ablation]
         governed = analyze(compile_c(PROGRAM), analysis=solver,
-                           delta=delta, ptrepo=ptrepo)
+                           ptrepo=ptrepo)
         pipeline = AnalysisPipeline(compile_c(PROGRAM))
         direct = (pipeline.sfs if solver == "sfs" else pipeline.vsfs)(
-            delta=delta, ptrepo=ptrepo)
+            ptrepo=ptrepo)
         assert governed._pt == direct._pt
         for counter in ("propagations", "unions", "strong_updates",
                         "weak_updates", "nodes_processed", "stored_ptsets",

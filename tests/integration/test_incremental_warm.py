@@ -50,27 +50,25 @@ def snapshot(result):
             for v in result.module.variables if result.pts_mask(v)}
 
 
-def solve_and_capture(src, analysis, delta=True, ptrepo=True):
+def solve_and_capture(src, analysis, ptrepo=True):
     pipeline = AnalysisPipeline.from_source(src)
     svfg = pipeline.svfg()
-    solver = SOLVERS[analysis](svfg, delta=delta, ptrepo=ptrepo)
+    solver = SOLVERS[analysis](svfg, ptrepo=ptrepo)
     result = solver.run()
     node_in, node_out = solver.export_node_memory()
     payload = build_payload(svfg, pipeline.modref(), result, node_in,
                             node_out, node_flow_graph(solver.svfg),
-                            analysis, delta, ptrepo, pipeline.andersen())
+                            analysis, ptrepo, pipeline.andersen())
     return result, payload
 
 
-def warm_vs_cold(payload, src, analysis, delta=True, ptrepo=True):
+def warm_vs_cold(payload, src, analysis, ptrepo=True):
     pipeline = AnalysisPipeline.from_source(src)
     plan = plan_warm(payload, pipeline.svfg(), pipeline.modref(),
-                     analysis, delta, ptrepo, pipeline.andersen())
+                     analysis, ptrepo, pipeline.andersen())
     assert plan.usable, plan.fallback_reason
-    cold = SOLVERS[analysis](pipeline.svfg(), delta=delta,
-                             ptrepo=ptrepo).run()
-    warm_solver = SOLVERS[analysis](pipeline.svfg(), delta=delta,
-                                    ptrepo=ptrepo)
+    cold = SOLVERS[analysis](pipeline.svfg(), ptrepo=ptrepo).run()
+    warm_solver = SOLVERS[analysis](pipeline.svfg(), ptrepo=ptrepo)
     warm_solver.warm_start(plan)
     warm = warm_solver.run()
     return plan, cold, warm
@@ -78,12 +76,10 @@ def warm_vs_cold(payload, src, analysis, delta=True, ptrepo=True):
 
 class TestWarmMatchesCold:
     @pytest.mark.parametrize("analysis", ["sfs", "vsfs"])
-    @pytest.mark.parametrize("delta,ptrepo",
-                             [(True, True), (False, False)])
-    def test_pointer_edit_bit_identical(self, analysis, delta, ptrepo):
-        _, payload = solve_and_capture(PTR_BASE, analysis, delta, ptrepo)
-        plan, cold, warm = warm_vs_cold(payload, PTR_EDIT, analysis,
-                                        delta, ptrepo)
+    @pytest.mark.parametrize("ptrepo", [True, False])
+    def test_pointer_edit_bit_identical(self, analysis, ptrepo):
+        _, payload = solve_and_capture(PTR_BASE, analysis, ptrepo)
+        plan, cold, warm = warm_vs_cold(payload, PTR_EDIT, analysis, ptrepo)
         assert snapshot(cold) == snapshot(warm)
         assert cold.callgraph.num_edges() == warm.callgraph.num_edges()
         assert plan.stats.regions_reused > 0

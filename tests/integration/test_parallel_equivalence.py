@@ -4,8 +4,10 @@ The sharded drivers partition the SVFG across workers and exchange only
 frontier deltas, but the solvers are confluent: any fair schedule reaches
 the identical least fixpoint.  These tests pin that down bit-for-bit —
 parallel SFS/VSFS against their serial twins across worker counts,
-transports and ablations, including a worker that is hard-killed
-mid-solve and revived from its last seal.
+transports and storage modes, including a worker that is hard-killed
+mid-solve and revived from its last seal.  Serial solves on one pipeline
+must not leak state into each other either: each owns its PTRepo, and a
+degradation-ladder fallback equals a plain solve of its rung.
 """
 
 import pytest
@@ -55,16 +57,15 @@ class TestParallelEquivalence:
         assert_identical(result, serial_vsfs)
         assert result.parallel.jobs == jobs
 
-    def test_eager_kernel_matches_serial(self, pipeline):
-        serial = pipeline.sfs(delta=False)
-        result = pipeline.sfs_par(jobs=2, delta=False)
-        assert_identical(result, serial)
-
     def test_no_ptrepo_matches_serial(self, pipeline, serial_sfs):
         # The frontier codec never ships raw sets even when deduplicated
-        # storage is ablated away inside the solver.
+        # storage is switched off inside the solver.
         result = pipeline.sfs_par(jobs=2, ptrepo=False)
         assert result._pt == serial_sfs._pt
+
+    def test_vsfs_no_ptrepo_matches_serial(self, pipeline, serial_vsfs):
+        result = pipeline.vsfs_par(jobs=2, ptrepo=False)
+        assert_identical(result, serial_vsfs)
 
     def test_fork_transport_matches_inline(self, pipeline, serial_sfs):
         from repro.parallel.driver import fork_available
@@ -85,6 +86,48 @@ class TestParallelEquivalence:
         # Gauges are recomputed globally, identical to serial.
         assert result.stats.top_level_bits == serial_sfs.stats.top_level_bits
         assert result.stats.callgraph_edges == serial_sfs.stats.callgraph_edges
+
+
+class TestSerialSolvesShareNothing:
+    """Solves on one pipeline share the substrate, never solver state."""
+
+    def test_each_solve_owns_its_repo(self, serial_sfs, serial_vsfs):
+        """A vsfs solve then an sfs solve on one pipeline (the ladder's
+        fallback shape) match solves on fresh pipelines, interner
+        gauges included: no PTRepo outlives its solve."""
+        module = suite_program(SOURCE_NAME)
+        shared = AnalysisPipeline(module=module)
+        vsfs = shared.vsfs()
+        sfs = shared.sfs()
+        assert_identical(vsfs, serial_vsfs)
+        assert_identical(sfs, serial_sfs)
+        fresh = AnalysisPipeline(module=module).sfs()
+        assert sfs.stats.interner_entries == fresh.stats.interner_entries
+        assert sfs.stats.union_cache_entries == \
+            fresh.stats.union_cache_entries
+        assert (sfs.stats.union_cache_hits, sfs.stats.union_cache_misses) \
+            == (fresh.stats.union_cache_hits, fresh.stats.union_cache_misses)
+
+    def test_ladder_fallback_matches_plain_sfs(self, serial_sfs,
+                                               serial_vsfs):
+        """Force vsfs to degrade to sfs under a step budget: the fallback
+        rung must equal a plain sfs solve."""
+        from repro.pipeline import analyze
+        from repro.runtime.budget import Budget
+
+        result = analyze(suite_program(SOURCE_NAME), analysis="vsfs",
+                         budget=Budget(max_steps=3), fallback=True)
+        if result.precision_level == "sfs":
+            assert_identical(result, serial_sfs)
+        elif result.precision_level == "vsfs":  # pragma: no cover - tiny input
+            assert_identical(result, serial_vsfs)
+
+    def test_memory_surface_is_populated(self, serial_vsfs):
+        stats = serial_vsfs.stats
+        assert stats.ptrepo_enabled
+        assert stats.interner_entries > 0
+        assert stats.union_cache_entries > 0
+        assert stats.dedup_resident_bytes > 0
 
 
 class TestKillAndResume:

@@ -52,16 +52,9 @@ def _corrupt(path, payload=b"garbage {"):
         handle.write(payload)
 
 
-def _truncate(path, keep=16):
-    with open(path, "rb") as handle:
-        data = handle.read()
-    with open(path, "wb") as handle:
-        handle.write(data[:keep])
-
-
 class TestWarmRunHealsCorruption:
-    """The acceptance scenario: corrupt stage-cache entry AND truncated
-    arena AND corrupt result entry — the warm run still answers."""
+    """The acceptance scenario: corrupt stage-cache entry AND corrupt
+    result entry — the warm run still answers."""
 
     def _heal_points(self, report_path):
         with open(report_path) as handle:
@@ -79,11 +72,9 @@ class TestWarmRunHealsCorruption:
         # Vandalise everything the warm run depends on.
         stage_entries = glob.glob(os.path.join(store_dir, "stages", "*"))
         result_entries = glob.glob(os.path.join(store_dir, "result-*.json"))
-        arena = os.path.join(store_dir, "arena.bin")
-        assert stage_entries and result_entries and os.path.exists(arena)
+        assert stage_entries and result_entries
         _corrupt(stage_entries[0])
         _corrupt(result_entries[0])
-        _truncate(arena)
 
         code = main(["-vfspta", c_file, "--store", store_dir,
                      "--report-json", report_path])
@@ -93,7 +84,6 @@ class TestWarmRunHealsCorruption:
         points, doc = self._heal_points(report_path)
         assert "stage_cache_read" in points
         assert "result_store_get" in points
-        assert "arena_attach" in points  # truncated arena rebuilt
         assert doc["report"]["precision_lost"] is False
 
     def test_strict_io_restores_fail_fast(self, c_file, tmp_path, capsys):
@@ -186,14 +176,14 @@ class TestResultStorePut:
         from repro.errors import InjectedFault
 
         with pytest.raises(InjectedFault):
-            store.put(module, "sfs", True, True, result, faults=plan)
+            store.put(module, "sfs", True, result, faults=plan)
         # The caller-side contract (CLI/chaos): catch, skip, keep going —
         # and a retried once=True plan heals through on the second try.
         retry_plan = FaultPlan(point="result_store_put")
         from repro.runtime.resilience import IO_RETRY
 
         path = IO_RETRY.run(
-            lambda: store.put(module, "sfs", True, True, result,
+            lambda: store.put(module, "sfs", True, result,
                               faults=retry_plan),
             retry_on=(OSError, InjectedFault), sleep=lambda _s: None)
         assert os.path.exists(path)

@@ -375,3 +375,27 @@ class TestDeterminism:
                 counts.append(out.split())
         assert len(counts) == 8
         assert all(count == counts[0] for count in counts), counts
+
+    #: (nodes_processed, propagations, unions) of the one eager kernel.
+    #: A kernel change that alters the work done fails this on purpose;
+    #: re-pin only with the measured reason in the change log.
+    PINNED = {
+        ("du", "sfs"): (27_554, 46_054, 47_591),
+        ("du", "vsfs"): (2_232, 2_150, 2_759),
+        ("tmux", "vsfs"): (9_452, 42_146, 43_163),
+    }
+
+    @pytest.mark.parametrize("program,analysis", sorted(PINNED))
+    def test_default_solve_counters_are_pinned(self, program, analysis):
+        from repro.bench.workloads import suite_program
+        from repro.core.vsfs import VSFSAnalysis
+        from repro.solvers.sfs import SFSAnalysis
+
+        pipeline = AnalysisPipeline(suite_program(program))
+        if analysis == "sfs":
+            solver = SFSAnalysis(pipeline.svfg())
+        else:
+            solver = VSFSAnalysis(pipeline.svfg(), pipeline.versioning())
+        stats = solver.run().stats
+        assert (stats.nodes_processed, stats.propagations, stats.unions) \
+            == self.PINNED[(program, analysis)]

@@ -1,11 +1,9 @@
-"""Property tests for the delta propagation kernel and points-to repository.
+"""Property tests for the propagation kernel over the points-to repository.
 
-Both optimisations must be *invisible*: on any generated program, every
-(delta × ptrepo) configuration of either staged solver yields exactly the
-snapshot of the eager full-mask path, and the usual precision lattice
-SFS = VSFS ⊆ ICFG-FS ⊆ Andersen survives with the optimisations on.
-The delta kernel must also never apply more unions than the eager path —
-it exists to remove redundant set work, not to reorder it into more.
+Deduplicated storage must be *invisible*: on any generated program, the
+PTRepo configuration of either staged solver yields exactly the snapshot
+and the work counters of the raw-mask reference, and the usual precision
+lattice SFS = VSFS ⊆ ICFG-FS ⊆ Andersen survives with it on.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -61,46 +59,37 @@ direct_configs = st.builds(
     recursion_rate=st.floats(0.0, 0.1),
 )
 
-MATRIX = [(delta, ptrepo) for delta in (False, True) for ptrepo in (False, True)]
-
 
 class TestDeltaKernelInvisible:
     @given(configs)
     @RELAXED
     def test_all_configs_identical_snapshots(self, config):
-        """Eager/delta × raw/ptrepo: same snapshot, bit for bit, and the
-        kernel never applies more unions than the eager path."""
+        """PTRepo on/off: same snapshot, bit for bit, and equal work
+        counters against the raw-mask reference."""
         module = generate_program(config)
         pipeline = AnalysisPipeline(module)
         pipeline.memssa()
         for solver_cls in (SFSAnalysis, VSFSAnalysis):
-            results = {
-                (delta, ptrepo): solver_cls(
-                    pipeline.svfg(), delta=delta, ptrepo=ptrepo
-                ).run()
-                for delta, ptrepo in MATRIX
-            }
-            baseline = results[(False, False)]
-            for key, result in results.items():
-                assert result.snapshot() == baseline.snapshot(), (
-                    f"{solver_cls.analysis_name} {key} diverged from eager"
-                )
-                if key[0]:  # delta on: only redundant unions removed
-                    assert result.stats.unions <= baseline.stats.unions
+            raw = solver_cls(pipeline.svfg(), ptrepo=False).run()
+            repo = solver_cls(pipeline.svfg(), ptrepo=True).run()
+            assert repo.snapshot() == raw.snapshot(), (
+                f"{solver_cls.analysis_name} with ptrepo diverged from raw"
+            )
             # The repository is pure storage: work counters unchanged.
-            for delta in (False, True):
-                raw, repo = results[(delta, False)], results[(delta, True)]
-                assert repo.stats.propagations == raw.stats.propagations
-                assert repo.stats.unions == raw.stats.unions
+            for field in ("nodes_processed", "propagations", "unions",
+                          "strong_updates", "weak_updates",
+                          "stored_ptsets", "unique_ptsets"):
+                assert getattr(repo.stats, field) == \
+                    getattr(raw.stats, field), field
 
     @given(configs)
     @RELAXED
     def test_optimised_solvers_within_andersen(self, config):
-        """SFS = VSFS ⊆ Andersen with delta + ptrepo on (any program)."""
+        """SFS = VSFS ⊆ Andersen with ptrepo on (any program)."""
         module = generate_program(config)
         pipeline = AnalysisPipeline(module)
-        sfs = pipeline.sfs(delta=True, ptrepo=True)
-        vsfs = pipeline.vsfs(delta=True, ptrepo=True)
+        sfs = pipeline.sfs(ptrepo=True)
+        vsfs = pipeline.vsfs(ptrepo=True)
         andersen = run_andersen(module)
         for var in module.variables:
             s, v, a = sfs.pts_mask(var), vsfs.pts_mask(var), andersen.pts_mask(var)
@@ -110,12 +99,12 @@ class TestDeltaKernelInvisible:
     @given(direct_configs)
     @RELAXED
     def test_precision_lattice_with_optimisations(self, config):
-        """SFS = VSFS ⊆ ICFG-FS ⊆ Andersen, with delta + ptrepo on
+        """SFS = VSFS ⊆ ICFG-FS ⊆ Andersen, with ptrepo on
         (direct-call programs — see ``direct_configs``)."""
         module = generate_program(config)
         pipeline = AnalysisPipeline(module)
-        sfs = pipeline.sfs(delta=True, ptrepo=True)
-        vsfs = pipeline.vsfs(delta=True, ptrepo=True)
+        sfs = pipeline.sfs(ptrepo=True)
+        vsfs = pipeline.vsfs(ptrepo=True)
         icfg = pipeline.icfg_fs()
         andersen = run_andersen(module)
         for var in module.variables:

@@ -1,14 +1,14 @@
 """Property tests for the self-healing I/O layer (DESIGN.md §12).
 
-One invariant, three media: an on-disk artifact — mask arena, solver
-checkpoint, stage-cache entry — corrupted by a byte flip or truncation
+One invariant, two media: an on-disk artifact — solver checkpoint,
+stage-cache entry — corrupted by a byte flip or truncation
 at an *arbitrary* offset must never produce garbage downstream.  Each
 load either
 
 - self-heals (the resilient wrapper quarantines/rebuilds and the caller
   gets a correct answer), or
-- raises a **typed** quarantining error (:class:`CheckpointError` /
-  :class:`ArenaError`) at the strict layer.
+- raises a **typed** quarantining error (:class:`CheckpointError`) at
+  the strict layer.
 
 Never an untyped exception, never silently different data.
 """
@@ -19,8 +19,6 @@ import shutil
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.datastructs.arena import ArenaError, PTArena
-from repro.datastructs.mde import MdeEngine
 from repro.engine import Engine, StageCache, StageContext
 from repro.errors import CheckpointError
 from repro.runtime.checkpoint import load_checkpoint
@@ -55,62 +53,13 @@ corruption = st.tuples(st.integers(min_value=0, max_value=10 ** 6),
                        st.integers(min_value=0, max_value=7))
 
 
-class TestArenaCorruption:
-    @pytest.fixture
-    def arena_file(self, tmp_path):
-        path = str(tmp_path / "arena.bin")
-        arena = PTArena.open(path)
-        arena.append_masks([0, 1, (1 << 130) | 5, 0xDEADBEEF, 7 << 64])
-        arena.close()
-        return path
-
-    @RELAXED
-    @given(corruption)
-    def test_writer_open_never_raises(self, arena_file, corruption):
-        offset, mode, bit = corruption
-        work = arena_file + ".case"
-        shutil.copyfile(arena_file, work)
-        _mutilate(work, offset, mode, bit)
-        # The resilient writer-side open: a structurally damaged arena is
-        # quarantined and a fresh one created in its place; a surviving
-        # one attaches.  Both ways the engine comes up — never an
-        # exception escapes.
-        engine = MdeEngine.open(work)
-        if engine.arena_quarantined is not None:
-            assert os.path.exists(engine.arena_quarantined)
-        if engine.arena is not None:
-            engine.arena.close()
-        for name in os.listdir(os.path.dirname(work)):
-            if ".case" in name:
-                os.remove(os.path.join(os.path.dirname(work), name))
-
-    @RELAXED
-    @given(corruption)
-    def test_strict_attach_is_typed_or_structurally_sound(self, arena_file,
-                                                          corruption):
-        offset, mode, bit = corruption
-        work = arena_file + ".case"
-        shutil.copyfile(arena_file, work)
-        _mutilate(work, offset, mode, bit)
-        # The strict reader (worker side): either the structure validates
-        # and every record walks cleanly, or a typed ArenaError.
-        try:
-            arena = PTArena.attach(work)
-        except ArenaError:
-            pass
-        else:
-            arena.close()
-        finally:
-            os.remove(work)
-
-
 class TestCheckpointCorruption:
     @pytest.fixture
     def checkpoint_file(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
         write_sealed_json(path, "checkpoint", 1,
                           {"ir_hash": "x" * 8, "analysis": "sfs",
-                           "delta": True, "ptrepo": True, "step": 12},
+                           "ptrepo": True, "step": 12},
                           {"worklist": [1, 2, 3], "pt": ["0x5"]})
         return path
 

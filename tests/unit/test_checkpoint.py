@@ -120,7 +120,7 @@ class TestSealedEnvelope:
 
 
 class TestCheckpointer:
-    CONFIG = dict(ir_hash="abc123", analysis="vsfs", delta=True, ptrepo=True)
+    CONFIG = dict(ir_hash="abc123", analysis="vsfs", ptrepo=True)
 
     def _checkpointer(self, tmp_path, **overrides):
         config = CheckpointConfig(str(tmp_path), every_steps=10)
@@ -157,7 +157,7 @@ class TestCheckpointer:
         assert find_checkpoint(str(tmp_path), **self.CONFIG) == ck.path
         # A different config maps to a different file.
         assert find_checkpoint(str(tmp_path), "abc123", "vsfs",
-                               delta=False, ptrepo=True) is None
+                               ptrepo=False) is None
 
     def test_discard(self, tmp_path):
         ck = self._checkpointer(tmp_path)
@@ -171,14 +171,13 @@ class TestCheckpointer:
         path = ck.save(FakeSolver({}), step=1)
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path, ir_hash="different", analysis="vsfs",
-                            delta=True, ptrepo=True)
+                            ptrepo=True)
         assert exc.value.reason == "ir-mismatch"
 
     def test_config_mismatch(self, tmp_path):
         ck = self._checkpointer(tmp_path)
         path = ck.save(FakeSolver({}), step=1)
-        for kwargs in ({"analysis": "sfs"}, {"delta": False},
-                       {"ptrepo": False}):
+        for kwargs in ({"analysis": "sfs"}, {"ptrepo": False}):
             expect = dict(self.CONFIG)
             expect.update(kwargs)
             with pytest.raises(CheckpointError) as exc:
@@ -198,10 +197,11 @@ class TestCheckpointer:
         assert os.path.exists(exc.value.path)
 
     def test_deterministic_paths(self, tmp_path):
-        first = checkpoint_path(str(tmp_path), "h", "vsfs", True, True)
-        second = checkpoint_path(str(tmp_path), "h", "vsfs", True, True)
-        other = checkpoint_path(str(tmp_path), "h", "sfs", True, True)
-        assert first == second != other
+        first = checkpoint_path(str(tmp_path), "h", "vsfs", True)
+        second = checkpoint_path(str(tmp_path), "h", "vsfs", True)
+        other = checkpoint_path(str(tmp_path), "h", "sfs", True)
+        raw = checkpoint_path(str(tmp_path), "h", "vsfs", False)
+        assert first == second != other != raw != first
 
     def test_schema_constant_in_envelope(self, tmp_path):
         ck = self._checkpointer(tmp_path)

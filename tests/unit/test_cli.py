@@ -92,15 +92,14 @@ class TestProfileAndAblationFlags:
         assert main([flag, c_file, "--profile"]) == 0
         out = capsys.readouterr().out
         assert "--- solver profile ---" in out
-        assert "delta kernel: on, points-to repository: on" in out
+        assert "points-to repository: on" in out
         assert "unions applied:" in out
         assert "unique points-to sets:" in out and "union cache:" in out
 
     def test_profile_reports_disabled_features(self, c_file, capsys):
-        assert main(["-vfspta", c_file, "--profile",
-                     "--no-delta", "--no-ptrepo"]) == 0
+        assert main(["-vfspta", c_file, "--profile", "--no-ptrepo"]) == 0
         out = capsys.readouterr().out
-        assert "delta kernel: off, points-to repository: off" in out
+        assert "points-to repository: off" in out
         assert "unique points-to sets:" not in out  # repo off: nothing to report
 
     def test_profile_requires_staged_analysis(self, c_file, capsys):
@@ -108,11 +107,10 @@ class TestProfileAndAblationFlags:
         assert "--profile needs a staged analysis" in capsys.readouterr().err
 
     def test_ablation_flags_preserve_results(self, c_file, capsys):
-        """--no-delta/--no-ptrepo change the engine, never the answer."""
+        """--no-ptrepo changes the storage, never the answer."""
         assert main(["-vfspta", c_file, "--dump-pts"]) == 0
         baseline = capsys.readouterr().out
-        assert main(["-vfspta", c_file, "--dump-pts",
-                     "--no-delta", "--no-ptrepo"]) == 0
+        assert main(["-vfspta", c_file, "--dump-pts", "--no-ptrepo"]) == 0
         ablated = capsys.readouterr().out
         pts = lambda text: [l for l in text.splitlines() if l.startswith("pt(")]
         assert pts(baseline) == pts(ablated) != []

@@ -72,16 +72,16 @@ class TestFingerprints:
         stage = engine.stages["solve:vsfs"]
         base = engine._fingerprint_for(stage, engine.ctx)
         ablated = engine._fingerprint_for(
-            stage, engine.ctx.for_solve(delta=False))
+            stage, engine.ctx.for_solve(ptrepo=False))
         assert base != ablated
 
     def test_substrate_fingerprint_ignores_ablation_flags(self):
-        with_delta = make_engine()
+        with_repo = make_engine()
         without = Engine(StageContext(module=None, source=SRC,
-                                      language="c", delta=False))
-        with_delta.ensure("svfg")
+                                      language="c", ptrepo=False))
+        with_repo.ensure("svfg")
         without.ensure("svfg")
-        assert with_delta.fingerprint("svfg") == without.fingerprint("svfg")
+        assert with_repo.fingerprint("svfg") == without.fingerprint("svfg")
 
 
 class TestSolve:

@@ -179,15 +179,15 @@ class TestRegionDigests:
         assert old["probe"] != new["probe"]
 
 
-def _solve_payload(src, analysis="sfs", delta=True, ptrepo=True):
+def _solve_payload(src, analysis="sfs", ptrepo=True):
     pipeline = AnalysisPipeline.from_source(src)
     svfg = pipeline.svfg()
-    solver = SFSAnalysis(svfg, delta=delta, ptrepo=ptrepo)
+    solver = SFSAnalysis(svfg, ptrepo=ptrepo)
     result = solver.run()
     node_in, node_out = solver.export_node_memory()
     return build_payload(svfg, pipeline.modref(), result, node_in,
                          node_out, node_flow_graph(solver.svfg),
-                         analysis, delta, ptrepo, pipeline.andersen())
+                         analysis, ptrepo, pipeline.andersen())
 
 
 class TestIncrementalStore:
@@ -198,15 +198,15 @@ class TestIncrementalStore:
         store = IncrementalStore()
         payload = _solve_payload(BASE)
         assert store.save(payload) is None
-        assert store.load("sfs", True, True) is payload
-        assert store.load("vsfs", True, True) is None
+        assert store.load("sfs", True) is payload
+        assert store.load("vsfs", True) is None
 
     def test_disk_roundtrip(self, tmp_path):
         store = IncrementalStore(str(tmp_path))
         payload = _solve_payload(BASE)
         path = store.save(payload)
         assert path is not None
-        loaded = IncrementalStore(str(tmp_path)).load("sfs", True, True)
+        loaded = IncrementalStore(str(tmp_path)).load("sfs", True)
         assert loaded == payload
 
     def test_stale_scheme_quarantines(self, tmp_path):
@@ -215,12 +215,12 @@ class TestIncrementalStore:
         payload["fp_scheme"] = FINGERPRINT_SCHEME - 1  # pre-refactor entry
         path = store.save(payload)
         with pytest.raises(CheckpointError) as err:
-            store.load("sfs", True, True)
+            store.load("sfs", True)
         assert err.value.reason == "schema"
         import os
         assert not os.path.exists(path)
         # The quarantined slot reads as a clean miss afterwards.
-        assert store.load("sfs", True, True) is None
+        assert store.load("sfs", True) is None
 
 
 class TestPlanFallbacks:
@@ -229,7 +229,7 @@ class TestPlanFallbacks:
         payload["fp_scheme"] = FINGERPRINT_SCHEME - 1
         pipeline = AnalysisPipeline.from_source(EDITED)
         plan = plan_warm(payload, pipeline.svfg(), pipeline.modref(),
-                         "sfs", True, True, pipeline.andersen())
+                         "sfs", True, pipeline.andersen())
         assert not plan.usable
         assert plan.fallback_reason == "scheme"
         assert plan.stats.fallback_reason == "scheme"
@@ -238,17 +238,17 @@ class TestPlanFallbacks:
         payload = _solve_payload(BASE)
         pipeline = AnalysisPipeline.from_source(EDITED)
         plan = plan_warm(payload, pipeline.svfg(), pipeline.modref(),
-                         "vsfs", True, True, pipeline.andersen())
+                         "vsfs", True, pipeline.andersen())
         assert plan.fallback_reason == "config"
         plan = plan_warm(payload, pipeline.svfg(), pipeline.modref(),
-                         "sfs", False, True, pipeline.andersen())
+                         "sfs", False, pipeline.andersen())
         assert plan.fallback_reason == "config"
 
     def test_usable_plan_marks_edited_function_dirty(self):
         payload = _solve_payload(BASE)
         pipeline = AnalysisPipeline.from_source(EDITED)
         plan = plan_warm(payload, pipeline.svfg(), pipeline.modref(),
-                         "sfs", True, True, pipeline.andersen())
+                         "sfs", True, pipeline.andersen())
         assert plan.usable
         assert "probe" in plan.dirty_functions
         assert "set" not in plan.dirty_functions

@@ -12,7 +12,7 @@ import pytest
 from repro.frontend import compile_c
 from repro.parallel.frontier import FrontierBatch, FrontierEncoder, PeerMirrors
 from repro.parallel.partition import build_dependency_graph, partition_svfg
-from repro.parallel.shard import OwnedDeltaWorkList, OwnedFIFOWorkList
+from repro.parallel.shard import OwnedFIFOWorkList
 from repro.pipeline import AnalysisPipeline
 from repro.solvers.base import SolverStats
 
@@ -24,18 +24,16 @@ from repro.solvers.base import SolverStats
 class TestSolverStatsMerge:
     def test_additive_fields_sum(self):
         a = SolverStats(analysis="sfs", solve_time=1.0, nodes_processed=10,
-                        propagations=5, unions=3, delta_kernel=True,
-                        ptrepo_enabled=True)
+                        propagations=5, unions=3, ptrepo_enabled=True)
         b = SolverStats(analysis="sfs", solve_time=0.5, nodes_processed=7,
-                        propagations=2, unions=1, delta_kernel=True,
-                        ptrepo_enabled=True)
+                        propagations=2, unions=1, ptrepo_enabled=True)
         merged = SolverStats.merge([a, b])
         assert merged.analysis == "sfs"
         assert merged.solve_time == pytest.approx(1.5)
         assert merged.nodes_processed == 17
         assert merged.propagations == 7
         assert merged.unions == 4
-        assert merged.delta_kernel and merged.ptrepo_enabled
+        assert merged.ptrepo_enabled
 
     def test_every_additive_field_is_summed(self):
         parts = []
@@ -60,11 +58,10 @@ class TestSolverStatsMerge:
         assert merged.callgraph_edges == 7
 
     def test_ablation_flags_and_of_parts(self):
-        a = SolverStats(delta_kernel=True, ptrepo_enabled=False)
-        b = SolverStats(delta_kernel=False, ptrepo_enabled=True)
-        merged = SolverStats.merge([a, b])
-        assert not merged.delta_kernel
-        assert not merged.ptrepo_enabled
+        a = SolverStats(ptrepo_enabled=False)
+        b = SolverStats(ptrepo_enabled=True)
+        assert not SolverStats.merge([a, b]).ptrepo_enabled
+        assert SolverStats.merge([b, b]).ptrepo_enabled
 
     def test_empty_merge_is_zero(self):
         merged = SolverStats.merge([])
@@ -270,7 +267,7 @@ def _layout():
 
 
 class TestOwnedWorklists:
-    @pytest.mark.parametrize("cls", [OwnedDeltaWorkList, OwnedFIFOWorkList])
+    @pytest.mark.parametrize("cls", [OwnedFIFOWorkList])
     def test_unowned_pushes_dropped(self, cls):
         owned, shard_of, num = _layout()
         wl = cls(owned, shard_of, num)
@@ -278,7 +275,7 @@ class TestOwnedWorklists:
         assert not wl.push(5)
         assert len(wl) == 0 and not wl
 
-    @pytest.mark.parametrize("cls", [OwnedDeltaWorkList, OwnedFIFOWorkList])
+    @pytest.mark.parametrize("cls", [OwnedFIFOWorkList])
     def test_pop_is_shard_staged_fifo(self, cls):
         owned, shard_of, num = _layout()
         wl = cls(owned, shard_of, num)
@@ -287,7 +284,7 @@ class TestOwnedWorklists:
         # Earliest shard first; FIFO within a shard.
         assert [wl.pop() for _ in range(4)] == [1, 0, 3, 2]
 
-    @pytest.mark.parametrize("cls", [OwnedDeltaWorkList, OwnedFIFOWorkList])
+    @pytest.mark.parametrize("cls", [OwnedFIFOWorkList])
     def test_push_during_drain_reactivates_earlier_shard(self, cls):
         owned, shard_of, num = _layout()
         wl = cls(owned, shard_of, num)
@@ -297,7 +294,7 @@ class TestOwnedWorklists:
         wl.push(3)
         assert wl.pop() == 0  # earlier shard wins over the pending 3
 
-    @pytest.mark.parametrize("cls", [OwnedDeltaWorkList, OwnedFIFOWorkList])
+    @pytest.mark.parametrize("cls", [OwnedFIFOWorkList])
     def test_duplicate_push_is_noop(self, cls):
         owned, shard_of, num = _layout()
         wl = cls(owned, shard_of, num)
@@ -307,43 +304,15 @@ class TestOwnedWorklists:
         assert wl.pop() == 1
         assert not wl
 
-    def test_delta_worklist_merges_dirty_bits(self):
+    def test_snapshot_restore_preserves_order(self):
         owned, shard_of, num = _layout()
-        wl = OwnedDeltaWorkList(owned, shard_of, num)
-        assert wl.push_delta(2, 7, 0b01)
-        assert not wl.push_delta(2, 7, 0b10)  # merged, not re-queued
-        node, dirty = wl.pop_with_dirty()
-        assert node == 2
-        assert dirty == {7: 0b11}
-
-    def test_delta_worklist_drops_unowned_deltas(self):
-        owned, shard_of, num = _layout()
-        wl = OwnedDeltaWorkList(owned, shard_of, num)
-        assert not wl.push_delta(5, 1, 0b1)
-        assert len(wl) == 0
-
-    def test_full_push_supersedes_dirty(self):
-        owned, shard_of, num = _layout()
-        wl = OwnedDeltaWorkList(owned, shard_of, num)
-        wl.push_delta(0, 3, 0b1)
-        wl.push(0)  # full reprocess requested
-        node, dirty = wl.pop_with_dirty()
-        assert node == 0
-        assert dirty is None  # full visit, not a delta visit
-
-    def test_snapshot_restore_preserves_order_and_dirt(self):
-        owned, shard_of, num = _layout()
-        wl = OwnedDeltaWorkList(owned, shard_of, num)
-        wl.push(3)
-        wl.push(0)
-        wl.push_delta(2, 5, 0b110)
-        state = wl.snapshot()
-        clone = OwnedDeltaWorkList(owned, shard_of, num)
-        clone.restore(state)
+        wl = OwnedFIFOWorkList(owned, shard_of, num)
+        for node in (3, 0, 2):
+            wl.push(node)
+        clone = OwnedFIFOWorkList(owned, shard_of, num)
+        clone.restore(wl.snapshot())
         assert len(clone) == 3
-        drained = []
-        while clone:
-            drained.append(clone.pop_with_dirty())
+        assert not clone.push(2)  # membership restored with the queue
         # Shard 0 first; FIFO within shard 1 (3 was pushed before 2).
-        assert [node for node, _ in drained] == [0, 3, 2]
-        assert dict((n, d) for n, d in drained)[2] == {5: 0b110}
+        assert [clone.pop() for _ in range(3)] == [0, 3, 2]
+        assert not clone

@@ -1,9 +1,8 @@
-"""Unit tests for the points-to repository and the delta worklist."""
+"""Unit tests for the points-to repository."""
 
 import pytest
 
 from repro.datastructs.ptrepo import EMPTY_ID, PTRepo
-from repro.datastructs.worklist import DeltaWorkList
 
 
 class TestPTRepo:
@@ -65,47 +64,3 @@ class TestPTRepo:
         assert repo.hit_rate() == pytest.approx(0.5)
         assert repo.total_bits() == 2 + 2 + 4
         assert repo.total_bits([a, a, b]) == 2 + 2 + 2
-
-
-class TestDeltaWorkList:
-    def test_push_delta_accumulates_dirty_bits(self):
-        wl = DeltaWorkList()
-        assert wl.push_delta(7, oid=1, delta=0b01)
-        assert not wl.push_delta(7, oid=1, delta=0b10)  # already queued
-        assert wl.push_delta(7, oid=2, delta=0b100) is False
-        assert len(wl) == 1
-        node, dirty = wl.pop_with_dirty()
-        assert node == 7
-        assert dirty == {1: 0b11, 2: 0b100}
-
-    def test_plain_push_means_full_revisit(self):
-        wl = DeltaWorkList()
-        wl.push(3)
-        node, dirty = wl.pop_with_dirty()
-        assert node == 3 and dirty is None
-
-    def test_full_push_subsumes_deltas(self):
-        wl = DeltaWorkList()
-        wl.push_delta(5, oid=0, delta=0b1)
-        wl.push(5)  # upgrade to full revisit
-        wl.push_delta(5, oid=1, delta=0b10)  # ignored: full pending
-        assert wl.pop_with_dirty() == (5, None)
-
-    def test_take_dirty_matches_pop(self):
-        wl = DeltaWorkList()
-        wl.push_delta(1, oid=4, delta=0b1)
-        wl.push(2)
-        assert wl.pop() == 1
-        assert wl.take_dirty(1) == {4: 0b1}
-        assert wl.pop() == 2
-        assert wl.take_dirty(2) is None
-
-    def test_fifo_order_and_dedup(self):
-        wl = DeltaWorkList()
-        wl.push_delta(1, 0, 0b1)
-        wl.push(2)
-        wl.push_delta(1, 0, 0b10)
-        order = []
-        while wl:
-            order.append(wl.pop_with_dirty())
-        assert order == [(1, {0: 0b11}), (2, None)]
