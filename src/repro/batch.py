@@ -85,7 +85,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="programs analysed concurrently (default 1)")
     parser.add_argument("--solve-jobs", type=int, default=1, metavar="N",
-                        help="sharded workers per solve (repro-wpa --jobs); "
+                        help="sharded workers per solve (repro-wpa --jobs: "
+                             "SFS only, other analyses run serially); "
                              "resume-on-retry attempts drop to serial, as "
                              "checkpoints are serial-only")
     parser.add_argument("--checkpoint-dir", metavar="DIR",
@@ -136,7 +137,8 @@ def _attempt_cmd(args: argparse.Namespace, file: str, ckdir: Optional[str],
         cmd += ["--budget-mb", str(args.budget_mb)]
     if args.max_steps is not None:
         cmd += ["--max-steps", str(args.max_steps)]
-    if args.solve_jobs > 1 and args.analysis in ("sfs", "vsfs") and not resume:
+    if args.solve_jobs > 1 and not resume:
+        # repro-wpa runs analyses other than SFS serially, with a warning.
         cmd += ["--jobs", str(args.solve_jobs)]
     if ckdir is not None:
         cmd += ["--checkpoint-dir", ckdir,

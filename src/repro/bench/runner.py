@@ -14,6 +14,7 @@ produced it.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -129,7 +130,7 @@ class SuiteResult:
         }
 
     _identical: bool = field(default=True, repr=False)
-    #: Sharded-solve comparisons (``--jobs``): analysis -> list of
+    #: Sharded-solve comparisons (``--jobs``, SFS only): analysis -> list of
     #: per-worker-count records with wall times, speedups, the driver's
     #: :class:`~repro.parallel.driver.ParallelStats` (per-worker timings
     #: included) and a bit-identity check against the serial result.
@@ -152,10 +153,10 @@ def run_suite_program(name: str, check_equivalence: bool = True,
     with *budget*, a run that exhausts it degrades to the (already
     computed) Andersen floor instead of failing the suite.
 
-    With *jobs* (e.g. ``(2, 4)``), each staged analysis is additionally
-    solved on that many sharded workers (:mod:`repro.parallel`) and the
-    parallel wall time, per-worker timings and bit-identity against the
-    serial result are recorded under ``parallel_runs``.
+    With *jobs* (e.g. ``(2, 4)``), SFS is additionally solved on that
+    many sharded workers (:mod:`repro.parallel`; VSFS is not sharded) and
+    the parallel wall time, per-worker timings and bit-identity against
+    the serial result are recorded under ``parallel_runs``.
     """
     config = SUITE[name]
     module = suite_program(name)
@@ -230,19 +231,12 @@ def run_suite_program(name: str, check_equivalence: bool = True,
         vsfs_pt = vsfs_solver_holder["result"]._pt
         result._identical = sfs_pt == vsfs_pt
 
-    for label in ("sfs", "vsfs") if jobs else ():
-        serial = (sfs_solver_holder if label == "sfs"
-                  else vsfs_solver_holder).get("result")
-        method = pipeline.sfs_par if label == "sfs" else pipeline.vsfs_par
-        # Serial main phase = solve_time (+ VSFS's readers index; both
-        # runs read the one cached versioning).
-        serial_wall = (serial.stats.solve_time if serial is not None else 0.0)
-        if label == "vsfs" and serial is not None:
-            serial_wall += (serial.stats.pre_time
-                            - pipeline.versioning().stats.time)
+    if jobs:
+        serial = sfs_solver_holder["result"]
+        serial_wall = serial.stats.solve_time
         runs: List[Dict[str, object]] = []
         for n in jobs:
-            par = window("parallel", lambda: method(jobs=n))()
+            par = window("parallel", lambda: pipeline.sfs_par(jobs=n))()
             pstats = par.parallel
             runs.append({
                 "jobs": n,
@@ -250,12 +244,11 @@ def run_suite_program(name: str, check_equivalence: bool = True,
                 "serial_wall_s": round(serial_wall, 6),
                 "speedup": round(serial_wall / pstats.wall_s, 4)
                 if pstats.wall_s > 0 else 0.0,
-                "identical": (serial is not None
-                              and par._pt == serial._pt),
+                "identical": par._pt == serial._pt,
                 "solve_time_s": round(par.stats.solve_time, 6),
                 "parallel": pstats.to_dict(),
             })
-        result.parallel_runs[label] = runs
+        result.parallel_runs["sfs"] = runs
 
     result.stages = pipeline.trace.to_dict()
     for record, run in zip(result.stages, record_runs):
@@ -312,10 +305,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--max-steps", type=int, metavar="N",
                         help="per-run solver step budget")
     parser.add_argument("--jobs", default=None, metavar="N[,N...]",
-                        help="additionally solve each program on these "
-                             "sharded worker counts (e.g. 2,4) and record "
-                             "parallel-vs-serial walls, per-worker timings "
-                             "and bit-identity in the JSON output")
+                        help="additionally solve each program with SFS on "
+                             "these sharded worker counts (e.g. 2,4) and "
+                             "record parallel-vs-serial walls, per-worker "
+                             "timings and bit-identity in the JSON output; "
+                             "VSFS runs serially")
     args = parser.parse_args(argv)
 
     if args.json in SUITE:
@@ -349,6 +343,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError:
             parser.error(f"--jobs wants worker counts like 2,4; "
                          f"got {args.jobs!r}")
+        print("repro.bench.runner: warning: --jobs applies to SFS only; "
+              "VSFS runs serially", file=sys.stderr)
 
     results = [run_suite_program(name, budget=budget, jobs=jobs)
                for name in names]

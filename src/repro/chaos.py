@@ -2,7 +2,8 @@
 
 Proves the platform-wide resilience contract (DESIGN.md §12) the way a
 single targeted test cannot: for every configuration in ``{sfs, vsfs} ×
-{serial, --jobs N}`` it runs a fault-free baseline, then replays the
+{serial, --jobs N}`` (only SFS shards, so VSFS is soaked serially) it
+runs a fault-free baseline, then replays the
 same analysis under a deterministic schedule of injected faults — one
 seeded :class:`~repro.runtime.faults.FaultPlan` per run, cycling through
 every fault point applicable to the configuration.  Each faulted run
@@ -10,8 +11,8 @@ must end in one of four **clean** outcomes:
 
 - ``identical`` — the fault was absorbed (self-healed or retried) and
   the points-to result is bit-identical to the baseline;
-- ``collapsed`` — a parallel rung spent its worker failure budget and
-  collapsed onto its serial twin: degraded execution, bit-identical
+- ``collapsed`` — the parallel SFS rung spent its worker failure budget
+  and collapsed onto its serial twin: degraded execution, bit-identical
   result (``precision_lost`` is False);
 - ``degraded`` — a solver-domain fault walked the precision ladder; the
   answer is a verified sound *superset* of the baseline;
@@ -147,11 +148,19 @@ def _trigger_for(index: int, point: str) -> str:
     return "once"
 
 
+def build_configs(analyses: List[str],
+                  jobs_list: List[int]) -> List[Tuple[str, int]]:
+    """``(analysis, jobs)`` pairs in execution order.  Only SFS shards:
+    every other analysis runs serially, once."""
+    return list(dict.fromkeys((analysis, jobs if analysis == "sfs" else 1)
+                              for jobs in jobs_list for analysis in analyses))
+
+
 def build_schedule(analyses: List[str], jobs_list: List[int], seeds: int,
                    seed_base: int) -> List[ChaosRun]:
     """The full deterministic run matrix, in execution order."""
     runs: List[ChaosRun] = []
-    configs = [(analysis, jobs) for jobs in jobs_list for analysis in analyses]
+    configs = build_configs(analyses, jobs_list)
     for config_index, (analysis, jobs) in enumerate(configs):
         points = PARALLEL_POINTS if jobs > 1 else SERIAL_POINTS
         offset = config_index * _OFFSET_STRIDE
@@ -210,7 +219,7 @@ def _solve(source: str, analysis: str, jobs: int, mode: Optional[str],
     from repro.runtime.degrade import solve_with_ladder
 
     pipeline, store = _build_pipeline(source, workdir, plan)
-    ladder = analysis + "-par" if jobs > 1 else analysis
+    ladder = "sfs-par" if jobs > 1 else analysis
     checkpoint = CheckpointConfig(os.path.join(workdir, "checkpoints"),
                                   every_steps=25)
     result = solve_with_ladder(pipeline, analysis=ladder, fallback=fallback,
@@ -627,7 +636,8 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
                              "(default sfs,vsfs)")
     parser.add_argument("--jobs", default="1,2", metavar="LIST",
                         help="comma-separated worker counts; 1 = serial "
-                             "(default 1,2)")
+                             "(default 1,2).  Only sfs shards; vsfs runs "
+                             "serially with a warning")
     parser.add_argument("--parallel-mode", choices=("fork", "inline"),
                         help="parallel transport override (default: the "
                              "driver's choice)")
@@ -668,6 +678,9 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
               f"{args.jobs!r}", file=sys.stderr)
         return 1
 
+    if any(jobs > 1 for jobs in jobs_list) and analyses != ["sfs"]:
+        print("repro-wpa chaos: warning: --jobs applies to sfs only; "
+              "vsfs runs serially", file=sys.stderr)
     runs = build_schedule(analyses, jobs_list, max(1, args.seeds),
                           args.seed_base)
     if args.list:
@@ -687,7 +700,7 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
     else:
         source = _default_source()
 
-    configs = [(analysis, jobs) for jobs in jobs_list for analysis in analyses]
+    configs = build_configs(analyses, jobs_list)
     print(f"--- chaos soak: {len(configs)} configs x {args.seeds} seeds "
           f"= {len(runs)} runs ---")
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as root:
@@ -707,19 +720,19 @@ def chaos_main(argv: Optional[List[str]] = None) -> int:
                             baseline)
                 print(f"  {run.describe()}")
 
-    return _report(runs, jobs_list, args)
+    return _report(runs, configs, args)
 
 
-def _report(runs: List[ChaosRun], jobs_list: List[int],
+def _report(runs: List[ChaosRun], configs: List[Tuple[str, int]],
             args: argparse.Namespace) -> int:
     counts: Dict[str, int] = {}
     for run in runs:
         counts[run.outcome] = counts.get(run.outcome, 0) + 1
     garbage = [run for run in runs if run.outcome == "garbage"]
 
-    applicable = set(SERIAL_POINTS if 1 in jobs_list else ())
-    if any(jobs > 1 for jobs in jobs_list):
-        applicable.update(PARALLEL_POINTS)
+    applicable = set()
+    for __, jobs in configs:
+        applicable.update(PARALLEL_POINTS if jobs > 1 else SERIAL_POINTS)
     exercised = {run.point for run in runs if run.fired}
     missing = sorted(applicable - exercised)
 

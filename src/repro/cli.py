@@ -18,8 +18,8 @@ Crash safety: ``--checkpoint-dir`` snapshots the in-flight solver on a
 cadence (``--checkpoint-every`` pops and/or ``--checkpoint-seconds``) and
 when a budget trips; ``--resume`` picks the work back up bit-identically.
 ``--store`` caches completed results content-addressed by IR hash ×
-analysis × storage flag, and additionally caches intermediate stage
-artifacts (``DIR/stages``) so repeat runs skip unchanged substrate.
+analysis × storage flag, and additionally caches the Andersen result
+(``DIR/stages``) so another analysis of the same program skips it.
 ``--trace`` prints the per-stage breakdown (wall/steps/cache), with the
 substrate stages marked excluded from the timed main phase.
 ``repro-wpa batch ...`` runs a supervised multi-program batch (see
@@ -139,13 +139,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store", metavar="DIR",
                         help="content-addressed result store: reuse a "
                              "cached result when present, save the result "
-                             "on completion; also enables the stage cache "
-                             "(DIR/stages) so repeat runs skip unchanged "
-                             "substrate stages")
+                             "on completion; also caches the Andersen "
+                             "result (DIR/stages) for later analyses of "
+                             "the same program")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="solve -fspta/-vfspta on N sharded workers "
+                        help="solve -fspta on N sharded workers "
                              "(repro.parallel); results are bit-identical "
-                             "to the serial solve")
+                             "to the serial solve.  Other analyses run "
+                             "serially with a warning")
     parser.add_argument("--parallel-mode", choices=("fork", "inline"),
                         help="parallel transport override (default: fork "
                              "when available on a multicore host, else "
@@ -225,6 +226,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             # react (e.g. retry serially) without parsing stderr.
             return EXIT_WORKER_CRASH
         return EXIT_ANALYSIS
+    finally:
+        # _run traces the solve's memory; a run that fails must not leave
+        # every later allocation of the process traced.
+        tracemalloc.stop()
 
 
 def _checkpoint_config(args: argparse.Namespace) -> Optional[CheckpointConfig]:
@@ -251,29 +256,24 @@ def _run(args: argparse.Namespace, source: str) -> int:
     module = pipeline.module
     ptrepo = not args.no_ptrepo
 
-    # --jobs routes the staged analyses through the sharded parallel
-    # stages.  The result store stays keyed by the serial analysis name:
-    # the parallel solve is bit-identical, so serial and parallel runs
-    # share cache entries.
+    # --jobs routes SFS through the sharded parallel stage.  The result
+    # store stays keyed by the serial analysis name: the parallel solve
+    # is bit-identical, so serial and parallel runs share cache entries.
     jobs = max(1, args.jobs)
     ladder_analysis = args.analysis
     if jobs > 1:
-        if args.analysis not in ("sfs", "vsfs"):
-            print("repro-wpa: warning: --jobs applies to -fspta/-vfspta "
-                  "only; running serially", file=sys.stderr)
+        if args.analysis != "sfs":
+            print("repro-wpa: warning: --jobs applies to -fspta only; "
+                  "running serially", file=sys.stderr)
             jobs = 1
         elif args.resume is not None:
             print("repro-wpa: warning: --resume is serial-only; ignoring "
                   "--jobs", file=sys.stderr)
             jobs = 1
         else:
-            ladder_analysis = args.analysis + "-par"
+            ladder_analysis = "sfs-par"
 
     if store is not None:
-        # Build (or stage-cache-load) the substrate first: warm runs then
-        # report a cache hit for every substrate stage even when the final
-        # result also comes straight from the result store.
-        pipeline.engine.prime_substrate(args.analysis)
         try:
             cached = store.get(module, args.analysis, ptrepo)
         except CheckpointError as err:

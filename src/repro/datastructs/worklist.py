@@ -104,9 +104,11 @@ class FIFOWorkList(Generic[T]):
 class PriorityWorkList(Generic[T]):
     """Priority worklist popping the item with the smallest key first.
 
-    Processing SVFG nodes in (reverse) topological order of the constraint
-    graph reduces redundant propagation; the solvers use node ids assigned in
-    a topological-ish order as priorities.
+    Processing nodes in (reverse) topological order of the flow graph
+    reduces redundant propagation: the dense ICFG solver keys instructions
+    callers-first and in program order within a function, so upstream
+    maps mostly settle before their successors pop.  Keys should be
+    unique; ties pop in no stable order.
     """
 
     __slots__ = ("_heap", "_member", "_key")
@@ -142,3 +144,16 @@ class PriorityWorkList(Generic[T]):
 
     def __bool__(self) -> bool:
         return bool(self._heap)
+
+    # ----------------------------------------------------------- persistence
+
+    def snapshot(self) -> dict:
+        """Queued items in pop order."""
+        return {"items": [item for __, __, item in sorted(self._heap)]}
+
+    def restore(self, state: dict) -> None:
+        """Replace the contents with :meth:`snapshot` output; items are
+        re-keyed, so they pop in the same order as before the snapshot."""
+        self._heap = []
+        self._member = set()
+        self.extend(state["items"])

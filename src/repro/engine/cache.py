@@ -3,17 +3,11 @@
 Each entry is a sealed JSON document (:mod:`repro.store.atomic`) named by
 the stage's content fingerprint — IR hash × upstream fingerprints ×
 configuration — so an edited program or changed configuration can never
-be served a stale artifact.  Two storage modes:
-
-- ``codec``: the artifact round-trips through an explicit encoder
-  (Andersen results reuse the :mod:`repro.store` result codec); a hit
-  skips the stage entirely.
-- ``replay``: the artifact is rebuilt deterministically from its (cached
-  or memoised) inputs and verified against the recorded digest — used for
-  structures that are cheap to rebuild but expensive to serialise
-  (mod/ref, memory SSA, the SVFG, object versioning).  A digest mismatch
-  means the rebuild is not the artifact the entry promised, which is
-  treated exactly like corruption.
+be served a stale artifact.  One storage mode, ``codec``: the artifact
+round-trips through an explicit encoder (Andersen results reuse the
+:mod:`repro.store` result codec), and a hit skips the stage entirely.
+Andersen is the only stage cached; the rest of the substrate is rebuilt
+from it on every run.
 
 Anything that fails verification is quarantined (``*.quarantined``) and
 raised as a typed :class:`~repro.errors.CheckpointError` — mirroring the
@@ -25,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.errors import CheckpointError
 from repro.ir.fingerprint import FINGERPRINT_SCHEME
@@ -43,10 +37,8 @@ STAGE_CACHE_SCHEMA = 2
 class CacheProbe:
     """Outcome of one cache lookup."""
 
-    mode: str  # "miss" | "codec" | "replay"
-    artifact: Any = None  # decoded artifact (codec hits only)
-    digest: Optional[str] = None  # recorded digest (replay hits only)
-    path: Optional[str] = None
+    mode: str  # "miss" | "codec"
+    artifact: Any = None  # decoded artifact (hits only)
     nbytes: int = 0
 
 
@@ -105,52 +97,29 @@ class StageCache:
                 raise CheckpointError(
                     f"entry vanished mid-lookup: {err}", reason="missing",
                     path=path) from err
-            if stage.cache_mode == "codec":
-                try:
-                    artifact = stage.decode(ctx, payload)
-                except CheckpointError:
-                    raise
-                except (KeyError, ValueError, TypeError, IndexError,
-                        AttributeError) as err:
-                    raise CheckpointError(
-                        f"cached stage artifact does not decode cleanly: "
-                        f"{type(err).__name__}: {err}",
-                        reason="corrupt", path=path) from err
-                self.hits += 1
-                return CacheProbe("codec", artifact=artifact, path=path,
-                                  nbytes=nbytes)
-            digest = payload.get("digest") if isinstance(payload, dict) else None
-            if not isinstance(digest, str):
+            try:
+                artifact = stage.decode(ctx, payload)
+            except CheckpointError:
+                raise
+            except (KeyError, ValueError, TypeError, IndexError,
+                    AttributeError) as err:
                 raise CheckpointError(
-                    "replay entry carries no digest", reason="corrupt",
-                    path=path)
+                    f"cached stage artifact does not decode cleanly: "
+                    f"{type(err).__name__}: {err}",
+                    reason="corrupt", path=path) from err
             self.hits += 1
-            return CacheProbe("replay", digest=digest, path=path,
-                              nbytes=nbytes)
+            return CacheProbe("codec", artifact=artifact, nbytes=nbytes)
         except CheckpointError as err:
             quarantined = quarantine_file(path)
             self.quarantined.append(quarantined)
             err.path = quarantined
             raise
 
-    def reject(self, path: Optional[str], message: str) -> CheckpointError:
-        """Quarantine *path* and build the error for the caller to raise.
-
-        Used by the engine when a ``replay`` rebuild does not reproduce
-        the recorded digest — the entry is evidence, never reusable.
-        """
-        if path is not None and os.path.exists(path):
-            quarantined = quarantine_file(path)
-            self.quarantined.append(quarantined)
-            path = quarantined
-        return CheckpointError(message, reason="corrupt", path=path)
-
     # ---------------------------------------------------------------- writing
 
     def store(self, stage: Any, ctx: Any, fingerprint: str,
               artifact: Any) -> Tuple[str, int]:
-        """Persist *artifact* (or its digest) atomically; returns
-        ``(path, bytes_on_disk)``."""
+        """Persist *artifact* atomically; returns ``(path, bytes_on_disk)``."""
         path = self.entry_path(stage.name, fingerprint)
         meta = {
             "stage": stage.name,
@@ -159,9 +128,6 @@ class StageCache:
             "mode": stage.cache_mode,
             "ir_hash": ctx.fingerprints.get("prepare"),
         }
-        if stage.cache_mode == "codec":
-            payload: Any = stage.encode(ctx, artifact)
-        else:
-            payload = {"digest": stage.digest(ctx, artifact)}
-        write_sealed_json(path, self.KIND, STAGE_CACHE_SCHEMA, meta, payload)
+        write_sealed_json(path, self.KIND, STAGE_CACHE_SCHEMA, meta,
+                          stage.encode(ctx, artifact))
         return path, os.path.getsize(path)

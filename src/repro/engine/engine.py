@@ -138,46 +138,18 @@ class Engine:
         cache_label: Optional[str] = None
         try:
             artifact: Any = None
-            need_store = False
             if cacheable:
                 probe = self._cache_lookup(stage, fp)
+                cache_label = probe.mode
                 if probe.mode == "codec":
                     artifact = probe.artifact
-                    cache_label = "codec"
                     ctx.bus.emit(StageEvent(
                         "cache_hit", name, cache="codec",
                         artifact_bytes=probe.nbytes, fingerprint=fp))
-                elif probe.mode == "replay":
-                    artifact = stage.run(ctx)
-                    if stage.digest(ctx, artifact) != probe.digest:
-                        # The rebuild is the trustworthy object; the entry
-                        # is evidence.  Quarantine it and (unless strict)
-                        # keep the rebuild, re-recording its digest.
-                        err = ctx.cache.reject(
-                            probe.path,
-                            f"stage {name!r} rebuild does not match the "
-                            f"entry's recorded digest")
-                        if ctx.strict_cache:
-                            raise err
-                        ctx.bus.emit(heal_event(
-                            name, "io", "recompute",
-                            point="stage_cache_read",
-                            error="CheckpointError", reason="digest-mismatch",
-                            path=err.path))
-                        cache_label = "miss"
-                        need_store = True
-                    else:
-                        cache_label = "replay"
-                        ctx.bus.emit(StageEvent(
-                            "cache_hit", name, cache="replay",
-                            artifact_bytes=probe.nbytes, fingerprint=fp))
-                else:
-                    cache_label = "miss"
             if artifact is None:
                 artifact = stage.run(ctx)
-                need_store = cacheable
-            if need_store:
-                self._cache_store(stage, fp, artifact)
+                if cacheable:
+                    self._cache_store(stage, fp, artifact)
         except BaseException as exc:
             ctx.bus.emit(StageEvent(
                 "stage_end", name, wall_s=time.perf_counter() - begun,
@@ -194,13 +166,6 @@ class Engine:
             cache=cache_label, fingerprint=fp, outcome="ok",
             detail=gc_detail(gc_begun)))
         return artifact
-
-    def prime_substrate(self, analysis: str) -> None:
-        """Build everything the paper excludes from *analysis*'s main phase
-        (hits the stage cache on warm runs): the solve stage's inputs."""
-        stage = self.stages.get(f"solve:{analysis}")
-        for dep in stage.inputs if stage is not None else ("prepare",):
-            self.ensure(dep)
 
     # ------------------------------------------------------------ main phase
 

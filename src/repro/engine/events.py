@@ -32,7 +32,7 @@ EVENT_KINDS = ("stage_start", "cache_hit", "artifact_bytes", "self_heal",
                "stage_end")
 
 #: ``cache`` values that mean "served from a cache" in a trace record.
-CACHE_HIT_LABELS = ("codec", "replay", "result-store")
+CACHE_HIT_LABELS = ("codec", "result-store")
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """The typed stages of the analysis flow.
 
-Each :class:`Stage` names its inputs (edges of the stage graph), how it
-is cached (``codec`` round-trips through an encoder, ``replay`` rebuilds
-and verifies a digest, ``None`` is never cached), whether it belongs to
-the paper's timed main phase, and how to run it from a
+Each :class:`Stage` names its inputs (edges of the stage graph), whether
+it is cached (``codec`` round-trips through an encoder; only Andersen's
+result is cached, because only its hit skips work), whether it belongs
+to the paper's timed main phase, and how to run it from a
 :class:`~repro.engine.context.StageContext`.
 
 The graph mirrors the paper's staging::
@@ -12,6 +12,7 @@ The graph mirrors the paper's staging::
                    \\-> solve:andersen            (aux as the requested analysis)
                    \\-> solve:icfg-fs             (dense baseline)
                              svfg -> solve:sfs               (main phase)
+                             svfg -> solve:sfs-par           (main phase, sharded)
                  svfg, versioning -> solve:vsfs              (main phase)
 
 Fingerprints are content hashes: a stage's fingerprint mixes its name,
@@ -24,8 +25,7 @@ the change.
 from __future__ import annotations
 
 import hashlib
-import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.andersen import AndersenAnalysis
 from repro.analysis.modref import compute_modref
@@ -35,12 +35,6 @@ from repro.ir.parser import parse_module
 from repro.memssa.builder import build_memssa
 from repro.passes.prepare import prepare_module
 from repro.store import decode_result, encode_result
-
-
-def canonical_digest(payload: Any) -> str:
-    """SHA-256 of the canonical JSON form of *payload*."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class Stage:
@@ -55,7 +49,7 @@ class Stage:
     main_phase: bool = False
     #: Bump to invalidate cached artifacts when the stage's logic changes.
     version: int = 1
-    #: None (never cached), "codec" (encode/decode) or "replay" (digest).
+    #: None (never cached) or "codec" (encode/decode through the cache).
     cache_mode: Optional[str] = None
 
     def config_token(self, ctx: Any) -> str:
@@ -75,11 +69,6 @@ class Stage:
         raise NotImplementedError
 
     def decode(self, ctx: Any, payload: Any) -> Any:
-        raise NotImplementedError
-
-    # ---- replay mode ----
-
-    def digest(self, ctx: Any, artifact: Any) -> str:
         raise NotImplementedError
 
 
@@ -160,73 +149,30 @@ class AndersenStage(Stage):
 
 
 class ModRefStage(Stage):
-    """Per-function mod/ref masks; rebuilt and digest-verified on hits."""
+    """Per-function mod/ref masks."""
 
     name = "modref"
     inputs = ("prepare", "andersen")
-    cache_mode = "replay"
 
     def run(self, ctx: Any) -> Any:
         return compute_modref(ctx.artifacts["prepare"],
                               ctx.artifacts["andersen"])
 
-    def digest(self, ctx: Any, artifact: Any) -> str:
-        return canonical_digest({
-            "mod": {fn.name: format(mask, "x")
-                    for fn, mask in artifact.mod.items()},
-            "ref": {fn.name: format(mask, "x")
-                    for fn, mask in artifact.ref.items()},
-        })
-
 
 class MemSSAStage(Stage):
-    """Memory SSA (μ/χ/MEMPHI annotations); replay-cached."""
+    """Memory SSA (μ/χ/MEMPHI annotations)."""
 
     name = "memssa"
     inputs = ("prepare", "andersen", "modref")
-    cache_mode = "replay"
 
     def run(self, ctx: Any) -> Any:
         return build_memssa(ctx.artifacts["prepare"],
                             ctx.artifacts["andersen"],
                             ctx.artifacts["modref"])
 
-    def digest(self, ctx: Any, artifact: Any) -> str:
-        def mus(table: Dict[Any, Any]) -> List[List[int]]:
-            return sorted([inst.id, mu.obj.id, mu.ver]
-                          for inst, entries in table.items()
-                          for mu in entries)
-
-        def chis(table: Dict[Any, Any]) -> List[List[int]]:
-            return sorted([inst.id, chi.obj.id, chi.new_ver, chi.old_ver]
-                          for inst, entries in table.items()
-                          for chi in entries)
-
-        payload = {
-            "load_mus": mus(artifact.load_mus),
-            "store_chis": chis(artifact.store_chis),
-            "call_mus": mus(artifact.call_mus),
-            "call_chis": chis(artifact.call_chis),
-            "entry_chis": sorted(
-                [fn.name, chi.obj.id, chi.new_ver, chi.old_ver]
-                for fn, entries in artifact.entry_chis.items()
-                for chi in entries),
-            "exit_mus": sorted(
-                [fn.name, mu.obj.id, mu.ver]
-                for fn, entries in artifact.exit_mus.items()
-                for mu in entries),
-            "memphis": sorted(
-                [fn.name, phi.block.name, phi.obj.id, phi.new_ver,
-                 sorted([pred.name, ver]
-                        for pred, ver in phi.incomings.items())]
-                for fn, phis in artifact.memphis.items()
-                for phi in phis),
-        }
-        return canonical_digest(payload)
-
 
 class SVFGStage(Stage):
-    """The sparse value-flow graph; replay-cached.
+    """The sparse value-flow graph.
 
     The built graph is the *immutable* shared substrate: every solver
     reads it through its own :meth:`SVFG.copy` view.
@@ -234,7 +180,6 @@ class SVFGStage(Stage):
 
     name = "svfg"
     inputs = ("prepare", "andersen", "memssa")
-    cache_mode = "replay"
 
     def run(self, ctx: Any) -> Any:
         from repro.svfg.builder import build_svfg
@@ -243,42 +188,16 @@ class SVFGStage(Stage):
                           ctx.artifacts["andersen"],
                           ctx.artifacts["memssa"])
 
-    def digest(self, ctx: Any, artifact: Any) -> str:
-        payload = {
-            "nodes": [type(node).__name__ for node in artifact.nodes],
-            "direct": sorted(
-                [src, dst]
-                for src, succs in enumerate(artifact.direct_succs)
-                for dst in succs),
-            "indirect": sorted(
-                [src, dst, oid]
-                for src, row in enumerate(artifact.indirect_succs())
-                for oid, dsts in row.items()
-                for dst in dsts),
-            "delta": sorted(artifact.delta_nodes),
-        }
-        return canonical_digest(payload)
-
 
 class VersioningStage(Stage):
     """Object versioning (prelabel + meld) on the shared SVFG, read (never
-    mutated) by every VSFS solve.
-
-    Digest excludes the wall-clock ``time`` entry of the snapshot — the
-    artifact's identity is its labelling, not how long it took.
-    """
+    mutated) by every VSFS solve."""
 
     name = "versioning"
     inputs = ("svfg",)
-    cache_mode = "replay"
 
     def run(self, ctx: Any) -> Any:
         return version_objects(ctx.artifacts["svfg"])
-
-    def digest(self, ctx: Any, artifact: Any) -> str:
-        snapshot = dict(artifact.snapshot())
-        snapshot.pop("time", None)
-        return canonical_digest(snapshot)
 
 
 class SolveStage(Stage):
@@ -359,21 +278,20 @@ class SolveStage(Stage):
 
 
 class ParallelSolveStage(SolveStage):
-    """Sharded multiprocessing solve (:mod:`repro.parallel`).
+    """Sharded multiprocessing SFS solve (:mod:`repro.parallel`).
 
-    ``solve:sfs-par`` / ``solve:vsfs-par`` run the corresponding staged
-    kernel on ``ctx.jobs`` workers over an SCC-condensed partition of the
-    SVFG.  The result is bit-identical to the serial rung's (the solvers
-    are confluent; DESIGN.md §10), so the worker count is a *run*
-    configuration, not an analysis change — which is why these stages
-    share the serial rung's result identity and only the trace and the
-    attached ``result.parallel`` stats differ.
+    ``solve:sfs-par`` runs the SFS kernel on ``ctx.jobs`` workers over an
+    SCC-condensed partition of the SVFG.  The result is bit-identical to
+    the serial rung's (SFS is confluent; DESIGN.md §10), so the worker
+    count is a *run* configuration, not an analysis change — which is why
+    this stage shares the serial rung's result identity and only the
+    trace and the attached ``result.parallel`` stats differ.
     """
 
-    def __init__(self, level: str):
-        super().__init__(level[: -len("-par")])
-        self.base_level, self.level = self.level, level
-        self.name = f"solve:{level}"
+    def __init__(self) -> None:
+        super().__init__("sfs")
+        self.level = "sfs-par"
+        self.name = "solve:sfs-par"
 
     def config_token(self, ctx: Any) -> str:
         return (f"ptrepo={ctx.ptrepo},"
@@ -384,7 +302,7 @@ class ParallelSolveStage(SolveStage):
 
         plan = ctx.warm_plan
         if plan is not None and getattr(plan, "usable", False) \
-                and getattr(plan, "analysis", None) == self.base_level:
+                and getattr(plan, "analysis", None) == "sfs":
             # A warm re-solve retracts/reseeds from a stored solution; a
             # sharded run would have to split that preload across worker
             # partitions.  Collapse to the serial kernel — result-
@@ -394,16 +312,15 @@ class ParallelSolveStage(SolveStage):
 
             ctx.bus.emit(heal_event(self.name, "parallel", "collapse",
                                     reason="warm-start", jobs=ctx.jobs))
-            return SolveStage(self.base_level).run(ctx)
+            return SolveStage("sfs").run(ctx)
         if ctx.resume_state is not None:
             raise AnalysisError(
                 "parallel solve stages cannot resume a serial checkpoint; "
                 "rerun serially (--jobs 1) to resume")
         budget = ctx.meter.budget if ctx.meter is not None else None
         result = solve_parallel(
-            ctx.artifacts["svfg"], self.base_level, ctx.jobs,
-            ptrepo=ctx.ptrepo, budget=budget,
-            faults=ctx.faults, versioning=ctx.artifacts.get("versioning"),
+            ctx.artifacts["svfg"], "sfs", ctx.jobs,
+            ptrepo=ctx.ptrepo, budget=budget, faults=ctx.faults,
             mode=ctx.parallel_mode)
         if ctx.meter is not None:
             # The workers metered themselves (per-worker budgets); reflect
@@ -416,21 +333,14 @@ class ParallelSolveStage(SolveStage):
 #: Solve levels the engine can run (= degradation-ladder rungs).
 SOLVE_LEVELS = ("andersen", "sfs", "vsfs", "icfg-fs")
 
-#: Parallel variants of the staged solvers (result-identical to serial).
-PARALLEL_SOLVE_LEVELS = ("sfs-par", "vsfs-par")
-
 
 def default_stages() -> Dict[str, Stage]:
     """The standard stage registry, name → stage."""
     stages: Dict[str, Stage] = {}
     for stage in (ParseStage(), PrepareStage(), AndersenStage(),
                   ModRefStage(), MemSSAStage(), SVFGStage(),
-                  VersioningStage()):
+                  VersioningStage(),
+                  *(SolveStage(level) for level in SOLVE_LEVELS),
+                  ParallelSolveStage()):
         stages[stage.name] = stage
-    for level in SOLVE_LEVELS:
-        solve = SolveStage(level)
-        stages[solve.name] = solve
-    for level in PARALLEL_SOLVE_LEVELS:
-        solve = ParallelSolveStage(level)
-        stages[solve.name] = solve
     return stages

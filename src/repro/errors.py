@@ -186,8 +186,8 @@ class WorkerCrash(SolverError):
     the heartbeat timeout, or lose a frontier exchange; each incident
     charges that worker's failure budget.  When the budget is spent the
     driver aborts the parallel rung with this error so the degradation
-    ladder collapses onto the serial twin (``sfs-par → sfs``,
-    ``vsfs-par → vsfs``) — same precision, bit-identical results, tagged
+    ladder collapses onto the serial twin (``sfs-par → sfs``; VSFS is
+    never sharded) — same precision, bit-identical results, tagged
     ``degraded_from`` in the run report.
     """
 

@@ -15,7 +15,7 @@ or near — their final values and it processes them once instead of
 re-propagating every partial result.  That work reduction, not raw
 concurrency, is what makes the staged sweep faster than a serial solve
 even on a single core; on many cores the fork workers overlap on top of
-it.  Correctness never depends on the stagger: the solvers are confluent
+it.  Correctness never depends on the stagger: SFS is confluent
 (DESIGN.md §10), so any delivery order reaches the identical least
 fixpoint, bit for bit.
 
@@ -45,7 +45,6 @@ from repro.errors import AnalysisError, InjectedFault, SolverError, WorkerCrash
 from repro.parallel.partition import Partition, partition_svfg
 from repro.parallel.worker import (
     HUNG,
-    SHARDED_SOLVERS,
     ForkedWorker,
     InlineWorker,
     WorkerSpec,
@@ -111,7 +110,7 @@ def _make_worker(spec: WorkerSpec, mode: str, mp_ctx):
 
 def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
                    ptrepo: bool = True,
-                   budget=None, faults=None, versioning=None,
+                   budget=None, faults=None,
                    shards_per_worker: int = 4, mode: Optional[str] = None,
                    seal_every: int = 0, kill_after_round: Optional[int] = None,
                    kill_worker: int = 0,
@@ -119,7 +118,7 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
                    max_worker_failures: int = DEFAULT_WORKER_FAILURE_BUDGET,
                    hang_after_round: Optional[int] = None,
                    hang_worker: int = 0) -> FlowSensitiveResult:
-    """Solve *svfg* at *level* ("sfs" or "vsfs") on *jobs* sharded workers.
+    """Solve *svfg* at *level* (only "sfs" shards) on *jobs* workers.
 
     Returns a :class:`FlowSensitiveResult` bit-identical to the serial
     solver's, with a :class:`ParallelStats` attached as ``.parallel``.
@@ -146,17 +145,11 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
     collapses onto the bit-identical serial rung.  ``hang_after_round``/
     ``hang_worker`` is the watchdog's test hook: the named worker's first
     incarnation goes silent after that many rounds (fork only).
-
-    ``versioning`` (VSFS only) is the engine's cached versioning stage:
-    every worker reads it, none mutates it.
     """
     begun = time.perf_counter()
-    if level not in SHARDED_SOLVERS:
+    if level != "sfs":
         raise AnalysisError(
-            f"parallel solving supports {sorted(SHARDED_SOLVERS)}, "
-            f"not {level!r}")
-    if level == "vsfs" and versioning is None:
-        raise AnalysisError("parallel VSFS needs versioning=")
+            f"parallel solving supports only 'sfs', not {level!r}")
     partition = partition_svfg(svfg, jobs, shards_per_worker)
     jobs = partition.num_workers
     module = svfg.module
@@ -175,9 +168,8 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
         heartbeat_seconds = None  # inline workers cannot hang independently
 
     specs = [
-        WorkerSpec(worker_id=w, level=level, svfg=svfg, partition=partition,
-                   ptrepo=ptrepo, versioning=versioning, budget=budget,
-                   faults=faults,
+        WorkerSpec(worker_id=w, svfg=svfg, partition=partition,
+                   ptrepo=ptrepo, budget=budget, faults=faults,
                    hang_after_round=(hang_after_round
                                      if w == hang_worker else None))
         for w in range(jobs)
@@ -416,8 +408,6 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
     # One logical execution: revived workers' sealed pops were performed
     # by this run's dead incarnations, not by a previous run.
     stats.resumed_steps = 0
-    if level == "vsfs":
-        stats.pre_time += versioning.stats.time  # shared by every worker
     stats.top_level_bits = sum(count_bits(mask) for mask in pt)
     stats.callgraph_edges = callgraph.num_edges()
     # Exact global dedup count over the union of the workers' stored sets
@@ -427,13 +417,6 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
         unique.update(int(text, 16) for text in payload["unique_masks"])
     stats.unique_ptsets = len(unique)
     stats.unique_ptset_bits = sum(count_bits(mask) for mask in unique)
-    if level == "vsfs":
-        # The global (object, version) table is replicated per worker and
-        # identical everywhere at the fixpoint; summing would count it
-        # ``jobs`` times.
-        stats.stored_ptsets = max(p.stored_ptsets for p in parts)
-        stats.stored_ptset_bits = max(p.stored_ptset_bits for p in parts)
-
 
     sizes = partition.worker_sizes()
     pstats.workers = [

@@ -10,10 +10,8 @@ A worker's round output is one :class:`FrontierBatch` holding
   cross-boundary set is transmitted exactly once, ever — no matter how
   many frontier entries or rounds reference it;
 - ``vars``: top-level deltas, ``var id → set id`` (broadcast);
-- ``mem``: address-taken deltas — ``(node id, object id) → set id`` for
-  SFS (applied by the node's owner), ``(object id, version) → set id``
-  for VSFS (applied by everyone: the global table is keyed globally,
-  which is what makes shard merges commutative);
+- ``mem``: address-taken deltas — ``(node id, object id) → set id``,
+  applied by the node's owner;
 - ``calls``: on-the-fly call edges as replayable ``(inst id, callee
   name)`` references (broadcast; every worker re-wires its own SVFG copy).
 
@@ -49,8 +47,7 @@ class FrontierBatch:
     watermark: int = 1
     #: var id -> wire set id.
     vars: Dict[int, int] = field(default_factory=dict)
-    #: (node id, object id) -> wire set id for SFS;
-    #: (object id, version) -> wire set id for VSFS.
+    #: (node id, object id) -> wire set id.
     mem: Dict[Tuple[int, int], int] = field(default_factory=dict)
     #: Replayable call-edge references: (call inst id, callee name).
     calls: List[Tuple[int, str]] = field(default_factory=list)

@@ -1,7 +1,6 @@
-"""Shard-local solvers: the staged kernels restricted to an owned region.
+"""The shard-local solver: SFS restricted to an owned region.
 
-:class:`ShardedSFS` / :class:`ShardedVSFS` are the ordinary staged
-solvers with three changes:
+:class:`ShardedSFS` is the ordinary staged SFS solver with three changes:
 
 - the worklist drops pushes of nodes the worker does not own (transfer
   functions only ever run on owned nodes);
@@ -24,13 +23,14 @@ import time
 from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, List, Tuple
 
-from repro.core.vsfs import VSFSAnalysis
+from repro.datastructs.bitset import count_bits
 from repro.datastructs.worklist import FIFOWorkList
 from repro.ir.function import Function
 from repro.ir.instructions import CallInst
 from repro.ir.values import Variable
 from repro.parallel.partition import Partition
 from repro.solvers.sfs import SFSAnalysis
+from repro.store.codec import call_sites_by_id, resolve_call_edge
 from repro.svfg.builder import SVFG
 from repro.svfg.nodes import InstNode
 
@@ -41,7 +41,7 @@ class OwnedFIFOWorkList(FIFOWorkList):
     Drops pushes of nodes the worker does not own, and pops from the
     topologically earliest non-empty *shard* (shards are contiguous
     topological segments of the SCC condensation), FIFO within a shard.
-    The staged drain is the sharded solvers' main work saver: each local
+    The staged drain is the sharded solver's main work saver: each local
     fixpoint becomes a topological sweep where downstream shards run
     after their upstream inputs settle, while FIFO order inside a shard
     keeps SCC cycles draining round-robin exactly like the serial
@@ -108,12 +108,13 @@ class OwnedFIFOWorkList(FIFOWorkList):
         self._member = set(state["items"])
 
 
-class ShardedSolverMixin:
-    """Owned-region filtering + frontier outboxes over a staged solver.
+class ShardedSFS(SFSAnalysis):
+    """SFS restricted to an owned region.
 
-    Must precede the solver class in the MRO::
-
-        class ShardedSFS(ShardedSolverMixin, SFSAnalysis): ...
+    Each object's edge table is split, for owned sources, into a local
+    part (walked by the unmodified ``_propagate``) and an **export part**
+    whose growth is diffed against a per-``(dst, object)`` sent-mask and
+    queued as frontier memory deltas.
     """
 
     def __init__(self, svfg: SVFG, partition: Partition, worker_id: int,
@@ -125,10 +126,15 @@ class ShardedSolverMixin:
         self._var_outbox: Dict[int, int] = {}
         self._mem_outbox: Dict[Tuple[int, int], int] = {}
         self._call_outbox: List[Tuple[int, str]] = []
+        self._call_sites = None
+        #: obj id -> owned src id -> successors owned by other workers.
+        self._export_succs: Dict[int, Dict[int, List[int]]] = {}
+        self._export_sent: Dict[Tuple[int, int], int] = {}
         self.rounds_run = 0
         super().__init__(svfg, **kwargs)
         self.worklist = OwnedFIFOWorkList(self.owned, partition.shard_of,
                                           len(partition.shards))
+        self._split_all()
 
     # -------------------------------------------------------- owned filtering
 
@@ -168,12 +174,63 @@ class ShardedSolverMixin:
                           touched: List[int]) -> None:
         if not self._suppress_outbox:
             self._call_outbox.append((call.id, callee.name))
-        self._after_connect(call, callee, touched)
+        self._split_call_edges(call, callee, touched)
         super()._on_new_call_edge(call, callee, touched)
 
-    def _after_connect(self, call: CallInst, callee: Function,
-                       touched: List[int]) -> None:
-        """Hook: re-index structures after connect_callsite grew edges."""
+    # ---------------------------------------------------------- edge exports
+
+    def _split_all(self) -> None:
+        for oid, table in list(self.svfg.ind_edges.items()):
+            self._split_edges(oid, table)
+
+    def _split_edges(self, oid: int, srcs: Iterable[int]) -> None:
+        """Move cross-worker successors of the owned *srcs* in *oid*'s
+        table to the export table."""
+        owned = self.owned
+        table = self.svfg.ind_edges.get(oid, {})
+        split = [src for src in srcs
+                 if owned[src] and not all(owned[dst] for dst in table[src])]
+        if not split:
+            return
+        # The table is the build's: split this solver view's own copy.
+        table = self.svfg.own_table(oid)
+        exports = self._export_succs.setdefault(oid, {})
+        for src in split:
+            dsts = table[src]
+            exported = [dst for dst in dsts if not owned[dst]]
+            table[src] = tuple(dst for dst in dsts if owned[dst])
+            seen = exports.get(src)
+            if seen is None:
+                exports[src] = exported  # SVFG successor lists are deduped
+            else:
+                known = set(seen)
+                seen.extend(dst for dst in exported if dst not in known)
+
+    def _split_call_edges(self, call: CallInst, callee: Function,
+                          touched: List[int]) -> None:
+        """connect_callsite may have appended cross-worker indirect edges
+        (ActualIN→FormalIN / FormalOUT→ActualOUT) to owned sources."""
+        for src, __, oid in self.svfg.call_edges(call, callee):
+            if oid is not None and src in touched:
+                self._split_edges(oid, (src,))
+
+    def _propagate(self, node_id: int, oid: int, mask: int) -> None:
+        super()._propagate(node_id, oid, mask)
+        exports = self._export_succs.get(oid)
+        if not exports or not mask:
+            return
+        dsts = exports.get(node_id)
+        if not dsts:
+            return
+        sent = self._export_sent
+        outbox = self._mem_outbox
+        self.stats.propagations += len(dsts)
+        for dst in dsts:
+            key = (dst, oid)
+            added = mask & ~sent.get(key, 0)
+            if added:
+                sent[key] = sent.get(key, 0) | added
+                outbox[key] = outbox.get(key, 0) | added
 
     # ------------------------------------------------------------ round loop
 
@@ -228,31 +285,24 @@ class ShardedSolverMixin:
 
     def apply_var_delta(self, vid: int, mask: int) -> None:
         """Merge a peer's top-level growth; wake owned readers."""
-        self._suppress_outbox = True
-        try:
-            old = self.pt[vid]
-            new = old | mask
-            if new != old:
-                self.pt[vid] = new
-                for user in self.svfg.var_uses.get(vid, ()):
-                    self.worklist.push(user)
-        finally:
-            self._suppress_outbox = False
+        old = self.pt[vid]
+        new = old | mask
+        if new != old:
+            self.pt[vid] = new
+            for user in self.svfg.var_uses.get(vid, ()):
+                self.worklist.push(user)
 
     def apply_call_edge(self, inst_id: int, callee_name: str) -> None:
         """Replay a peer-discovered call edge on this worker's SVFG view."""
-        from repro.store.codec import call_sites_by_id, resolve_call_edge
-
-        sites = getattr(self, "_call_sites", None)
-        if sites is None:
-            sites = self._call_sites = call_sites_by_id(self.module)
-        call, callee = resolve_call_edge(self.module, sites, inst_id,
-                                         callee_name)
+        if self._call_sites is None:
+            self._call_sites = call_sites_by_id(self.module)
+        call, callee = resolve_call_edge(self.module, self._call_sites,
+                                         inst_id, callee_name)
         self._suppress_outbox = True
         try:
             if self.callgraph.add_edge(call, callee):
                 touched = self.svfg.connect_callsite(call, callee)
-                self._after_connect(call, callee, touched)
+                self._split_call_edges(call, callee, touched)
                 super()._on_new_call_edge(call, callee, touched)
                 for src in touched:
                     self.worklist.push(src)
@@ -269,7 +319,25 @@ class ShardedSolverMixin:
             self._suppress_outbox = False
 
     def apply_mem_delta(self, key: Tuple[int, int], mask: int) -> None:
-        raise NotImplementedError
+        """Merge a peer's IN-set growth into an owned node."""
+        node_id, oid = key
+        if not self.owned[node_id]:
+            return  # broadcast batch: not addressed to this worker
+        in_set = self.in_sets.setdefault(node_id, {})
+        entry = in_set.get(oid, 0)
+        old = self._entry_mask(entry)
+        added = mask & ~old
+        if not added:
+            return
+        # The union the sender's _propagate would have applied happens
+        # here, on the edge's receiving side — count it here too, so
+        # merged worker stats line up with the serial solve's tallies.
+        self.stats.unions += 1
+        if self.ptrepo is not None:
+            in_set[oid] = self.ptrepo.union_mask(entry, added)
+        else:
+            in_set[oid] = old | added
+        self.worklist.push(node_id)
 
     def apply_frontier(self, batches, mirrors) -> None:
         """Apply a round's incoming batches (any order reaches the same
@@ -287,8 +355,6 @@ class ShardedSolverMixin:
 
     def finalize(self) -> None:
         """Fill the end-of-solve stats the serial loop computes in run()."""
-        from repro.datastructs.bitset import count_bits
-
         self.stats.callgraph_edges = self.callgraph.num_edges()
         self.stats.top_level_bits = sum(count_bits(mask) for mask in self.pt)
         self._memory_footprint()
@@ -296,105 +362,6 @@ class ShardedSolverMixin:
     def stored_masks(self) -> Iterator[int]:
         """Every stored non-empty address-taken mask (for the driver's
         exact global dedup recount across workers)."""
-        raise NotImplementedError
-
-
-class ShardedSFS(ShardedSolverMixin, SFSAnalysis):
-    """SFS restricted to an owned region.
-
-    Each object's edge table is split, for owned sources, into a local
-    part (walked by the unmodified ``_propagate``) and an **export part**
-    whose growth is diffed against a per-``(dst, object)`` sent-mask and
-    queued as frontier memory deltas.
-    """
-
-    def __init__(self, svfg: SVFG, partition: Partition, worker_id: int,
-                 **kwargs) -> None:
-        #: obj id -> owned src id -> successors owned by other workers.
-        self._export_succs: Dict[int, Dict[int, List[int]]] = {}
-        self._export_sent: Dict[Tuple[int, int], int] = {}
-        super().__init__(svfg, partition, worker_id, **kwargs)
-        self._split_all()
-
-    def _split_all(self) -> None:
-        for oid, table in list(self.svfg.ind_edges.items()):
-            self._split_edges(oid, table)
-
-    def _split_edges(self, oid: int, srcs: Iterable[int]) -> None:
-        """Move cross-worker successors of the owned *srcs* in *oid*'s
-        table to the export table."""
-        owned = self.owned
-        table = self.svfg.ind_edges.get(oid, {})
-        split = [src for src in srcs
-                 if owned[src] and not all(owned[dst] for dst in table[src])]
-        if not split:
-            return
-        # The table is the build's: split this solver view's own copy.
-        table = self.svfg.own_table(oid)
-        exports = self._export_succs.setdefault(oid, {})
-        for src in split:
-            dsts = table[src]
-            exported = [dst for dst in dsts if not owned[dst]]
-            table[src] = tuple(dst for dst in dsts if owned[dst])
-            seen = exports.get(src)
-            if seen is None:
-                exports[src] = exported  # SVFG successor lists are deduped
-            else:
-                known = set(seen)
-                seen.extend(dst for dst in exported if dst not in known)
-
-    def _after_connect(self, call: CallInst, callee: Function,
-                       touched: List[int]) -> None:
-        # connect_callsite may have appended cross-worker indirect edges
-        # (ActualIN→FormalIN / FormalOUT→ActualOUT) to owned sources.
-        for src, __, oid in self.svfg.call_edges(call, callee):
-            if oid is not None and src in touched:
-                self._split_edges(oid, (src,))
-
-    def _propagate(self, node_id: int, oid: int, mask: int) -> None:
-        super()._propagate(node_id, oid, mask)
-        exports = self._export_succs.get(oid)
-        if not exports or not mask:
-            return
-        dsts = exports.get(node_id)
-        if not dsts:
-            return
-        sent = self._export_sent
-        outbox = self._mem_outbox
-        self.stats.propagations += len(dsts)
-        for dst in dsts:
-            key = (dst, oid)
-            added = mask & ~sent.get(key, 0)
-            if added:
-                sent[key] = sent.get(key, 0) | added
-                outbox[key] = outbox.get(key, 0) | added
-
-    def apply_mem_delta(self, key: Tuple[int, int], mask: int) -> None:
-        """Merge a peer's IN-set growth into an owned node."""
-        node_id, oid = key
-        if not self.owned[node_id]:
-            return  # broadcast batch: not addressed to this worker
-        self._suppress_outbox = True
-        try:
-            in_set = self.in_sets.setdefault(node_id, {})
-            entry = in_set.get(oid, 0)
-            old = self._entry_mask(entry)
-            added = mask & ~old
-            if not added:
-                return
-            # The union the sender's _propagate would have applied happens
-            # here, on the edge's receiving side — count it here too, so
-            # merged worker stats line up with the serial solve's tallies.
-            self.stats.unions += 1
-            if self.ptrepo is not None:
-                in_set[oid] = self.ptrepo.union_mask(entry, added)
-            else:
-                in_set[oid] = old | added
-            self.worklist.push(node_id)
-        finally:
-            self._suppress_outbox = False
-
-    def stored_masks(self) -> Iterator[int]:
         entry_mask = self._entry_mask
         for sets in (self.in_sets, self.out_sets):
             for table in sets.values():
@@ -425,62 +392,3 @@ class ShardedSFS(ShardedSolverMixin, SFSAnalysis):
         rows they grew; split them now (construction's exports stay).
         """
         self._split_all()
-
-
-class ShardedVSFS(ShardedSolverMixin, VSFSAnalysis):
-    """VSFS restricted to an owned region.
-
-    The global ``(object, version)`` table is fully replicated: writes
-    broadcast their *root* deltas and every worker replays the identical
-    constraint closure, so the per-worker tables converge cell-wise —
-    the global keying is exactly what makes the shard merge a cell-wise
-    OR, commutative and schedule-independent.  Only the readers index is
-    restricted to owned nodes, so growth wakes local work only.
-    """
-
-    def _prepare(self) -> None:
-        super()._prepare()
-        self.stats.pre_time -= self.versioning.stats.time  # driver's, once
-
-    def _build_readers(self) -> None:
-        super()._build_readers()
-        owned = self.owned
-        self.readers = {
-            key: [nid for nid in nids if owned[nid]]
-            for key, nids in self.readers.items()
-        }
-
-    def _ptv_join(self, oid: int, ver: int, mask: int) -> None:
-        if not self._suppress_outbox and mask:
-            added = mask & ~self.ptv_mask(oid, ver)
-            if added:
-                key = (oid, ver)
-                outbox = self._mem_outbox
-                outbox[key] = outbox.get(key, 0) | added
-        super()._ptv_join(oid, ver, mask)
-
-    def apply_mem_delta(self, key: Tuple[int, int], mask: int) -> None:
-        """Replay a peer's root write through the local constraint closure."""
-        oid, ver = key
-        self._suppress_outbox = True
-        try:
-            super()._ptv_join(oid, ver, mask)
-        finally:
-            self._suppress_outbox = False
-
-    def stored_masks(self) -> Iterator[int]:
-        entry_mask = self._entry_mask
-        for table in self.ptv.values():
-            for entry in table:
-                mask = entry_mask(entry)
-                if mask:
-                    yield mask
-
-    def shard_seal_extra(self) -> Dict[str, object]:
-        return {}
-
-    def restore_shard_extra(self, extra: Dict[str, object]) -> None:
-        pass
-
-    def after_restore(self) -> None:
-        pass

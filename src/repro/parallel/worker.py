@@ -1,4 +1,4 @@
-"""Worker plumbing: one sharded solver per worker, forked or inline.
+"""Worker plumbing: one sharded SFS solver per worker, forked or inline.
 
 The worker side is one small state machine (:class:`WorkerSession`):
 apply the round's incoming frontier batches, drain the owned region to
@@ -28,11 +28,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import BudgetExceeded, InjectedFault
 from repro.parallel.frontier import FrontierBatch, FrontierEncoder, PeerMirrors
 from repro.parallel.partition import Partition
-from repro.parallel.shard import ShardedSFS, ShardedVSFS
+from repro.parallel.shard import ShardedSFS
 from repro.store.codec import snapshot_call_edges
-
-#: Analysis level -> sharded solver class.
-SHARDED_SOLVERS = {"sfs": ShardedSFS, "vsfs": ShardedVSFS}
 
 
 class _Hung:
@@ -53,17 +50,14 @@ class WorkerSpec:
     """Everything needed to (re)build one worker's solver.
 
     Under fork start the heavyweight references (``svfg``,
-    ``versioning``, ``partition``) reach the child by memory inheritance;
-    no solver mutates them, so inline workers are just as isolated.
+    ``partition``) reach the child by memory inheritance; no solver
+    mutates them, so inline workers are just as isolated.
     """
 
     worker_id: int
-    level: str
     svfg: Any
     partition: Partition
     ptrepo: bool = True
-    #: The shared meld versioning (VSFS), read by every worker.
-    versioning: Any = None
     budget: Any = None
     faults: Any = None
     #: Bumped on every revival of this worker slot (see FrontierBatch).
@@ -78,19 +72,12 @@ class WorkerSpec:
     restore: Optional[Dict[str, Any]] = None
 
 
-def build_sharded_solver(spec: WorkerSpec):
+def build_sharded_solver(spec: WorkerSpec) -> ShardedSFS:
     """Construct the shard-local solver for *spec* (fresh, unrestored)."""
-    cls = SHARDED_SOLVERS.get(spec.level)
-    if cls is None:
-        raise ValueError(f"no sharded solver for analysis level {spec.level!r}")
-    kwargs: Dict[str, Any] = {
-        "ptrepo": spec.ptrepo,
-        "meter": spec.budget.meter() if spec.budget is not None else None,
-        "faults": spec.faults,
-    }
-    if spec.level == "vsfs":
-        kwargs["versioning"] = spec.versioning
-    return cls(spec.svfg, spec.partition, spec.worker_id, **kwargs)
+    return ShardedSFS(
+        spec.svfg, spec.partition, spec.worker_id, ptrepo=spec.ptrepo,
+        meter=spec.budget.meter() if spec.budget is not None else None,
+        faults=spec.faults)
 
 
 class WorkerSession:

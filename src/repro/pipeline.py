@@ -125,19 +125,6 @@ class AnalysisPipeline:
                                  parallel_mode=mode, warm_plan=warm_plan,
                                  capture_regions=capture_regions)
 
-    def vsfs_par(self, jobs: int = 2, ptrepo: bool = True,
-                 meter=None, faults=None, mode: Optional[str] = None,
-                 warm_plan=None,
-                 capture_regions: Optional[bool] = None
-                 ) -> FlowSensitiveResult:
-        """Sharded parallel VSFS on *jobs* workers (bit-identical to
-        :meth:`vsfs`).  A usable *warm_plan* collapses the run onto the
-        serial kernel (same result)."""
-        return self.engine.solve("vsfs-par", ptrepo=ptrepo,
-                                 meter=meter, faults=faults, jobs=jobs,
-                                 parallel_mode=mode, warm_plan=warm_plan,
-                                 capture_regions=capture_regions)
-
     def icfg_fs(self, meter=None, checkpointer=None, resume_state=None,
                 resume_step: int = 0) -> FlowSensitiveResult:
         return self.engine.solve("icfg-fs", meter=meter,

@@ -41,14 +41,13 @@ from repro.runtime.diagnostics import RunReport
 from repro.solvers.base import FlowSensitiveResult, SolverStats
 from repro.store.codec import ir_fingerprint
 
-#: Ladder per requested analysis, most precise first.  The parallel
-#: variants degrade to their serial twin first (same precision, simpler
-#: execution) before dropping precision — a worker blowing its budget
-#: falls back to one process before falling back to Andersen.
+#: Ladder per requested analysis, most precise first.  Sharded SFS
+#: degrades to its serial twin first (same precision, simpler execution)
+#: before dropping precision — a worker blowing its budget falls back to
+#: one process before falling back to Andersen.
 LADDERS = {
     "vsfs": ("vsfs", "sfs", "andersen"),
     "sfs": ("sfs", "andersen"),
-    "vsfs-par": ("vsfs-par", "vsfs", "sfs", "andersen"),
     "sfs-par": ("sfs-par", "sfs", "andersen"),
     "icfg-fs": ("icfg-fs", "andersen"),
     "ander": ("andersen",),
@@ -214,23 +213,20 @@ def solve_with_ladder(pipeline, analysis: str = "vsfs",
         # The warm plan applies only to the rung it was planned for —
         # a degraded rung solves a *different* analysis, whose stored
         # solution (if any) lives in its own slot.
-        base = level[: -len("-par")] if level.endswith("-par") else level
+        base = "sfs" if level == "sfs-par" else level
         if warm_plan is not None \
                 and getattr(warm_plan, "analysis", None) == base:
             return warm_plan
         return None
 
     def make_rung(level: str) -> Rung:
-        if level.endswith("-par"):
-            # Parallel rungs do their own sealing/revival in memory;
+        if level == "sfs-par":
+            # The parallel rung does its own sealing/revival in memory;
             # cross-run checkpoints and resume stay serial-only.
-            base = level[: -len("-par")]
-            return level, lambda meter: (
-                pipeline.sfs_par if base == "sfs" else pipeline.vsfs_par)(
-                    jobs=jobs, ptrepo=ptrepo, meter=meter,
-                    faults=faults, mode=parallel_mode,
-                    warm_plan=plan_for(level),
-                    capture_regions=capture_regions)
+            return level, lambda meter: pipeline.sfs_par(
+                jobs=jobs, ptrepo=ptrepo, meter=meter, faults=faults,
+                mode=parallel_mode, warm_plan=plan_for(level),
+                capture_regions=capture_regions)
         ck = checkpointer_for(level)
         state = resume_state if level == resume_level else None
         if level == "vsfs":

@@ -327,7 +327,6 @@ class AnalysisService:
         module = session.module
         level = "andersen" if analysis == "ander" else analysis
         if self.store is not None and not session.cacheless:
-            session.pipeline.engine.prime_substrate(analysis)
             try:
                 cached = self.store.get(module, analysis, True)
             except CheckpointError:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph
 from repro.datastructs.bitset import count_bits, iter_bits
-from repro.datastructs.worklist import FIFOWorkList
+from repro.datastructs.worklist import PriorityWorkList
 from repro.errors import BudgetExceeded
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -65,7 +65,8 @@ class ICFGFlowSensitive:
         self.out_sets: Dict[Instruction, Dict[int, int]] = {}
         self.callgraph = CallGraph(module)
         self.stats = SolverStats(analysis=self.analysis_name)
-        self.worklist: FIFOWorkList[Instruction] = FIFOWorkList()
+        self.worklist: PriorityWorkList[Instruction] = \
+            PriorityWorkList(key=self._pop_order().__getitem__)
         self._succs: Dict[Instruction, List[Instruction]] = {}
         self._var_uses: Dict[int, List[Instruction]] = {}
         self._function_objects: Dict[int, Function] = {
@@ -89,6 +90,43 @@ class ICFGFlowSensitive:
                     for target in term.targets:
                         if target.instructions:
                             self._succs.setdefault(term, []).append(target.instructions[0])
+
+    def _pop_order(self) -> Dict[Instruction, int]:
+        """Worklist priority of every instruction: functions in reverse
+        postorder of the direct call graph (callers before callees),
+        program order within a function.
+
+        Every pop re-joins whole IN/OUT maps, so settling predecessors
+        before their successors pop saves most of FIFO's re-visits.  The
+        order is a heuristic only: any order reaches the same fixpoint.
+        """
+        functions = list(self.module.functions.values())
+        callees = {function: [inst.callee for inst in function.instructions()
+                              if isinstance(inst, CallInst)
+                              and not inst.is_indirect()]
+                   for function in functions}
+        main = self.module.functions.get("main")
+        postorder: List[Function] = []
+        seen: Set[Function] = set()
+        for root in ([main] if main is not None else []) + functions:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [(root, iter(callees[root]))]
+            while stack:
+                function, pending = stack[-1]
+                callee = next(pending, None)
+                if callee is None:
+                    postorder.append(function)
+                    stack.pop()
+                elif callee not in seen:
+                    seen.add(callee)
+                    stack.append((callee, iter(callees[callee])))
+        order: Dict[Instruction, int] = {}
+        for function in reversed(postorder):
+            for inst in function.instructions():
+                order[inst] = len(order)
+        return order
 
     def _index_var_uses(self) -> None:
         for inst in self.module.instructions():
@@ -206,7 +244,7 @@ class ICFGFlowSensitive:
 
     def snapshot_state(self) -> Dict[str, object]:
         """Dense IN/OUT maps keyed by instruction id, plus the worklist in
-        queue order, the OTF call edges, and lazily created field objects."""
+        pop order, the OTF call edges, and lazily created field objects."""
         from repro.store.codec import snapshot_call_edges, snapshot_fields
 
         def encode(sets: Dict[Instruction, Dict[int, int]]

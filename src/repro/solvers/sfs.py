@@ -52,7 +52,8 @@ class SFSAnalysis(StagedSolverBase):
         """A-PROP: push *mask* of object *oid* into successors' IN sets.
 
         Eager: one union is applied (and counted) per successor, and a
-        successor is queued when its set grew.
+        successor is queued when its set grew.  *mask* is interned once,
+        not once per successor.
         """
         if not mask:
             return
@@ -64,6 +65,7 @@ class SFSAnalysis(StagedSolverBase):
         if faults is not None:
             faults.fire("propagate", self.analysis_name)
         repo = self.ptrepo
+        mask_id = repo.intern(mask) if repo is not None else 0
         in_sets = self.in_sets
         push = self.worklist.push
         for succ in succs:
@@ -74,7 +76,7 @@ class SFSAnalysis(StagedSolverBase):
             if repo is not None:
                 if faults is not None:
                     faults.fire("ptrepo_union", self.analysis_name)
-                new = repo.union_mask(entry, mask)
+                new = repo.union(entry, mask_id)
             else:
                 new = entry | mask
             if new != entry:

@@ -57,25 +57,24 @@ class TestSolverIsolation:
 
     def test_shared_svfg_not_mutated_by_solves(self):
         """Every solver reads the shared SVFG and versioning directly —
-        serial, warm-started, resumed and parallel — and none of them
+        serial, warm-started, resumed and parallel SFS — and none of them
         leaves a trace on either (OTF edges and constraints live in each
         solver's own view and overlay)."""
         from repro.core.vsfs import VSFSAnalysis
-        from repro.engine.stages import SVFGStage, VersioningStage
         from repro.errors import BudgetExceeded
         from repro.incremental.deps import node_flow_graph
         from repro.incremental.solution import build_payload, plan_warm
         from repro.parallel.driver import fork_available, solve_parallel
         from repro.runtime import Budget
         from repro.solvers.sfs import SFSAnalysis
+        from tests.digests import svfg_digest, versioning_digest
 
         pipeline = AnalysisPipeline.from_source(INDIRECT_SRC)
         svfg = pipeline.svfg()
         versioning = pipeline.versioning()
 
         def digests():
-            return (SVFGStage().digest(None, svfg),
-                    VersioningStage().digest(None, versioning))
+            return svfg_digest(svfg), versioning_digest(versioning)
 
         before = digests()
         # Views copy an object's table before extending it: the built
@@ -111,10 +110,8 @@ class TestSolverIsolation:
 
         modes = ["inline"] + (["fork"] if fork_available() else [])
         for mode in modes:
-            for level in ("sfs", "vsfs"):
-                par = solve_parallel(svfg, level, jobs=2, mode=mode,
-                                     versioning=versioning)
-                assert par.snapshot() == cold.snapshot()
+            par = solve_parallel(svfg, "sfs", jobs=2, mode=mode)
+            assert par.snapshot() == cold.snapshot()
         assert digests() == before
         assert svfg.ind_edges.keys() == tables.keys()
         for oid, table in tables.items():
@@ -193,7 +190,7 @@ def versioning_calls(monkeypatch):
 
 
 class TestOneVersioningPerSolve:
-    """Serial, parallel and daemon VSFS solves all read the one cached
+    """Serial, ``--jobs`` and daemon VSFS solves all read the one cached
     versioning stage: exactly one ``version_objects`` call per solve."""
 
     def test_serial_ladder_solve(self, versioning_calls):
@@ -205,6 +202,7 @@ class TestOneVersioningPerSolve:
         assert len(versioning_calls) == 1
 
     def test_jobs_2(self, versioning_calls, tmp_path, capsys):
+        # VSFS is never sharded: --jobs 2 runs the one serial solve.
         path = tmp_path / "prog.c"
         path.write_text(INDIRECT_SRC)
         assert cli_main(["-vfspta", str(path), "--jobs", "2",
@@ -282,30 +280,29 @@ class TestCLI:
 
     def test_store_run_twice_hits_stage_cache(self, c_file, tmp_path,
                                               capsys):
+        """A second analysis of the program on one store loads Andersen
+        from the stage cache and answers like a store-less run."""
         store = str(tmp_path / "store")
-        first = str(tmp_path / "first.json")
-        second = str(tmp_path / "second.json")
-        argv = ["-vfspta", c_file, "--store", store, "--dump-pts"]
-        assert cli_main(argv + ["--report-json", first]) == 0
-        cold_out = capsys.readouterr().out
-        assert cli_main(argv + ["--report-json", second]) == 0
-        warm_out = capsys.readouterr().out
+        report = str(tmp_path / "second.json")
 
-        # Identical points-to output either side of the cache.
-        cold_pts = [l for l in cold_out.splitlines() if l.startswith("pt(")]
-        warm_pts = [l for l in warm_out.splitlines() if l.startswith("pt(")]
-        assert cold_pts and cold_pts == warm_pts
+        def pts(argv):
+            assert cli_main(argv) == 0
+            out = capsys.readouterr().out
+            return [l for l in out.splitlines() if l.startswith("pt(")]
 
-        with open(first) as handle:
-            cold_payload = json.load(handle)
-        with open(second) as handle:
-            warm_payload = json.load(handle)
-        assert not cold_payload["store_hit"]
-        assert warm_payload["store_hit"]
-        warm_stages = {s["stage"]: s for s in warm_payload["stages"]}
-        for name in ("andersen", "modref", "memssa", "svfg", "versioning"):
-            assert warm_stages[name]["cache_hit"], name
-        assert warm_stages["solve:vsfs"]["cache"] == "result-store"
+        pts(["-vfspta", c_file, "--store", store])
+        warm = pts(["-fspta", c_file, "--store", store, "--dump-pts",
+                    "--report-json", report])
+        fresh = pts(["-fspta", c_file, "--dump-pts"])
+        assert warm and warm == fresh
+
+        with open(report) as handle:
+            payload = json.load(handle)
+        assert not payload["store_hit"]
+        stages = {s["stage"]: s for s in payload["stages"]}
+        assert stages["andersen"]["cache"] == "codec"
+        for name in ("modref", "memssa", "svfg"):
+            assert stages[name]["cache"] is None, name
 
 
 class TestRemovedPassesModule:

@@ -3,7 +3,7 @@
 The acceptance bar of the function-granular refactor: after an edit to
 one function, a warm run recomputes only the dirty closure and is
 **bit-identical** to a cold solve of the edited program — for SFS and
-VSFS, in-process and through the CLI store (serial and ``--jobs 2``,
+VSFS, in-process and through the CLI store (serial, and SFS ``--jobs 2``,
 which collapses onto the serial twin), and through the service's
 ``update_source`` op.
 """
@@ -143,7 +143,7 @@ class TestCLIWarmPath:
     def test_jobs_2_collapses_to_serial_warm(self, prog, tmp_path, capsys):
         store = str(tmp_path / "store")
         report = str(tmp_path / "warm-par.json")
-        argv = ["-vfspta", str(prog), "--dump-pts", "--store", store]
+        argv = ["-fspta", str(prog), "--dump-pts", "--store", store]
         self.run_cli(argv, capsys)
 
         prog.write_text(SCALAR_EDIT)
@@ -152,7 +152,7 @@ class TestCLIWarmPath:
 
         fresh = str(tmp_path / "fresh")
         cold_out = self.run_cli(
-            ["-vfspta", str(prog), "--dump-pts", "--store", fresh], capsys)
+            ["-fspta", str(prog), "--dump-pts", "--store", fresh], capsys)
         assert self.pts_lines(cold_out.out) == self.pts_lines(warm_out.out)
 
         with open(report) as handle:

@@ -1,13 +1,14 @@
 """Parallel sharded solving must be result-invisible (DESIGN.md §10).
 
-The sharded drivers partition the SVFG across workers and exchange only
-frontier deltas, but the solvers are confluent: any fair schedule reaches
-the identical least fixpoint.  These tests pin that down bit-for-bit —
-parallel SFS/VSFS against their serial twins across worker counts,
-transports and storage modes, including a worker that is hard-killed
-mid-solve and revived from its last seal.  Serial solves on one pipeline
-must not leak state into each other either: each owns its PTRepo, and a
-degradation-ladder fallback equals a plain solve of its rung.
+The sharded driver partitions the SVFG across workers and exchanges only
+frontier deltas, but SFS is confluent: any fair schedule reaches the
+identical least fixpoint.  These tests pin that down bit-for-bit —
+parallel SFS against its serial twin across worker counts, transports
+and storage modes, including a worker that is hard-killed mid-solve and
+revived from its last seal.  (VSFS is not sharded.)  Serial solves on
+one pipeline must not leak state into each other either: each owns its
+PTRepo, and a degradation-ladder fallback equals a plain solve of its
+rung.
 """
 
 import pytest
@@ -51,21 +52,11 @@ class TestParallelEquivalence:
         assert result.parallel.jobs == jobs
         assert result.parallel.rounds >= jobs  # topological stagger
 
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_vsfs_matches_serial(self, pipeline, serial_vsfs, jobs):
-        result = pipeline.vsfs_par(jobs=jobs)
-        assert_identical(result, serial_vsfs)
-        assert result.parallel.jobs == jobs
-
     def test_no_ptrepo_matches_serial(self, pipeline, serial_sfs):
         # The frontier codec never ships raw sets even when deduplicated
         # storage is switched off inside the solver.
         result = pipeline.sfs_par(jobs=2, ptrepo=False)
         assert result._pt == serial_sfs._pt
-
-    def test_vsfs_no_ptrepo_matches_serial(self, pipeline, serial_vsfs):
-        result = pipeline.vsfs_par(jobs=2, ptrepo=False)
-        assert_identical(result, serial_vsfs)
 
     def test_fork_transport_matches_inline(self, pipeline, serial_sfs):
         from repro.parallel.driver import fork_available
@@ -131,15 +122,13 @@ class TestSerialSolvesShareNothing:
 
 
 class TestKillAndResume:
-    @pytest.mark.parametrize("level,kill_worker", [("sfs", 0), ("vsfs", 1)])
+    @pytest.mark.parametrize("kill_worker", [0, 1])
     def test_killed_worker_revives_from_seal(self, pipeline, serial_sfs,
-                                             serial_vsfs, level, kill_worker):
-        serial = serial_sfs if level == "sfs" else serial_vsfs
-        versioning = pipeline.versioning() if level == "vsfs" else None
+                                             kill_worker):
         result = solve_parallel(
-            pipeline.svfg(), level, jobs=2, versioning=versioning,
+            pipeline.svfg(), "sfs", jobs=2,
             seal_every=1, kill_after_round=1, kill_worker=kill_worker)
-        assert_identical(result, serial)
+        assert_identical(result, serial_sfs)
         assert result.parallel.revivals >= 1
         assert result.parallel.workers[kill_worker]["incarnation"] >= 1
 

@@ -214,6 +214,9 @@ class TestChaosHarness:
         again = build_schedule(["sfs", "vsfs"], [1, 2], 8, 0)
         assert [(r.point, r.trigger, r.seed) for r in runs] == \
             [(r.point, r.trigger, r.seed) for r in again]
+        # Only SFS shards: VSFS is soaked serially, once.
+        assert sorted({r.config for r in runs}) == \
+            ["sfs/j1", "sfs/j2", "vsfs/j1"]
         # The batch soak owns every non-service point; the daemon soak
         # (--daemon) owns the service domain — together, the whole table.
         targeted = {r.point for r in runs}

@@ -21,7 +21,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine import Engine, StageCache, StageContext
 from repro.errors import CheckpointError
-from repro.runtime.checkpoint import load_checkpoint
+from repro.ir.fingerprint import FINGERPRINT_SCHEME
+from repro.runtime.checkpoint import CHECKPOINT_SCHEMA, load_checkpoint
 from repro.store.atomic import write_sealed_json
 
 RELAXED = settings(max_examples=30, deadline=None,
@@ -57,11 +58,19 @@ class TestCheckpointCorruption:
     @pytest.fixture
     def checkpoint_file(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        write_sealed_json(path, "checkpoint", 1,
+        write_sealed_json(path, "checkpoint", CHECKPOINT_SCHEMA,
                           {"ir_hash": "x" * 8, "analysis": "sfs",
-                           "ptrepo": True, "step": 12},
+                           "ptrepo": True, "step": 12,
+                           "fp_scheme": FINGERPRINT_SCHEME},
                           {"worklist": [1, 2, 3], "pt": ["0x5"]})
         return path
+
+    def test_undamaged_fixture_loads(self, checkpoint_file):
+        """Without this, every corruption case below could take the typed
+        branch and the "data must be exact" branch would never run."""
+        meta, payload = load_checkpoint(checkpoint_file)
+        assert meta["step"] == 12
+        assert payload == {"worklist": [1, 2, 3], "pt": ["0x5"]}
 
     @RELAXED
     @given(corruption)

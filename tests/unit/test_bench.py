@@ -213,7 +213,9 @@ class TestGovernedBenchRuns:
             runs.setdefault(record["stage"], []).append(record["run"])
         for name in ("solve:sfs", "solve:vsfs"):
             assert sorted(runs[name]) == ["memory", "time"], (name, runs)
-        assert runs["solve:sfs-par"] == runs["solve:vsfs-par"] == ["parallel"]
+        assert runs["solve:sfs-par"] == ["parallel"]
+        assert "solve:vsfs-par" not in runs  # VSFS is never sharded
+        assert list(result.parallel_runs) == ["sfs"]
         assert runs["svfg"] == ["setup"]
         assert runs["versioning"] == ["time"]  # built by the first VSFS solve
         for meas in (result.sfs, result.vsfs):

@@ -85,6 +85,20 @@ class TestExecution:
         assert main(["-vfspta", "/nonexistent/file.c"]) == 1
         assert "repro-wpa:" in capsys.readouterr().err
 
+    def test_vsfs_jobs_runs_serially_with_warning(self, c_file, capsys):
+        assert main(["-vfspta", c_file, "--dump-pts", "--jobs", "1"]) == 0
+        serial = capsys.readouterr()
+        assert main(["-vfspta", c_file, "--dump-pts", "--jobs", "2"]) == 0
+        jobs2 = capsys.readouterr()
+        assert "running serially" in jobs2.err
+        assert "running serially" not in serial.err
+
+        def pts(out):
+            return [l for l in out.splitlines() if l.startswith("pt(")]
+
+        assert pts(serial.out) and pts(jobs2.out) == pts(serial.out)
+        assert "parallel:" not in jobs2.out
+
 
 class TestProfileAndAblationFlags:
     @pytest.mark.parametrize("flag", ["-fspta", "-vfspta"])
@@ -168,9 +182,13 @@ class TestErrorHandlingAndExitCodes:
         assert "repro-wpa: error:" in capsys.readouterr().err
 
     def test_budget_error_exits_3_without_fallback(self, c_file, capsys):
+        import tracemalloc
+
         assert main(["-vfspta", c_file, "--max-steps", "0",
                      "--no-fallback"]) == 3
         assert "repro-wpa: error:" in capsys.readouterr().err
+        # The failed solve must not leave memory tracing on in-process.
+        assert not tracemalloc.is_tracing()
 
 
 class TestBudgetAndReportFlags:
@@ -235,9 +253,12 @@ class TestResilienceFlags:
 
     def test_chaos_list_subcommand(self, capsys):
         assert main(["chaos", "--list", "--seeds", "2"]) == 0
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
+        out = captured.out
         assert "chaos schedule" in out
-        assert "sfs/j1" in out and "vsfs/j2" in out
+        assert "sfs/j1" in out and "vsfs/j1" in out and "sfs/j2" in out
+        assert "vsfs/j2" not in out  # only SFS shards
+        assert "vsfs runs serially" in captured.err
 
     def test_chaos_rejects_unknown_analysis(self, capsys):
         assert main(["chaos", "--analyses", "tensor", "--list"]) == 1

@@ -75,6 +75,17 @@ class TestWorkLists:
         assert wl.pop() == 3
         assert wl.pop() == 1
 
+    def test_priority_snapshot_restore_preserves_order(self):
+        wl = PriorityWorkList(key=lambda item: -item)
+        wl.extend([1, 5, 3])
+        assert wl.snapshot() == {"items": [5, 3, 1]}
+        clone = PriorityWorkList(key=lambda item: -item)
+        clone.push(7)  # restore replaces, never merges
+        clone.restore(wl.snapshot())
+        assert not clone.push(3)  # membership restored with the queue
+        assert [clone.pop() for _ in range(3)] == [5, 3, 1]
+        assert not clone
+
 
 class TestUnionFind:
     def test_initial_self_parents(self):

@@ -1,4 +1,8 @@
-"""Unit tests for the on-disk stage cache (repro.engine.cache)."""
+"""Unit tests for the on-disk stage cache (repro.engine.cache).
+
+Only Andersen's result is cached (``codec``: a hit skips the stage); the
+rest of the substrate is rebuilt from it and never written to the cache.
+"""
 
 import glob
 import json
@@ -17,13 +21,20 @@ int main() { g = &x; int *a; a = g; g = &y; return 0; }
 OTHER_SRC = "int *p; int z; int main() { p = &z; return 0; }"
 
 #: Every substrate stage the cache covers, with its storage mode.
-CACHED_STAGES = {
-    "andersen": "codec",
-    "modref": "replay",
-    "memssa": "replay",
-    "svfg": "replay",
-    "versioning": "replay",
-}
+CACHED_STAGES = {"andersen": "codec"}
+
+#: Substrate stages rebuilt on every run: they write no cache entry.
+REBUILT_STAGES = ("modref", "memssa", "svfg", "versioning")
+
+
+def _reseal_undecodable(path):
+    """Seal *path* again around a payload that is no Andersen result."""
+    from repro.store.atomic import read_sealed_json, write_sealed_json
+
+    meta, _ = read_sealed_json(path, StageCache.KIND, STAGE_CACHE_SCHEMA)
+    write_sealed_json(path, StageCache.KIND, STAGE_CACHE_SCHEMA, meta,
+                      {"result_type": "andersen"})
+    return path
 
 
 def engine_with_cache(tmp_path, source=SRC, **ctx_kwargs):
@@ -42,6 +53,18 @@ class TestColdRun:
         for name in CACHED_STAGES:
             path = cache.entry_path(name, engine.fingerprint(name))
             assert os.path.exists(path), name
+        entries = sorted(os.listdir(cache.directory))
+        assert len(entries) == len(CACHED_STAGES)
+        assert all(name.startswith("stage-andersen-") for name in entries)
+
+    def test_rebuilt_stages_write_no_entry(self, tmp_path):
+        engine, cache = engine_with_cache(tmp_path)
+        engine.ensure("versioning")
+        for name in REBUILT_STAGES:
+            assert engine.stages[name].cache_mode is None, name
+            assert engine.trace.record_for(name).cache is None, name
+            path = cache.entry_path(name, engine.fingerprint(name))
+            assert not os.path.exists(path), name
 
     def test_entries_record_mode_and_fingerprint(self, tmp_path):
         engine, cache = engine_with_cache(tmp_path)
@@ -67,14 +90,16 @@ class TestWarmRun:
         for name, mode in CACHED_STAGES.items():
             assert records[name].cache == mode, name
             assert records[name].cache_hit
+        for name in REBUILT_STAGES:
+            assert not records[name].cache_hit, name
 
     def test_result_bit_identical_to_cold(self, tmp_path):
         cold, _ = engine_with_cache(tmp_path)
         cold_snapshot = cold.solve("vsfs").snapshot()
         warm, cache = engine_with_cache(tmp_path)
         warm_snapshot = warm.solve("vsfs").snapshot()
-        # solve("vsfs") ensures through the versioning stage, which the
-        # solver reads instead of versioning again: every cached stage hits.
+        # solve("vsfs") rebuilds the substrate from the cached Andersen
+        # result: the one cached stage hits.
         assert cache.hits == len(CACHED_STAGES)
         assert warm_snapshot == cold_snapshot
 
@@ -132,55 +157,50 @@ class TestCorruption:
         return cache.entry_path(stage, engine.fingerprint(stage))
 
     def test_garbage_entry_quarantined(self, tmp_path):
-        path = self._cold_entry(tmp_path, "svfg")
+        path = self._cold_entry(tmp_path, "andersen")
         with open(path, "w") as handle:
             handle.write("not json {")
         warm, cache = engine_with_cache(tmp_path, strict_cache=True)
         with pytest.raises(CheckpointError):
-            warm.ensure("svfg")
+            warm.ensure("andersen")
         assert not os.path.exists(path)
         assert cache.quarantined
         assert glob.glob(path + "*.quarantined")
 
     def test_flipped_checksum_quarantined(self, tmp_path):
-        path = self._cold_entry(tmp_path, "memssa")
+        path = self._cold_entry(tmp_path, "andersen")
         with open(path) as handle:
             doc = json.load(handle)
-        doc["payload"]["digest"] = "0" * 64  # wrong digest, checksum stale
+        doc["payload"]["var_pts"] = []  # tampered payload, checksum stale
         with open(path, "w") as handle:
             json.dump(doc, handle)
         warm, cache = engine_with_cache(tmp_path, strict_cache=True)
         with pytest.raises(CheckpointError):
-            warm.ensure("memssa")
+            warm.ensure("andersen")
         assert cache.quarantined
 
-    def test_wrong_replay_digest_is_corrupt(self, tmp_path):
-        # Re-seal a valid entry with a wrong digest: the lookup succeeds,
-        # the rebuild runs, and the digest comparison rejects the entry.
-        from repro.store.atomic import read_sealed_json, write_sealed_json
-
-        path = self._cold_entry(tmp_path, "svfg")
-        meta, _ = read_sealed_json(path, StageCache.KIND, STAGE_CACHE_SCHEMA)
-        write_sealed_json(path, StageCache.KIND, STAGE_CACHE_SCHEMA, meta,
-                          {"digest": "0" * 64})
+    def test_undecodable_payload_is_corrupt(self, tmp_path):
+        # Re-seal a valid entry around a payload that is not an Andersen
+        # result: the seal verifies, decoding fails, the entry is corrupt.
+        path = _reseal_undecodable(self._cold_entry(tmp_path, "andersen"))
         warm, cache = engine_with_cache(tmp_path, strict_cache=True)
         with pytest.raises(CheckpointError) as excinfo:
-            warm.ensure("svfg")
+            warm.ensure("andersen")
         assert excinfo.value.reason == "corrupt"
         assert cache.quarantined
         assert not os.path.exists(path)
 
     def test_quarantined_entry_never_loaded_twice(self, tmp_path):
-        path = self._cold_entry(tmp_path, "svfg")
+        path = self._cold_entry(tmp_path, "andersen")
         with open(path, "w") as handle:
             handle.write("garbage")
         broken, _ = engine_with_cache(tmp_path, strict_cache=True)
         with pytest.raises(CheckpointError):
-            broken.ensure("svfg")
+            broken.ensure("andersen")
         # The bad entry is gone, so the next run is a clean miss+rebuild.
         recovered, cache = engine_with_cache(tmp_path)
-        recovered.ensure("svfg")
-        assert cache.hits >= 1  # upstream stages still hit
+        recovered.ensure("andersen")
+        assert cache.misses == 1 and not cache.quarantined
         assert os.path.exists(path)  # entry rewritten from the fresh build
 
 
@@ -194,41 +214,37 @@ class TestSelfHealing:
         return cache.entry_path(stage, engine.fingerprint(stage))
 
     def test_garbage_entry_recomputes_and_restores(self, tmp_path):
-        path = self._cold_entry(tmp_path, "svfg")
+        path = self._cold_entry(tmp_path, "andersen")
         with open(path, "w") as handle:
             handle.write("not json {")
         warm, cache = engine_with_cache(tmp_path)
-        artifact = warm.ensure("svfg")  # completes instead of raising
+        artifact = warm.ensure("andersen")  # completes instead of raising
         assert artifact is not None
         assert cache.quarantined and glob.glob(path + "*.quarantined")
         assert os.path.exists(path)  # healed entry rewritten in place
         heals = warm.trace.heals
         assert any(h.get("action") == "recompute"
                    and h.get("point") == "stage_cache_read" for h in heals)
-        record = warm.trace.record_for("svfg")
+        record = warm.trace.record_for("andersen")
         assert record.cache == "miss" and record.outcome == "ok"
 
-    def test_wrong_replay_digest_heals_to_rebuild(self, tmp_path):
-        from repro.store.atomic import read_sealed_json, write_sealed_json
-
-        path = self._cold_entry(tmp_path, "svfg")
-        meta, _ = read_sealed_json(path, StageCache.KIND, STAGE_CACHE_SCHEMA)
-        write_sealed_json(path, StageCache.KIND, STAGE_CACHE_SCHEMA, meta,
-                          {"digest": "0" * 64})
+    def test_undecodable_payload_heals_to_rebuild(self, tmp_path):
+        _reseal_undecodable(self._cold_entry(tmp_path, "andersen"))
         warm, cache = engine_with_cache(tmp_path)
-        warm.ensure("svfg")
+        warm.ensure("andersen")
         assert cache.quarantined
-        assert any(h.get("reason") == "digest-mismatch"
+        assert any(h.get("point") == "stage_cache_read"
+                   and h.get("error") == "CheckpointError"
                    for h in warm.trace.heals)
-        # The healed entry carries the *rebuild's* digest: a third run
-        # is a clean replay hit again.
-        third, cache3 = engine_with_cache(tmp_path)
-        third.ensure("svfg")
-        assert third.trace.record_for("svfg").cache == "replay"
+        # The healed entry holds the rebuild: a third run is a clean
+        # codec hit again.
+        third, _ = engine_with_cache(tmp_path)
+        third.ensure("andersen")
+        assert third.trace.record_for("andersen").cache == "codec"
         assert not third.trace.heals
 
     def test_healed_run_matches_clean_run(self, tmp_path):
-        path = self._cold_entry(tmp_path, "svfg")
+        path = self._cold_entry(tmp_path, "andersen")
         clean, _ = engine_with_cache(tmp_path)
         clean_snapshot = clean.solve("vsfs").snapshot()
         with open(path, "w") as handle:
