@@ -64,7 +64,7 @@ import sys
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import InjectedFault, ReproError
+from repro.errors import ReproError
 from repro.runtime.faults import FAULT_DOMAINS, fault_domain
 
 #: Points a serial configuration can reach (parallel transport excluded).
@@ -173,60 +173,28 @@ def build_schedule(analyses: List[str], jobs_list: List[int], seeds: int,
 
 # ---------------------------------------------------------------- execution
 
-def _build_pipeline(source: str, workdir: str, plan):
-    from repro.engine import StageCache
-    from repro.pipeline import AnalysisPipeline
-    from repro.store import ResultStore
-
-    store = ResultStore(os.path.join(workdir, "results"))
-    cache = StageCache(os.path.join(workdir, "stages"))
-    pipeline = AnalysisPipeline.from_source(
-        source, cache=cache, faults=plan)
-    return pipeline, store
-
-
-def _resilient_put(store, pipeline, analysis: str, result, plan) -> None:
-    """Store the result, exercising the ``result_store_put`` point the
-    way the CLI does: retry transient failures, then skip — a lost cache
-    entry never loses a computed answer."""
-    from repro.engine.events import heal_event
-    from repro.runtime.resilience import IO_RETRY
-
-    if result.report.precision_lost:
-        return  # mirrors the CLI: an imprecise answer is never admitted
-    bus = pipeline.engine.ctx.bus
-
-    def on_retry(attempt: int, exc: BaseException) -> None:
-        bus.emit(heal_event(f"store:{analysis}", "io", "retry",
-                            point="result_store_put", attempt=attempt,
-                            error=type(exc).__name__))
-
-    try:
-        IO_RETRY.run(
-            lambda: store.put(pipeline.module, analysis, True, result,
-                              faults=plan),
-            retry_on=(OSError, InjectedFault), on_retry=on_retry)
-    except (OSError, InjectedFault) as exc:
-        bus.emit(heal_event(f"store:{analysis}", "io", "skip-write",
-                            point="result_store_put",
-                            error=type(exc).__name__))
-
-
 def _solve(source: str, analysis: str, jobs: int, mode: Optional[str],
            workdir: str, plan=None, fallback: bool = True):
-    """One governed run in *workdir*; returns (result, pipeline, store)."""
-    from repro.runtime.checkpoint import CheckpointConfig
-    from repro.runtime.degrade import solve_with_ladder
+    """One governed stored solve in *workdir*; returns the result.
 
-    pipeline, store = _build_pipeline(source, workdir, plan)
-    ladder = "sfs-par" if jobs > 1 else analysis
-    checkpoint = CheckpointConfig(os.path.join(workdir, "checkpoints"),
-                                  every_steps=25)
-    result = solve_with_ladder(pipeline, analysis=ladder, fallback=fallback,
-                               faults=plan, checkpoint=checkpoint,
-                               jobs=jobs, parallel_mode=mode)
-    _resilient_put(store, pipeline, analysis, result, plan)
-    return result, pipeline, store
+    The stage cache under *workdir* is shared, so later runs hit it
+    (``stage_cache_read``).  The result store is empty and private to the
+    run, so every run still solves and then puts (``result_store_put``).
+    """
+    from repro.engine import StageCache
+    from repro.pipeline import AnalysisPipeline, solve_stored
+    from repro.runtime.checkpoint import CheckpointConfig
+    from repro.store import ResultStore
+
+    pipeline = AnalysisPipeline.from_source(
+        source, cache=StageCache(os.path.join(workdir, "stages")),
+        faults=plan)
+    store = ResultStore(tempfile.mkdtemp(prefix="results-", dir=workdir))
+    result, __ = solve_stored(
+        pipeline, analysis, store=store, fallback=fallback, faults=plan,
+        checkpoint=CheckpointConfig(os.path.join(workdir, "checkpoints")),
+        jobs=jobs, parallel_mode=mode)
+    return result
 
 
 def _make_plan(run: ChaosRun):
@@ -255,9 +223,8 @@ def execute_run(run: ChaosRun, source: str, mode: Optional[str],
         # keeps the shared warm store warm for the remaining seeds.
         workdir = tempfile.mkdtemp(prefix="cold-", dir=config_dir)
     try:
-        result, pipeline, _ = _solve(source, run.analysis, run.jobs, mode,
-                                     workdir, plan=plan,
-                                     fallback=run.trigger != "no-fallback")
+        result = _solve(source, run.analysis, run.jobs, mode, workdir,
+                        plan=plan, fallback=run.trigger != "no-fallback")
     except ReproError as exc:
         run.outcome = "typed-failure"
         run.detail = type(exc).__name__
@@ -285,8 +252,9 @@ def execute_run(run: ChaosRun, source: str, mode: Optional[str],
 
 def _baseline(source: str, analysis: str, jobs: int, mode: Optional[str],
               workdir: str) -> List[int]:
-    """Fault-free reference masks; also warms the store for the seeds."""
-    result, _, _ = _solve(source, analysis, jobs, mode, workdir)
+    """Fault-free reference masks; also warms the stage cache for the
+    seeds."""
+    result = _solve(source, analysis, jobs, mode, workdir)
     report = result.report
     if report.degraded or report.self_heal:
         raise ReproError(

@@ -19,7 +19,9 @@ cadence (``--checkpoint-every`` pops and/or ``--checkpoint-seconds``) and
 when a budget trips; ``--resume`` picks the work back up bit-identically.
 ``--store`` caches completed results content-addressed by IR hash ×
 analysis × storage flag, and additionally caches the Andersen result
-(``DIR/stages``) so another analysis of the same program skips it.
+(``DIR/stages``) so another analysis of the same program skips it, and
+the last SFS/VSFS solution (``DIR/incremental``) so a rerun after an
+edit re-solves warm; :func:`repro.pipeline.solve_stored` does all of it.
 ``--trace`` prints the per-stage breakdown (wall/steps/cache), with the
 substrate stages marked excluded from the timed main phase.
 ``repro-wpa batch ...`` runs a supervised multi-program batch (see
@@ -30,17 +32,16 @@ fault-injection soak harness (see :mod:`repro.chaos`);
 fault points by domain.
 
 Resilience: corrupt store/cache entries are quarantined and the answer
-recomputed (a warning, not a failure) unless ``--strict-io`` restores
-the fail-fast contract.  A parallel rung that collapses onto its serial
+recomputed (a warning, not a failure), and a store write that keeps
+failing is skipped.  A parallel rung that collapses onto its serial
 twin reports ``degraded_from`` but keeps full precision, so the result
 is still stored and the message is a notice, not a warning.
 
 Exit codes: 0 success, 1 I/O error, 2 parse/IR error, 3 analysis error
-(including an exhausted budget under ``--no-fallback``, and — under
-``--strict-io`` — any rejected or corrupt checkpoint/store artifact),
-4 parallel worker-crash budget spent under ``--no-fallback`` (with
-fallback the run collapses onto the serial twin instead).  The full
-table lives in README.md §Exit codes.
+(including an exhausted budget under ``--no-fallback`` and a rejected
+``--resume`` checkpoint), 4 parallel worker-crash budget spent under
+``--no-fallback`` (with fallback the run collapses onto the serial twin
+instead).  The full table lives in README.md §Exit codes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import tracemalloc
 from typing import List, Optional
 
 from repro.errors import (
-    CheckpointError,
     IRError,
     ParseError,
     ReproError,
@@ -66,11 +66,9 @@ EXIT_IO = 1
 EXIT_INPUT = 2
 EXIT_ANALYSIS = 3
 EXIT_WORKER_CRASH = 4
-from repro.pipeline import AnalysisPipeline, _load_resume_state
+from repro.pipeline import AnalysisPipeline, solve_stored
 from repro.runtime.budget import Budget
 from repro.runtime.checkpoint import CheckpointConfig
-from repro.runtime.degrade import solve_with_ladder
-from repro.runtime.resilience import IO_RETRY
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -107,10 +105,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-fallback", action="store_true",
                         help="fail with exit code 3 instead of degrading "
                              "down the ladder when the budget is exhausted")
-    parser.add_argument("--strict-io", action="store_true",
-                        help="fail (exit 3) on corrupt stage-cache/result-"
-                             "store entries instead of quarantining and "
-                             "recomputing (the pre-resilience contract)")
     parser.add_argument("--list-fault-points", action="store_true",
                         help="list the injectable fault points by domain "
                              "and exit (see also `repro-wpa chaos`)")
@@ -240,8 +234,22 @@ def _checkpoint_config(args: argparse.Namespace) -> Optional[CheckpointConfig]:
                             every_seconds=args.checkpoint_seconds)
 
 
+#: stderr warning per failure the stored solve absorbed, read off the
+#: heal trail by (point, action).
+_HEAL_WARNINGS = {
+    ("result_store_get", "recompute"):
+        "corrupt result-store entry quarantined ({path}); recomputing",
+    ("incremental_load", "recompute"):
+        "stale incremental solution quarantined ({reason}); solving cold",
+    ("result_store_put", "skip-write"):
+        "result not stored ({error}: {message}); continuing",
+    ("incremental_save", "skip-write"):
+        "incremental solution not stored ({error}: {message}); continuing",
+}
+
+
 def _run(args: argparse.Namespace, source: str) -> int:
-    store = cache = None
+    store = cache = incremental = None
     if args.store is not None:
         import os
 
@@ -250,120 +258,46 @@ def _run(args: argparse.Namespace, source: str) -> int:
 
         store = ResultStore(args.store)
         cache = StageCache(os.path.join(args.store, "stages"))
+        incremental = os.path.join(args.store, "incremental")
     pipeline = AnalysisPipeline.from_source(
-        source, language="ir" if args.ir else "c", cache=cache,
-        strict_cache=args.strict_io)
+        source, language="ir" if args.ir else "c", cache=cache)
     module = pipeline.module
-    ptrepo = not args.no_ptrepo
 
-    # --jobs routes SFS through the sharded parallel stage.  The result
-    # store stays keyed by the serial analysis name: the parallel solve
-    # is bit-identical, so serial and parallel runs share cache entries.
-    jobs = max(1, args.jobs)
-    ladder_analysis = args.analysis
-    if jobs > 1:
-        if args.analysis != "sfs":
-            print("repro-wpa: warning: --jobs applies to -fspta only; "
-                  "running serially", file=sys.stderr)
-            jobs = 1
-        elif args.resume is not None:
-            print("repro-wpa: warning: --resume is serial-only; ignoring "
-                  "--jobs", file=sys.stderr)
-            jobs = 1
-        else:
-            ladder_analysis = "sfs-par"
+    # --jobs shards SFS only.  The result store stays keyed by the serial
+    # analysis name: the parallel solve is bit-identical, so serial and
+    # parallel runs share cache entries.
+    if args.jobs > 1 and args.analysis != "sfs":
+        print("repro-wpa: warning: --jobs applies to -fspta only; "
+              "running serially", file=sys.stderr)
+    elif args.jobs > 1 and args.resume is not None:
+        print("repro-wpa: warning: --resume is serial-only; ignoring "
+              "--jobs", file=sys.stderr)
 
-    if store is not None:
-        try:
-            cached = store.get(module, args.analysis, ptrepo)
-        except CheckpointError as err:
-            # Degraded-not-dead: the store already quarantined the bad
-            # entry; recompute the answer instead of dying.
-            if args.strict_io:
-                raise
-            from repro.engine.events import heal_event
+    # The memory trace starts right before the ladder, so neither a
+    # store hit nor warm planning is traced.
+    result, hit = solve_stored(
+        pipeline, args.analysis, store=store, incremental=incremental,
+        budget=_budget_from(args), fallback=not args.no_fallback,
+        ptrepo=not args.no_ptrepo, checkpoint=_checkpoint_config(args),
+        resume_from=args.resume, jobs=args.jobs,
+        parallel_mode=args.parallel_mode, before_solve=tracemalloc.start)
+    if hit:
+        print(f"repro-wpa: result store hit ({store.last_path})",
+              file=sys.stderr)
+        _print_result(args, result, run_report=None)
+        if args.trace:
+            print(pipeline.trace.render())
+        if args.report_json:
+            _write_report_json(args.report_json, None, store_hit=True,
+                               trace=pipeline.trace)
+        return _client_flags(args, module, pipeline, result)
 
-            pipeline.engine.ctx.bus.emit(heal_event(
-                f"solve:{args.analysis}", "io", "recompute",
-                point="result_store_get", error=type(err).__name__,
-                reason=err.reason, path=err.path))
-            print(f"repro-wpa: warning: corrupt result-store entry "
-                  f"quarantined ({err.path}); recomputing", file=sys.stderr)
-            cached = None
-        if cached is not None:
-            print(f"repro-wpa: result store hit ({store.last_path})",
-                  file=sys.stderr)
-            level = "andersen" if args.analysis == "ander" else args.analysis
-            pipeline.engine.record_external_hit(f"solve:{level}",
-                                                "result-store")
-            _print_result(args, cached, run_report=None)
-            if args.trace:
-                print(pipeline.trace.render())
-            if args.report_json:
-                _write_report_json(args.report_json, None, store_hit=True,
-                                   trace=pipeline.trace)
-            return _client_flags(args, module, pipeline, cached)
-
-    # Function-granular incrementality: with a store, look for the last
-    # solved solution of this configuration and plan a warm re-solve of
-    # just the edit's dirty closure (DESIGN.md §14).  The freshly solved
-    # program is captured back into the store for the next edit.
-    warm_plan = None
-    incr_store = None
-    if store is not None and args.analysis in ("sfs", "vsfs") \
-            and args.resume is None:
-        import os
-
-        from repro.incremental import IncrementalStore, plan_warm
-
-        incr_store = IncrementalStore(
-            os.path.join(args.store, "incremental"))
-        try:
-            payload = incr_store.load(args.analysis, ptrepo)
-        except CheckpointError as err:
-            if args.strict_io:
-                raise
-            from repro.engine.events import heal_event
-
-            pipeline.engine.ctx.bus.emit(heal_event(
-                f"solve:{args.analysis}", "io", "recompute",
-                point="incremental_load", error=type(err).__name__,
-                reason=err.reason))
-            print(f"repro-wpa: warning: stale incremental solution "
-                  f"quarantined ({err.reason}); solving cold",
-                  file=sys.stderr)
-            payload = None
-        if payload is not None:
-            warm_plan = plan_warm(
-                payload, pipeline.svfg(), pipeline.modref(),
-                args.analysis, ptrepo, pipeline.andersen())
-            if not warm_plan.usable:
-                print(f"repro-wpa: notice: incremental plan fell back "
-                      f"({warm_plan.fallback_reason}); solving cold",
-                      file=sys.stderr)
-
-    checkpoint = _checkpoint_config(args)
-    resume_meta = resume_state = None
-    if args.resume is not None:
-        resume_meta, resume_state = _load_resume_state(
-            module, args.analysis, args.resume, checkpoint, ptrepo)
-
-    tracemalloc.start()
-    result = solve_with_ladder(
-        pipeline,
-        analysis=ladder_analysis,
-        budget=_budget_from(args),
-        fallback=not args.no_fallback,
-        ptrepo=ptrepo,
-        checkpoint=checkpoint,
-        resume_state=resume_state,
-        resume_meta=resume_meta,
-        jobs=jobs,
-        parallel_mode=args.parallel_mode,
-        warm_plan=warm_plan,
-        capture_regions=incr_store is not None,
-    )
     run_report = result.report
+    for heal in run_report.self_heal:
+        warning = _HEAL_WARNINGS.get((heal.get("point"), heal.get("action")))
+        if warning is not None:
+            print("repro-wpa: warning: " + warning.format(**heal),
+                  file=sys.stderr)
     if run_report.precision_lost:
         print(f"repro-wpa: warning: {run_report.summary()}", file=sys.stderr)
     elif run_report.degraded:
@@ -374,42 +308,18 @@ def _run(args: argparse.Namespace, source: str) -> int:
     if run_report.resumed:
         print(f"repro-wpa: resumed from step {run_report.resumed_from_step}",
               file=sys.stderr)
-    if store is not None and not run_report.precision_lost:
-        try:
-            path = IO_RETRY.run(
-                lambda: store.put(module, args.analysis, ptrepo, result))
-        except OSError as err:
-            from repro.engine.events import heal_event
-
-            pipeline.engine.ctx.bus.emit(heal_event(
-                f"solve:{args.analysis}", "io", "skip-write",
-                point="result_store_put", error=type(err).__name__))
-            print(f"repro-wpa: warning: result not stored "
-                  f"({type(err).__name__}: {err}); continuing",
-                  file=sys.stderr)
-        else:
-            print(f"repro-wpa: result stored at {path}", file=sys.stderr)
+    if store is not None and store.last_path is not None:
+        print(f"repro-wpa: result stored at {store.last_path}",
+              file=sys.stderr)
     incr = run_report.incremental
-    if incr and not incr.get("fallback_reason"):
+    if incr and incr.get("fallback_reason"):
+        print(f"repro-wpa: notice: incremental plan fell back "
+              f"({incr['fallback_reason']}); solving cold", file=sys.stderr)
+    elif incr:
         print(f"repro-wpa: incremental: {incr['regions_reused']}/"
               f"{incr['regions_total']} regions reused, "
               f"{len(incr['dirty_functions'])} dirty function(s), "
               f"{incr['steps_saved']} solver steps saved", file=sys.stderr)
-    capture = getattr(result, "incremental_capture", None)
-    if incr_store is not None and capture is not None \
-            and getattr(result.stats, "analysis", None) == args.analysis:
-        from repro.incremental import build_payload
-
-        try:
-            payload = build_payload(
-                pipeline.svfg(), pipeline.modref(), result,
-                capture["node_in"], capture["node_out"], capture["flow"],
-                args.analysis, ptrepo, pipeline.andersen())
-            IO_RETRY.run(lambda: incr_store.save(payload))
-        except OSError as err:
-            print(f"repro-wpa: warning: incremental solution not stored "
-                  f"({type(err).__name__}: {err}); continuing",
-                  file=sys.stderr)
     _print_result(args, result, run_report)
     __, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

@@ -53,13 +53,6 @@ class StageContext:
     capture_regions: bool = False
     # ---- persistence + instrumentation ----
     cache: Optional[Any] = None  # StageCache (stage-level artifact cache)
-    #: Strict cache mode: a corrupt/mismatched stage-cache entry raises
-    #: (the pre-resilience behaviour, kept for tests) instead of the
-    #: default degraded-not-dead quarantine-and-recompute.
-    strict_cache: bool = False
-    #: RetryPolicy for transient-I/O self-healing (stage-cache writes,
-    #: checkpoint saves); None = repro.runtime.resilience.IO_RETRY.
-    retry: Optional[Any] = None
     bus: EventBus = field(default_factory=EventBus)
     #: stage name -> built artifact (in-memory memo; shared across rungs).
     artifacts: Dict[str, Any] = field(default_factory=dict)

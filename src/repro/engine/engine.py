@@ -20,6 +20,7 @@ from repro.engine.events import (StageEvent, StageTrace, gc_collections,
                                  gc_detail, heal_event)
 from repro.engine.stages import Stage, default_stages
 from repro.errors import AnalysisError, CheckpointError, InjectedFault
+from repro.runtime.resilience import IO_RETRY
 
 
 class Engine:
@@ -61,8 +62,8 @@ class Engine:
 
         The ``stage_cache_read`` fault point fires here.  A corrupt or
         unreadable entry is quarantined by :class:`StageCache` itself;
-        unless the context runs in ``strict_cache`` mode, the failure is
-        absorbed as a ``self_heal``/``recompute`` event and the probe
+        the failure is absorbed as a ``self_heal``/``recompute`` event
+        (carrying a rejection's ``reason`` and ``path``) and the probe
         degrades to a miss — the stage simply rebuilds.
         """
         ctx = self.ctx
@@ -73,11 +74,10 @@ class Engine:
                 ctx.faults.fire("stage_cache_read", stage=stage.name)
             return ctx.cache.lookup(stage, ctx, fp)
         except (CheckpointError, InjectedFault, OSError) as exc:
-            if ctx.strict_cache:
-                raise
             ctx.bus.emit(heal_event(
                 stage.name, "io", "recompute", point="stage_cache_read",
                 error=type(exc).__name__,
+                reason=getattr(exc, "reason", None),
                 path=getattr(exc, "path", None)))
             ctx.cache.misses += 1
             return CacheProbe("miss")
@@ -86,8 +86,8 @@ class Engine:
         """Persist a fresh artifact, retrying transient failures.
 
         The ``stage_cache_write`` fault point fires inside the retried
-        window.  Exhausting the :class:`RetryPolicy` budget never fails
-        the run — the artifact is simply not cached this time
+        window.  Exhausting the :data:`IO_RETRY` budget never fails the
+        run — the artifact is simply not cached this time
         (``self_heal``/``skip-write``).
         """
         ctx = self.ctx
@@ -106,14 +106,9 @@ class Engine:
                 name, "io", "retry", point="stage_cache_write",
                 attempt=attempt_no, error=type(exc).__name__))
 
-        policy = ctx.retry
-        if policy is None:
-            from repro.runtime.resilience import IO_RETRY
-
-            policy = IO_RETRY
         try:
-            policy.run(attempt, retry_on=(OSError, InjectedFault),
-                       on_retry=on_retry)
+            IO_RETRY.run(attempt, retry_on=(OSError, InjectedFault),
+                         on_retry=on_retry)
         except (OSError, InjectedFault) as exc:
             ctx.bus.emit(heal_event(
                 name, "io", "skip-write", point="stage_cache_write",

@@ -174,9 +174,10 @@ class IncrementalStore:
     With a *directory* the slots are sealed JSON documents under
     ``<directory>/warm-{analysis}-p{π}.json``; without one (the
     service's default) they live in memory.  :meth:`load` refuses — with
-    a typed :class:`CheckpointError`, quarantining the file — any
-    payload minted under a different fingerprint scheme, so
-    pre-refactor entries can never be silently replayed.
+    a typed :class:`CheckpointError` whose ``path`` names the
+    quarantined file — any corrupt payload or one minted under a
+    different fingerprint scheme, so pre-refactor entries can never be
+    silently replayed.
     """
 
     def __init__(self, directory: Optional[str] = None):
@@ -232,8 +233,8 @@ class IncrementalStore:
         try:
             meta, payload = read_sealed_json(
                 path, INCREMENTAL_KIND, INCREMENTAL_SCHEMA)
-        except CheckpointError:
-            quarantine_file(path)
+        except CheckpointError as err:
+            err.path = quarantine_file(path)
             raise
         if (meta.get("fp_scheme") != FINGERPRINT_SCHEME
                 or payload.get("fp_scheme") != FINGERPRINT_SCHEME):
@@ -241,7 +242,7 @@ class IncrementalStore:
             raise CheckpointError(
                 f"stale incremental solution at {quarantined}: fingerprint "
                 f"scheme {meta.get('fp_scheme')!r} != {FINGERPRINT_SCHEME}",
-                reason="schema")
+                reason="schema", path=quarantined)
         return payload
 
 

@@ -8,6 +8,11 @@ exactly how the paper benchmarks the two (auxiliary analysis and SVFG
 construction excluded from the timed main phase).  No solver mutates
 the shared SVFG or versioning: each reads the SVFG through its own view
 (:meth:`SVFG.copy`), which on-the-fly call resolution grows.
+
+:func:`solve_stored` is the one *stored solve*: result-store lookup,
+warm-slot planning, the degradation ladder, the result put and the
+warm-slot capture, each failure healed the same way.  ``repro-wpa``,
+the daemon, the chaos soak and :func:`analyze` all call it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from repro.analysis.andersen import AndersenResult
 from repro.analysis.modref import ModRefInfo
 from repro.core.versioning import ObjectVersioning
 from repro.engine import Engine, StageCache, StageContext, StageTrace
-from repro.errors import AnalysisError, CheckpointError
+from repro.engine.events import heal_event
+from repro.errors import AnalysisError, CheckpointError, InjectedFault
 from repro.frontend import compile_c
 from repro.ir.module import Module
 from repro.ir.parser import parse_module
@@ -26,6 +32,7 @@ from repro.memssa.builder import MemSSA
 from repro.passes.prepare import prepare_module
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.degrade import solve_with_ladder
+from repro.runtime.resilience import IO_RETRY
 from repro.solvers.base import FlowSensitiveResult
 from repro.svfg.builder import SVFG
 
@@ -38,24 +45,22 @@ class AnalysisPipeline:
     def __init__(self, module: Optional[Module] = None,
                  cache: Optional[StageCache] = None,
                  source: Optional[str] = None, language: str = "c",
-                 faults=None, strict_cache: bool = False):
+                 faults=None):
         if module is None and source is None:
             raise AnalysisError(
                 "AnalysisPipeline needs a prepared module or source text")
         ctx = StageContext(module=module, source=source, language=language,
-                           cache=cache, faults=faults,
-                           strict_cache=strict_cache)
+                           cache=cache, faults=faults)
         self.engine = Engine(ctx)
         self.module: Module = self.engine.ensure("prepare")
 
     @classmethod
     def from_source(cls, source: str, language: str = "c",
                     cache: Optional[StageCache] = None,
-                    faults=None,
-                    strict_cache: bool = False) -> "AnalysisPipeline":
+                    faults=None) -> "AnalysisPipeline":
         """Route parsing/preparation through the engine's own stages."""
         return cls(source=source, language=language, cache=cache,
-                   faults=faults, strict_cache=strict_cache)
+                   faults=faults)
 
     @property
     def trace(self) -> StageTrace:
@@ -188,18 +193,124 @@ def analyze(source: Union[str, Module], analysis: str = "vsfs",
         pipeline = AnalysisPipeline(source)
     else:
         pipeline = AnalysisPipeline.from_source(source, language=language)
+    result, __ = solve_stored(pipeline, analysis, budget=budget,
+                              fallback=fallback, faults=faults, ptrepo=ptrepo,
+                              checkpoint=checkpoint, resume_from=resume_from)
+    return result
+
+
+def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
+                 store=None, incremental=None, budget=None,
+                 fallback: bool = True, faults=None, ptrepo: bool = True,
+                 checkpoint=None, resume_from=None, jobs: int = 1,
+                 parallel_mode: Optional[str] = None, before_solve=None):
+    """Answer *analysis* from *store*, or solve it and store the answer.
+
+    The stored solve behind ``repro-wpa --store``, the daemon, the chaos
+    soak and :func:`analyze`:
+
+    1. *store* (a :class:`~repro.store.ResultStore`) is looked up first;
+       a hit returns at once, with no run report.
+    2. For SFS and VSFS without *resume_from*, *incremental* (a
+       :class:`~repro.incremental.IncrementalStore`, or its directory)
+       holds the last solved program, and
+       :func:`~repro.incremental.plan_warm` plans a warm re-solve of the
+       edit's dirty closure (DESIGN.md §14).
+    3. *before_solve*, if given, is called; then the degradation ladder
+       runs; see :func:`analyze` for *budget*, *fallback*, *faults*,
+       *checkpoint* and *resume_from*.  With ``jobs > 1`` an SFS solve
+       that resumes nothing runs sharded.
+    4. A full-precision answer is put in *store*, and the solved program
+       is captured into the warm slot for the next edit.
+
+    Every failure absorbed on the way is a ``self_heal`` event on the
+    pipeline's bus.  A rejected result-store entry or warm slot (already
+    quarantined) heals to ``recompute``, with the rejection's ``reason``
+    and ``path``.  A put or a slot save is retried under
+    :data:`~repro.runtime.resilience.IO_RETRY`, with a ``retry`` event
+    each time, and then given up (``skip-write``): a lost entry never
+    loses the answer.  *faults* reaches the put, so the
+    ``result_store_put`` point fires here.
+
+    Returns ``(result, hit)``; *hit* is True when *store* answered.
+    """
     module = pipeline.module
+    bus = pipeline.engine.ctx.bus
+    stage = f"solve:{'andersen' if analysis == 'ander' else analysis}"
+
+    def heal(action: str, point: str, err: BaseException, **detail) -> None:
+        bus.emit(heal_event(stage, "io", action, point=point,
+                            error=type(err).__name__, **detail))
+
+    def write(point: str, attempt) -> None:
+        try:
+            IO_RETRY.run(attempt, retry_on=(OSError, InjectedFault),
+                         on_retry=lambda n, err: heal("retry", point, err,
+                                                      attempt=n))
+        except (OSError, InjectedFault) as err:
+            heal("skip-write", point, err, message=str(err))
+
+    if store is not None:
+        try:
+            cached = store.get(module, analysis, ptrepo)
+        except CheckpointError as err:
+            heal("recompute", "result_store_get", err, reason=err.reason,
+                 path=err.path)
+            cached = None
+        if cached is not None:
+            pipeline.engine.record_external_hit(stage, "result-store")
+            return cached, True
+
     if isinstance(checkpoint, str):
         checkpoint = CheckpointConfig(checkpoint)
     resume_meta = resume_state = None
     if resume_from:
         resume_meta, resume_state = _load_resume_state(
             module, analysis, resume_from, checkpoint, ptrepo)
-    return solve_with_ladder(pipeline, analysis=analysis, budget=budget,
-                             fallback=fallback, faults=faults,
-                             ptrepo=ptrepo, checkpoint=checkpoint,
-                             resume_state=resume_state,
-                             resume_meta=resume_meta)
+    warm = (incremental is not None and analysis in ("sfs", "vsfs")
+            and not resume_from)
+    warm_plan = None
+    if warm:
+        # Imported here: a run that cannot start warm never loads it.
+        from repro.incremental import IncrementalStore, plan_warm
+
+        if isinstance(incremental, str):
+            incremental = IncrementalStore(incremental)
+        try:
+            slot = incremental.load(analysis, ptrepo)
+        except CheckpointError as err:
+            heal("recompute", "incremental_load", err, reason=err.reason,
+                 path=err.path)
+            slot = None
+        if slot is not None:
+            warm_plan = plan_warm(slot, pipeline.svfg(), pipeline.modref(),
+                                  analysis, ptrepo, pipeline.andersen())
+    sharded = analysis == "sfs" and jobs > 1 and not resume_from
+    if before_solve is not None:
+        before_solve()
+    result = solve_with_ladder(
+        pipeline, analysis="sfs-par" if sharded else analysis, budget=budget,
+        fallback=fallback, faults=faults, ptrepo=ptrepo,
+        checkpoint=checkpoint, resume_state=resume_state,
+        resume_meta=resume_meta, jobs=jobs, parallel_mode=parallel_mode,
+        warm_plan=warm_plan, capture_regions=warm)
+    if result.report.precision_lost:
+        # Sound, but less precise than the store key promises.
+        return result, False
+    if store is not None:
+        write("result_store_put",
+              lambda: store.put(module, analysis, ptrepo, result,
+                                faults=faults))
+    capture = getattr(result, "incremental_capture", None)
+    if warm and capture is not None:
+        from repro.incremental import build_payload
+
+        slot = build_payload(
+            pipeline.svfg(), pipeline.modref(), result, capture["node_in"],
+            capture["node_out"], capture["flow"], analysis, ptrepo,
+            pipeline.andersen())
+        write("incremental_save", lambda: incremental.save(slot))
+    return result, False
 
 
 def _load_resume_state(module: Module, analysis: str, resume_from,

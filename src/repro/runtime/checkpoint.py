@@ -31,8 +31,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, InjectedFault
 from repro.ir.fingerprint import FINGERPRINT_SCHEME
+from repro.runtime.resilience import IO_RETRY
 from repro.store.atomic import quarantine_file, read_sealed_json, write_sealed_json
 from repro.store.codec import result_key
 
@@ -93,7 +94,7 @@ class Checkpointer:
 
     def __init__(self, config: CheckpointConfig, ir_hash: str, analysis: str,
                  ptrepo: bool = True,
-                 faults: Any = None, bus: Any = None, retry: Any = None):
+                 faults: Any = None, bus: Any = None):
         self.config = config
         self.ir_hash = ir_hash
         self.analysis = analysis
@@ -104,8 +105,6 @@ class Checkpointer:
         self.faults = faults
         #: EventBus receiving ``self_heal`` events for absorbed failures.
         self.bus = bus
-        #: RetryPolicy for transient save failures (None = IO_RETRY).
-        self.retry = retry
         self.saves = 0
         #: Saves abandoned after the retry budget was spent (the solve
         #: continued; the previous checkpoint on disk stays valid).
@@ -136,14 +135,12 @@ class Checkpointer:
 
         Writes are atomic (a crash mid-save leaves the previous file
         intact), and transient failures — ``OSError`` or an injected
-        ``checkpoint_write`` fault — are retried on the
-        :class:`~repro.runtime.resilience.RetryPolicy`.  A save whose
+        ``checkpoint_write`` fault — are retried under
+        :data:`~repro.runtime.resilience.IO_RETRY`.  A save whose
         retry budget is spent is *skipped*, not fatal: the solve goes on
         and the previous checkpoint stays the resume point.  Returns
         ``None`` for a skipped save.
         """
-        from repro.errors import InjectedFault
-
         begun = time.perf_counter()
         meta = {
             "ir_hash": self.ir_hash,
@@ -171,14 +168,9 @@ class Checkpointer:
                     point="checkpoint_write", attempt=attempt_no,
                     error=type(exc).__name__))
 
-        policy = self.retry
-        if policy is None:
-            from repro.runtime.resilience import IO_RETRY
-
-            policy = IO_RETRY
         try:
-            policy.run(attempt, retry_on=(OSError, InjectedFault),
-                       on_retry=on_retry)
+            IO_RETRY.run(attempt, retry_on=(OSError, InjectedFault),
+                         on_retry=on_retry)
         except (OSError, InjectedFault) as exc:
             self.skipped += 1
             self._last_step = step

@@ -1,9 +1,9 @@
 """Shared self-healing policy: retries with deterministic seeded jitter.
 
 Every layer that talks to a fallible medium — the stage cache, the
-checkpointer, the result store, the batch supervisor — shares
-one :class:`RetryPolicy` shape instead of growing its own ad-hoc backoff
-loop.  Three properties the platform depends on:
+checkpointer, the result store and warm slot, the batch supervisor —
+shares one :class:`RetryPolicy` shape instead of growing its own ad-hoc
+backoff loop.  Three properties the platform depends on:
 
 - **Capped exponential backoff.**  ``base_delay * multiplier**n``, capped
   at ``max_delay`` when one is set, so a retry storm cannot stretch into
@@ -21,10 +21,14 @@ loop.  Three properties the platform depends on:
   :class:`~repro.errors.InjectedFault`) and re-raises everything else
   untouched — a retry loop must never swallow a genuine logic error.
 
-:data:`IO_RETRY` is the tiny-delay instance the in-process self-healing
-wrappers use (engine stage cache, checkpointer, result store); the batch
-supervisor builds per-program policies seeded from each program's path so
-concurrent programs spread their wakeups deterministically.
+:data:`IO_RETRY` is the one in-process write policy: the engine's
+stage-cache writes, the checkpointer's saves, and the result-store puts
+and warm-slot saves of :func:`repro.pipeline.solve_stored` all run under
+it, retry on ``(OSError, InjectedFault)`` with a ``retry`` heal each
+time, and then give up with a ``skip-write`` heal.  There is no
+per-caller override.  The batch supervisor builds per-program policies
+seeded from each program's path so concurrent programs spread their
+wakeups deterministically.
 """
 
 from __future__ import annotations
@@ -112,8 +116,9 @@ class RetryPolicy:
 
 
 #: Policy of the in-process transient-I/O wrappers (stage-cache writes,
-#: checkpoint saves, result-store puts).  Delays are tiny: these retries
-#: sit inside a solve, so healing must cost milliseconds, not seconds.
+#: checkpoint saves, result-store puts, warm-slot saves).  Delays are
+#: tiny: these retries sit inside a solve, so healing must cost
+#: milliseconds, not seconds.
 IO_RETRY = RetryPolicy(retries=2, base_delay=0.01, max_delay=0.1,
                        jitter=0.5, seed=0)
 

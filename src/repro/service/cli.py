@@ -73,9 +73,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         metavar="S",
                         help="seconds an open breaker waits before its "
                              "half-open probe (default 30)")
-    parser.add_argument("--strict-io", action="store_true",
-                        help="fail requests on corrupt store entries "
-                             "instead of quarantining and recomputing")
     return parser
 
 
@@ -109,7 +106,6 @@ def service_from_args(args: argparse.Namespace,
         tenants=_parse_tenants(args.tenant),
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
-        strict_io=args.strict_io,
         faults=faults,
     )
     return AnalysisService(config)

@@ -4,11 +4,12 @@
 raw request lines (or dicts) and it produces typed responses.  One instance
 owns
 
-- the **warm substrate** — a result store and stage cache
-  shared by every program session (the same pair ``repro-wpa --store``
-  uses, so the daemon and the batch CLI interconvert freely: a warm
-  restart recovers from the on-disk stores and answers **bit-identically**
-  to a cold batch run);
+- the **warm substrate** — a result store, stage cache and warm slot
+  shared by every program session (the same directory layout
+  ``repro-wpa --store`` uses, and the same stored solve,
+  :func:`repro.pipeline.solve_stored`, so the daemon and the batch CLI
+  interconvert freely: a warm restart recovers from the on-disk stores
+  and answers **bit-identically** to a cold batch run);
 - an LRU of **program sessions** (:class:`ProgramSession`): parsed IR +
   primed engine per distinct source, so repeat queries against the same
   program skip straight to the client analysis;
@@ -33,16 +34,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import (
-    CheckpointError,
     DeadlineExceeded,
     InjectedFault,
     InvalidRequest,
     ReproError,
     ServiceOverloaded,
 )
+from repro.pipeline import AnalysisPipeline, solve_stored
 from repro.runtime.budget import Budget
-from repro.runtime.degrade import solve_with_ladder
-from repro.runtime.resilience import IO_RETRY
 from repro.service.admission import AdmissionQueue, TenantPolicy
 from repro.service.breaker import BreakerBoard
 from repro.service.protocol import (
@@ -87,7 +86,6 @@ class ServiceConfig:
     default_policy: TenantPolicy = field(default_factory=TenantPolicy)
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 30.0
-    strict_io: bool = False
     faults: Any = None
 
 
@@ -113,11 +111,8 @@ class ProgramSession:
                 # query recomputes) instead of refusing it.
                 self.cacheless = True
                 self.heals += 1
-        from repro.pipeline import AnalysisPipeline
-
         self.pipeline = AnalysisPipeline.from_source(
-            source, language=language, cache=cache,
-            strict_cache=config.strict_io)
+            source, language=language, cache=cache)
         self.module = self.pipeline.module
         #: Clean (full-precision) results memoised per analysis.
         self.results: Dict[str, Any] = {}
@@ -318,87 +313,33 @@ class AnalysisService:
         """Solve (or reuse) *analysis* for the session under its deadline.
 
         Returns ``(result, cached, heals)`` — heals counts absorbed
-        faults on this solve path only.
+        faults on this solve path only: the heal trail the stored solve
+        left on the session's trace, plus every ladder rung that failed.
         """
-        heals = 0
         memo = session.results.get(analysis)
         if memo is not None:
-            return memo, True, heals
-        module = session.module
-        level = "andersen" if analysis == "ander" else analysis
-        if self.store is not None and not session.cacheless:
-            try:
-                cached = self.store.get(module, analysis, True)
-            except CheckpointError:
-                if self.config.strict_io:
-                    raise
-                # Quarantined by the store; recompute below.
-                cached = None
-                heals += 1
-            if cached is not None:
-                session.pipeline.engine.record_external_hit(
-                    f"solve:{level}", "result-store")
-                session.results[analysis] = cached
-                return cached, True, heals
-        # Incremental warm planning: every staged solve consults the
-        # service-wide latest-solution slot and, post-solve, refreshes it
-        # — so an ``update_source`` after any solved program answers from
-        # the warm path, and analyze/alias/... share the savings.
-        warm_plan = None
-        incremental = analysis in ("sfs", "vsfs")
-        if incremental:
-            try:
-                stored = self.incremental.load(analysis, True)
-            except CheckpointError:
-                if self.config.strict_io:
-                    raise
-                stored = None
-                heals += 1  # stale slot quarantined; solve cold
-            if stored is not None:
-                from repro.incremental import plan_warm
-
-                pipeline = session.pipeline
-                warm_plan = plan_warm(
-                    stored, pipeline.svfg(), pipeline.modref(), analysis,
-                    True, pipeline.andersen())
-        policy_steps = None  # per-tenant step caps ride on TenantPolicy
+            return memo, True, 0
         budget = None
         if remaining is not None:
-            budget = Budget(wall_seconds=max(remaining, 0.001),
-                            max_steps=policy_steps)
-        trace = session.pipeline.trace
-        heals_before = len(getattr(trace, "heals", []) or [])
-        result = solve_with_ladder(session.pipeline, analysis=analysis,
-                                   budget=budget, fallback=True,
-                                   faults=self.config.faults,
-                                   warm_plan=warm_plan,
-                                   capture_regions=incremental)
-        heals += len(getattr(trace, "heals", []) or []) - heals_before
+            budget = Budget(wall_seconds=max(remaining, 0.001))
+        trail = session.pipeline.trace.heals
+        trail_before = len(trail)
+        # Every staged solve plans from, and then refreshes, the
+        # service-wide warm slot — so an ``update_source`` after any
+        # solved program answers from the warm path.
+        result, cached = solve_stored(
+            session.pipeline, analysis,
+            store=None if session.cacheless else self.store,
+            incremental=self.incremental, budget=budget,
+            faults=self.config.faults)
+        heals = len(trail) - trail_before
+        if cached:
+            session.results[analysis] = result
+            return result, True, heals
         report = result.report
         heals += sum(1 for a in report.attempts if a.outcome != "completed")
         if not report.precision_lost:
             session.results[analysis] = result
-            if self.store is not None and not session.cacheless:
-                try:
-                    IO_RETRY.run(lambda: self.store.put(
-                        module, analysis, True, result))
-                except (OSError, ReproError):
-                    heals += 1  # skip-write: answer anyway
-            capture = getattr(result, "incremental_capture", None)
-            if incremental and capture is not None \
-                    and getattr(result.stats, "analysis", None) == analysis:
-                from repro.incremental import build_payload
-
-                pipeline = session.pipeline
-                try:
-                    payload = build_payload(
-                        pipeline.svfg(), pipeline.modref(), result,
-                        capture["node_in"], capture["node_out"],
-                        capture["flow"], analysis, True,
-                        pipeline.andersen())
-                    IO_RETRY.run(lambda: self.incremental.save(payload))
-                except (OSError, ReproError):
-                    heals += 1  # skip-write: answer anyway
         return result, False, heals
 
     def _dispatch(self, session: ProgramSession, request: Request,

@@ -14,9 +14,10 @@ to quarantine (``*.quarantined``) and reported as a typed
 :class:`~repro.errors.CheckpointError` — the store never silently returns
 damaged or mismatched data, and a damaged entry can never be loaded twice.
 
-Only *complete, non-degraded* results are admitted by the CLI: a degraded
-answer is sound but less precise than what the key promises, and a partial
-fixpoint is not sound at all.
+Only *complete, non-degraded* results are admitted by the stored solve
+(:func:`repro.pipeline.solve_stored`): a degraded answer is sound but less
+precise than what the key promises, and a partial fixpoint is not sound at
+all.
 """
 
 from __future__ import annotations
@@ -143,10 +144,10 @@ class ResultStore:
         """Persist *result* under its content key; returns the entry path.
 
         *faults* is an optional :class:`~repro.runtime.faults.FaultPlan`;
-        the ``result_store_put`` point fires before the write, so chaos
-        schedules can prove callers treat a failed put as skippable
-        (the answer is already computed — losing the cache entry may
-        never lose the run).
+        the ``result_store_put`` point fires before the write.  The
+        stored solve passes its plan, so chaos schedules prove that a
+        failed put is retried and then skipped (the answer is already
+        computed — losing the cache entry may never lose the run).
         """
         if faults is not None:
             faults.fire("result_store_put", stage=f"store:{analysis}")

@@ -19,10 +19,12 @@ from repro.engine import StageCache
 from repro.errors import WorkerCrash
 from repro.frontend import compile_c
 from repro.parallel.driver import solve_parallel
-from repro.pipeline import AnalysisPipeline
+from repro.incremental import IncrementalStore
+from repro.pipeline import AnalysisPipeline, solve_stored
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.degrade import solve_with_ladder
 from repro.runtime.faults import FaultPlan
+from repro.runtime.resilience import IO_RETRY
 from repro.store import ResultStore
 
 SOURCE = """
@@ -85,15 +87,6 @@ class TestWarmRunHealsCorruption:
         assert "stage_cache_read" in points
         assert "result_store_get" in points
         assert doc["report"]["precision_lost"] is False
-
-    def test_strict_io_restores_fail_fast(self, c_file, tmp_path, capsys):
-        store_dir = str(tmp_path / "store")
-        assert main(["-vfspta", c_file, "--store", store_dir]) == 0
-        for entry in glob.glob(os.path.join(store_dir, "result-*.json")):
-            _corrupt(entry)
-        capsys.readouterr()
-        assert main(["-vfspta", c_file, "--store", store_dir,
-                     "--strict-io"]) == 3
 
     def test_healed_answer_matches_clean_answer(self, tmp_path):
         store = str(tmp_path / "store")
@@ -168,26 +161,51 @@ class TestWatchdogCollapse:
 
 class TestResultStorePut:
     def test_failed_put_is_skippable(self, tmp_path):
-        module = compile_c(SOURCE)
+        clean = AnalysisPipeline(compile_c(SOURCE)).sfs()
         store = ResultStore(str(tmp_path / "results"))
-        result = AnalysisPipeline(module).sfs()
         plan = FaultPlan(point="result_store_put", probability=1.0,
                          once=False)
-        from repro.errors import InjectedFault
-
-        with pytest.raises(InjectedFault):
-            store.put(module, "sfs", True, result, faults=plan)
-        # The caller-side contract (CLI/chaos): catch, skip, keep going —
-        # and a retried once=True plan heals through on the second try.
+        result, hit = solve_stored(AnalysisPipeline(compile_c(SOURCE)),
+                                   "sfs", store=store, faults=plan)
+        # Retry, then skip: a lost cache entry never loses the answer.
+        assert not hit and result._pt == clean._pt
+        assert not glob.glob(os.path.join(store.directory, "result-*"))
+        puts = [h for h in result.report.self_heal
+                if h.get("point") == "result_store_put"]
+        assert [h["action"] for h in puts] == \
+            ["retry"] * IO_RETRY.retries + ["skip-write"]
+        assert all(h["error"] == "InjectedFault" for h in puts)
+        # A once=True plan heals through on the second try.
         retry_plan = FaultPlan(point="result_store_put")
-        from repro.runtime.resilience import IO_RETRY
-
-        path = IO_RETRY.run(
-            lambda: store.put(module, "sfs", True, result,
-                              faults=retry_plan),
-            retry_on=(OSError, InjectedFault), sleep=lambda _s: None)
-        assert os.path.exists(path)
+        result, __ = solve_stored(AnalysisPipeline(compile_c(SOURCE)),
+                                  "sfs", store=store, faults=retry_plan)
         assert retry_plan.fired
+        assert [h["action"] for h in result.report.self_heal] == ["retry"]
+        assert os.path.exists(store.last_path)
+
+
+class TestStoredSolveHeals:
+    def test_rejected_entry_and_slot_heal_with_reason(self, tmp_path):
+        def stored():
+            return solve_stored(
+                AnalysisPipeline(compile_c(SOURCE)), "vsfs",
+                store=ResultStore(str(tmp_path / "results")),
+                incremental=IncrementalStore(str(tmp_path / "incremental")))
+
+        cold, hit = stored()
+        assert not hit and not cold.report.self_heal
+        for entry in glob.glob(str(tmp_path / "*" / "*.json")):
+            _corrupt(entry)
+        healed, hit = stored()
+        assert not hit and healed._pt == cold._pt
+        heals = {h["point"]: h for h in healed.report.self_heal}
+        for point in ("result_store_get", "incremental_load"):
+            assert heals[point]["action"] == "recompute"
+            assert heals[point]["reason"] == "corrupt"
+            assert heals[point]["path"].endswith(".quarantined")
+        # The healed run stored its answer again: the next run hits.
+        again, hit = stored()
+        assert hit and again._pt == cold._pt
 
 
 class TestChaosHarness:

@@ -6,8 +6,10 @@ classify; a warm restart answers bit-identically to a cold boot; drain
 is graceful (in-flight finish, queued requests get a typed retry hint).
 """
 
+import glob
 import io
 import json
+import os
 import threading
 import urllib.request
 
@@ -185,6 +187,35 @@ class TestFaultAbsorption:
             assert plan.fired
         finally:
             service.drain(reply_grace_s=10.0)
+
+    @staticmethod
+    def _analyze_with_put_fault(tmp_path, plan):
+        store = str(tmp_path / "store")
+        service = _service(store_dir=store, faults=plan)
+        try:
+            response = _ask(service, {"op": "analyze", "program": SOURCE})
+        finally:
+            service.drain(reply_grace_s=10.0)
+        return response, glob.glob(os.path.join(store, "result-*.json"))
+
+    def test_result_store_put_fault_skips_the_write(self, service,
+                                                    tmp_path):
+        clean = _ask(service, {"op": "analyze", "program": SOURCE})
+        plan = FaultPlan(point="result_store_put", probability=1.0,
+                         once=False)
+        response, entries = self._analyze_with_put_fault(tmp_path, plan)
+        assert response.ok, response.error
+        assert response.result == clean.result
+        assert not response.precision_lost
+        assert response.heals >= 1 and plan.fired
+        assert entries == []
+
+    def test_result_store_put_fault_heals_on_retry(self, tmp_path):
+        plan = FaultPlan(point="result_store_put")  # once=True
+        response, entries = self._analyze_with_put_fault(tmp_path, plan)
+        assert response.ok, response.error
+        assert response.heals == 1 and len(plan.fired) == 1
+        assert len(entries) == 1
 
     def test_queue_admit_fault_is_a_shed(self):
         plan = FaultPlan(point="queue_admit")
@@ -375,7 +406,7 @@ class TestWorkerCrashExitCode:
             raise WorkerCrash("supervisor gave up", worker=1, failures=3,
                               incident="test")
 
-        monkeypatch.setattr(cli_module, "solve_with_ladder", _boom)
+        monkeypatch.setattr(cli_module, "solve_stored", _boom)
         path = tmp_path / "p.c"
         path.write_text("int x; int main() { return x; }")
         assert cli_module.main(["-fspta", str(path)]) == \

@@ -2,13 +2,13 @@
 
 One invariant, two media: an on-disk artifact — solver checkpoint,
 stage-cache entry — corrupted by a byte flip or truncation
-at an *arbitrary* offset must never produce garbage downstream.  Each
-load either
+at an *arbitrary* offset must never produce garbage downstream.
 
-- self-heals (the resilient wrapper quarantines/rebuilds and the caller
-  gets a correct answer), or
-- raises a **typed** quarantining error (:class:`CheckpointError`) at
-  the strict layer.
+- A checkpoint load either returns the exact data or raises a **typed**
+  quarantining error (:class:`CheckpointError`).
+- A stage-cache probe self-heals: the entry is quarantined, the heal
+  trail names the rejection's ``reason``, the stage rebuilds, and the
+  caller gets the exact answer.
 
 Never an untyped exception, never silently different data.
 """
@@ -139,7 +139,7 @@ class TestStageCacheCorruption:
 
     @RELAXED
     @given(st.data())
-    def test_strict_mode_is_exact_or_typed(self, warm_cache_dir, data):
+    def test_corruption_heals_with_reason(self, warm_cache_dir, data):
         cache_dir, baseline = warm_cache_dir
         entries = self._entries(cache_dir)
         victim = data.draw(st.sampled_from(entries))
@@ -148,16 +148,25 @@ class TestStageCacheCorruption:
         shutil.copyfile(victim, backup)
         _mutilate(victim, offset, mode, bit)
         try:
+            cache = StageCache(cache_dir)
             ctx = StageContext(module=None, source=SOURCE, language="c",
-                               cache=StageCache(cache_dir),
-                               strict_cache=True)
+                               cache=cache)
             engine = Engine(ctx)
-            try:
-                snapshot = engine.solve("vsfs").snapshot()
-            except CheckpointError:
-                pass  # typed fail-fast: the strict contract
+            snapshot = engine.solve("vsfs").snapshot()
+            heals = [h for h in engine.trace.heals
+                     if h.get("point") == "stage_cache_read"]
+            if heals:
+                # Detected: the heal names a typed reason and the
+                # quarantined file, and the stage rebuilt.
+                assert len(heals) == 1
+                assert heals[0]["reason"] in ("corrupt", "kind", "schema",
+                                              "config-mismatch")
+                assert heals[0]["path"] in cache.quarantined
             else:
-                assert snapshot == baseline
+                # The damage hit a byte the seal ignores: nothing is
+                # quarantined and the entry loaded as it was.
+                assert not cache.quarantined
+            assert snapshot == baseline
         finally:
             shutil.move(backup, victim)
             for name in os.listdir(cache_dir):

@@ -246,11 +246,6 @@ class TestResilienceFlags:
         args = build_arg_parser().parse_args(["--list-fault-points", "p.c"])
         assert args.list_fault_points
 
-    def test_strict_io_flag_parses(self):
-        args = build_arg_parser().parse_args(["--strict-io", "p.c"])
-        assert args.strict_io
-        assert not build_arg_parser().parse_args(["p.c"]).strict_io
-
     def test_chaos_list_subcommand(self, capsys):
         assert main(["chaos", "--list", "--seeds", "2"]) == 0
         captured = capsys.readouterr()

@@ -8,10 +8,7 @@ import glob
 import json
 import os
 
-import pytest
-
 from repro.engine import STAGE_CACHE_SCHEMA, Engine, StageCache, StageContext
-from repro.errors import CheckpointError
 
 SRC = """
 int *g; int x; int y;
@@ -148,24 +145,35 @@ class TestInvalidation:
 
 
 class TestCorruption:
-    """Strict mode: corruption raises (the pre-resilience contract the
-    engine-level self-healing defaults away from; see TestSelfHealing)."""
+    """A damaged entry is quarantined, never loaded, and named on the heal
+    trail with its rejection's ``reason`` (the stage then rebuilds; see
+    TestSelfHealing)."""
 
     def _cold_entry(self, tmp_path, stage):
         engine, cache = engine_with_cache(tmp_path)
         engine.ensure("versioning")
         return cache.entry_path(stage, engine.fingerprint(stage))
 
+    @staticmethod
+    def _read_heal(engine):
+        heals = [h for h in engine.trace.heals
+                 if h.get("point") == "stage_cache_read"]
+        assert len(heals) == 1, engine.trace.heals
+        assert heals[0]["action"] == "recompute"
+        assert heals[0]["error"] == "CheckpointError"
+        return heals[0]
+
     def test_garbage_entry_quarantined(self, tmp_path):
         path = self._cold_entry(tmp_path, "andersen")
         with open(path, "w") as handle:
             handle.write("not json {")
-        warm, cache = engine_with_cache(tmp_path, strict_cache=True)
-        with pytest.raises(CheckpointError):
-            warm.ensure("andersen")
-        assert not os.path.exists(path)
+        warm, cache = engine_with_cache(tmp_path)
+        warm.ensure("andersen")
         assert cache.quarantined
         assert glob.glob(path + "*.quarantined")
+        heal = self._read_heal(warm)
+        assert heal["reason"] == "corrupt"
+        assert heal["path"] in cache.quarantined
 
     def test_flipped_checksum_quarantined(self, tmp_path):
         path = self._cold_entry(tmp_path, "andersen")
@@ -174,34 +182,34 @@ class TestCorruption:
         doc["payload"]["var_pts"] = []  # tampered payload, checksum stale
         with open(path, "w") as handle:
             json.dump(doc, handle)
-        warm, cache = engine_with_cache(tmp_path, strict_cache=True)
-        with pytest.raises(CheckpointError):
-            warm.ensure("andersen")
+        warm, cache = engine_with_cache(tmp_path)
+        warm.ensure("andersen")
         assert cache.quarantined
+        assert self._read_heal(warm)["reason"] == "corrupt"
 
     def test_undecodable_payload_is_corrupt(self, tmp_path):
         # Re-seal a valid entry around a payload that is not an Andersen
         # result: the seal verifies, decoding fails, the entry is corrupt.
         path = _reseal_undecodable(self._cold_entry(tmp_path, "andersen"))
-        warm, cache = engine_with_cache(tmp_path, strict_cache=True)
-        with pytest.raises(CheckpointError) as excinfo:
-            warm.ensure("andersen")
-        assert excinfo.value.reason == "corrupt"
+        warm, cache = engine_with_cache(tmp_path)
+        warm.ensure("andersen")
+        assert self._read_heal(warm)["reason"] == "corrupt"
         assert cache.quarantined
-        assert not os.path.exists(path)
+        assert glob.glob(path + "*.quarantined")
 
     def test_quarantined_entry_never_loaded_twice(self, tmp_path):
         path = self._cold_entry(tmp_path, "andersen")
         with open(path, "w") as handle:
             handle.write("garbage")
-        broken, _ = engine_with_cache(tmp_path, strict_cache=True)
-        with pytest.raises(CheckpointError):
-            broken.ensure("andersen")
-        # The bad entry is gone, so the next run is a clean miss+rebuild.
+        broken, _ = engine_with_cache(tmp_path)
+        broken.ensure("andersen")
+        assert self._read_heal(broken)["reason"] == "corrupt"
+        # The bad entry is gone and the rebuild was stored, so the next
+        # run is a clean hit.
         recovered, cache = engine_with_cache(tmp_path)
         recovered.ensure("andersen")
-        assert cache.misses == 1 and not cache.quarantined
-        assert os.path.exists(path)  # entry rewritten from the fresh build
+        assert cache.hits == 1 and not cache.quarantined
+        assert not recovered.trace.heals
 
 
 class TestSelfHealing:
@@ -235,6 +243,7 @@ class TestSelfHealing:
         assert cache.quarantined
         assert any(h.get("point") == "stage_cache_read"
                    and h.get("error") == "CheckpointError"
+                   and h.get("reason") == "corrupt"
                    for h in warm.trace.heals)
         # The healed entry holds the rebuild: a third run is a clean
         # codec hit again.
