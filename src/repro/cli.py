@@ -47,8 +47,8 @@ instead).  The full table lives in README.md §Exit codes.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
-import tracemalloc
 from typing import List, Optional
 
 from repro.errors import (
@@ -220,10 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             # react (e.g. retry serially) without parsing stderr.
             return EXIT_WORKER_CRASH
         return EXIT_ANALYSIS
-    finally:
-        # _run traces the solve's memory; a run that fails must not leave
-        # every later allocation of the process traced.
-        tracemalloc.stop()
 
 
 def _checkpoint_config(args: argparse.Namespace) -> Optional[CheckpointConfig]:
@@ -273,14 +269,12 @@ def _run(args: argparse.Namespace, source: str) -> int:
         print("repro-wpa: warning: --resume is serial-only; ignoring "
               "--jobs", file=sys.stderr)
 
-    # The memory trace starts right before the ladder, so neither a
-    # store hit nor warm planning is traced.
     result, hit = solve_stored(
         pipeline, args.analysis, store=store, incremental=incremental,
         budget=_budget_from(args), fallback=not args.no_fallback,
         ptrepo=not args.no_ptrepo, checkpoint=_checkpoint_config(args),
         resume_from=args.resume, jobs=args.jobs,
-        parallel_mode=args.parallel_mode, before_solve=tracemalloc.start)
+        parallel_mode=args.parallel_mode)
     if hit:
         print(f"repro-wpa: result store hit ({store.last_path})",
               file=sys.stderr)
@@ -321,9 +315,9 @@ def _run(args: argparse.Namespace, source: str) -> int:
               f"{len(incr['dirty_functions'])} dirty function(s), "
               f"{incr['steps_saved']} solver steps saved", file=sys.stderr)
     _print_result(args, result, run_report)
-    __, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    print(f"peak analysis memory: {peak / 1024:.1f} KiB")
+    # ru_maxrss is in KiB on Linux: the whole process's peak, untraced.
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"peak RSS: {peak_kib / 1024:.1f} MiB")
 
     if args.report:
         print(run_report.render())

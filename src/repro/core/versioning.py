@@ -24,6 +24,17 @@ dense version id, so "same version" is an int comparison and the global
 (mask 0) is version 0 of every object: it marks nodes unreachable from any
 store, whose points-to set for that object is permanently empty.
 
+Phase 4 — *collapse* (beyond the paper): the frozen δ prelabels split
+classes that then sit on cycles of the object's version-constraint graph.
+Version constraints are unconditional inclusions — strong updates act at
+STORE nodes, which are never constraint edges — so at the fixpoint every
+version on a cycle holds the same set, and an on-the-fly constraint into
+one member reaches the others through the cycle anyway.  Each SCC is
+therefore merged into one version, exactly: it takes its smallest
+member's id, ids are renumbered densely in that order (ε stays 0), and
+the constraints are derived again without self-loops.
+``run(collapse=False)`` keeps the paper's meld-only form.
+
 Two propagation strategies are provided (cross-checked in the tests):
 
 - ``"scc"`` (default): per object, read that object's edge table
@@ -35,6 +46,9 @@ Two propagation strategies are provided (cross-checked in the tests):
   conversion of SparseBitVector melds to plain version numbers.
 - ``"fixpoint"``: the literal worklist reading of Figure 8, kept as the
   oracle the tests check ``"scc"`` against.
+
+Both strategies hand each object's masks to the same interning and
+collapse step, so they induce the same versions and constraints.
 """
 
 from __future__ import annotations
@@ -42,8 +56,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.datastructs.graph import tarjan_sccs
 from repro.datastructs.interning import Interner
 from repro.errors import AnalysisError
 from repro.ir.instructions import LoadInst, StoreInst
@@ -58,13 +73,23 @@ from repro.svfg.nodes import (
 )
 
 
+#: SVFG nodes of a single object; versioning keeps their pair on the node.
+_SINGLE_KINDS = (ActualINNode, ActualOUTNode, FormalINNode, FormalOUTNode)
+
+#: The table every node without versions reads (never written).
+_NO_VERSIONS: Dict[int, int] = {}
+
+#: One object's edge table, ``{src: (dst, ...)}``.
+EdgeTable = Dict[int, Tuple[int, ...]]
+
+
 def _node_needs_versions(node: SVFGNode) -> bool:
     """Nodes whose C/Y entries the solver consults after constraint
     collection: loads and stores (the rules of Figure 10) and the
     actual/formal IN/OUT nodes (on-the-fly call graph resolution)."""
     if isinstance(node, InstNode):
         return isinstance(node.inst, (LoadInst, StoreInst))
-    return isinstance(node, (ActualINNode, ActualOUTNode, FormalINNode, FormalOUTNode))
+    return isinstance(node, _SINGLE_KINDS)
 
 
 @dataclass
@@ -96,31 +121,24 @@ class ObjectVersioning:
         self.svfg = svfg
         self.stats = VersioningStats()
         self.keep_all_versions = keep_all_versions
-        self._is_store: List[bool] = [
+        # Per-node flags, one byte each.
+        self._is_store = bytearray([
             isinstance(node, InstNode) and isinstance(node.inst, StoreInst)
-            for node in svfg.nodes
-        ]
-        # Dense version tables: per node, obj id -> version id.  After
-        # constraint collection, versions are only consulted at LOAD/STORE
-        # nodes ([LOAD]ⱽ/[STORE]ⱽ) and at actual/formal IN/OUT nodes (OTF
-        # call graph resolution); entries elsewhere (MEMPHIs, mostly) are
-        # dropped unless *keep_all_versions* — set it when introspecting
-        # versions node-by-node (examples, tests).  Single-object nodes
-        # store their pair on the node itself (see SVFGNode); dict tables
-        # are allocated lazily and share one immutable empty dict.
-        empty: Dict[int, int] = {}
-        self._empty = empty
-        self.consumed: List[Dict[int, int]] = [empty] * len(svfg.nodes)
-        self.yielded: List[Dict[int, int]] = [empty] * len(svfg.nodes)
-        self._keep: List[bool] = [
-            keep_all_versions or _node_needs_versions(node) for node in svfg.nodes
-        ]
-        # Single-object nodes: versions live on the node (int slots).
-        self._single: List[bool] = [
-            not keep_all_versions
-            and isinstance(node, (ActualINNode, ActualOUTNode, FormalINNode, FormalOUTNode))
-            for node in svfg.nodes
-        ]
+            for node in svfg.nodes])
+        # Single-object nodes keep their versions on the node (int slots).
+        self._single = bytearray([
+            not keep_all_versions and isinstance(node, _SINGLE_KINDS)
+            for node in svfg.nodes])
+        # Sparse version tables, node id -> {obj id: version id}, holding
+        # only nodes that have one.  After constraint collection, versions
+        # are only consulted at LOAD/STORE nodes ([LOAD]ⱽ/[STORE]ⱽ) and at
+        # actual/formal IN/OUT nodes (OTF call graph resolution); entries
+        # elsewhere (MEMPHIs, mostly) are dropped unless
+        # *keep_all_versions* — set it when introspecting versions
+        # node-by-node (examples, tests).  Only STORE nodes have a yield
+        # table: every other node yields what it consumes ([INTERNAL]ⱽ).
+        self.consumed: Dict[int, Dict[int, int]] = {}
+        self.yielded: Dict[int, Dict[int, int]] = {}
         #: (oid, src version) -> [dst versions]: deduplicated A-PROP work.
         self.constraints: Dict[Tuple[int, int], List[int]] = {}
         self._constraint_set: Set[Tuple[int, int, int]] = set()
@@ -135,38 +153,40 @@ class ObjectVersioning:
         """``C_ℓ(o)`` — the version node ℓ consumes for object *oid*."""
         if self._single[node_id]:
             return self.svfg.nodes[node_id].consumed_ver
-        return self.consumed[node_id].get(oid, self.EPSILON)
+        return self.consumed.get(node_id, _NO_VERSIONS).get(oid, self.EPSILON)
 
     def yielded_version(self, node_id: int, oid: int) -> int:
         """``Y_ℓ(o)`` — the version node ℓ yields for object *oid*."""
         if self._single[node_id]:
             return self.svfg.nodes[node_id].yielded_ver
-        if self._is_store[node_id]:
-            return self.yielded[node_id].get(oid, self.EPSILON)
-        return self.consumed[node_id].get(oid, self.EPSILON)
+        return self.yielded_table(node_id).get(oid, self.EPSILON)
+
+    def consumed_table(self, node_id: int) -> Dict[int, int]:
+        """``C_ℓ`` of a multi-object node as ``{oid: version}`` (read-only;
+        objects it lacks consume ε)."""
+        return self.consumed.get(node_id, _NO_VERSIONS)
+
+    def yielded_table(self, node_id: int) -> Dict[int, int]:
+        """``Y_ℓ`` of a multi-object node as ``{oid: version}`` (read-only;
+        a non-STORE node's is its consumed table)."""
+        tables = self.yielded if self._is_store[node_id] else self.consumed
+        return tables.get(node_id, _NO_VERSIONS)
 
     def _set_consumed(self, node_id: int, oid: int, ver: int) -> None:
         if self._single[node_id]:
-            self.svfg.nodes[node_id].consumed_ver = ver
+            node = self.svfg.nodes[node_id]
             # Non-store single-object nodes yield what they consume.
-            self.svfg.nodes[node_id].yielded_ver = ver
+            node.consumed_ver = node.yielded_ver = ver
             return
-        table = self.consumed[node_id]
-        if table is self._empty:
+        table = self.consumed.get(node_id)
+        if table is None:
             table = self.consumed[node_id] = {}
-            if not self._is_store[node_id]:
-                self.yielded[node_id] = table  # [INTERNAL]ⱽ sharing
         table[oid] = ver
 
     def _set_yielded(self, node_id: int, oid: int, ver: int) -> None:
-        if self._single[node_id]:
-            self.svfg.nodes[node_id].yielded_ver = ver
-            return
-        if not self._is_store[node_id]:
-            self._set_consumed(node_id, oid, ver)
-            return
-        table = self.yielded[node_id]
-        if table is self._empty:
+        """Record the version STORE node *node_id* yields for *oid*."""
+        table = self.yielded.get(node_id)
+        if table is None:
             table = self.yielded[node_id] = {}
         table[oid] = ver
 
@@ -200,30 +220,26 @@ class ObjectVersioning:
         on-the-fly constraints (which a fresh pre-analysis over the
         restored call graph would have to re-derive), and restoring is
         O(entries) where melding is the dominant pre-analysis cost.
+        Tables are written in node order.
         """
+        nodes = self.svfg.nodes
         single = []
         for node_id, is_single in enumerate(self._single):
             if not is_single:
                 continue
-            node = self.svfg.nodes[node_id]
+            node = nodes[node_id]
             if node.consumed_ver or node.yielded_ver:
                 single.append([node_id, node.consumed_ver, node.yielded_ver])
-        consumed = {
-            str(node_id): {str(oid): ver for oid, ver in table.items()}
-            for node_id, table in enumerate(self.consumed)
-            if table is not self._empty and not self._single[node_id]
-        }
-        # Non-store nodes share their yielded dict with consumed
-        # ([INTERNAL]ⱽ); only store yields carry independent information.
-        yielded_store = {
-            str(node_id): {str(oid): ver for oid, ver in table.items()}
-            for node_id, table in enumerate(self.yielded)
-            if table is not self._empty and self._is_store[node_id]
-        }
+
+        def tables(by_node: Dict[int, Dict[int, int]]) -> dict:
+            return {str(node_id): {str(oid): ver
+                                   for oid, ver in by_node[node_id].items()}
+                    for node_id in sorted(by_node)}
+
         return {
             "single": single,
-            "consumed": consumed,
-            "yielded_store": yielded_store,
+            "consumed": tables(self.consumed),
+            "yielded_store": tables(self.yielded),
             "constraints": sorted(
                 (oid, src, dst)
                 for (oid, src), dsts in (constraints or self.constraints).items()
@@ -247,16 +263,11 @@ class ObjectVersioning:
             node = self.svfg.nodes[node_id]
             node.consumed_ver = consumed_ver
             node.yielded_ver = yielded_ver
-        # _set_consumed recreates the [INTERNAL]ⱽ dict sharing for
-        # non-store nodes; store yields land in their own tables after.
-        for node_key, table in state["consumed"].items():
-            node_id = int(node_key)
-            for oid, ver in table.items():
-                self._set_consumed(node_id, int(oid), ver)
-        for node_key, table in state["yielded_store"].items():
-            node_id = int(node_key)
-            for oid, ver in table.items():
-                self._set_yielded(node_id, int(oid), ver)
+        for name, by_node in (("consumed", self.consumed),
+                              ("yielded_store", self.yielded)):
+            for node_key, table in state[name].items():
+                by_node[int(node_key)] = {int(oid): ver
+                                          for oid, ver in table.items()}
         for oid, src_ver, dst_ver in state["constraints"]:
             self.add_constraint(oid, src_ver, dst_ver)
         self._version_counts = {int(oid): count
@@ -266,25 +277,39 @@ class ObjectVersioning:
         self.stats.meld_steps = state["meld_steps"]
         self.stats.versions = state["versions"]
         self.stats.consume_entries = sum(
-            len(table) for table in self.consumed if table is not self._empty)
+            len(table) for table in self.consumed.values())
         self.stats.yield_entries = sum(
-            len(table) for node_id, table in enumerate(self.yielded)
-            if table is not self._empty and self._is_store[node_id])
+            len(table) for table in self.yielded.values())
         return self
 
     # ------------------------------------------------------------------- run
 
-    def run(self, strategy: str = "scc", release_masks: bool = True) -> "ObjectVersioning":
-        start = time.perf_counter()
-        store_prelabels, delta_prelabels = self._prelabel()
-        if strategy == "scc":
-            self._run_per_object(store_prelabels, delta_prelabels, release_masks)
-        elif strategy == "fixpoint":
-            self._run_fixpoint(store_prelabels, delta_prelabels, release_masks)
-            self.stats.consume_entries = sum(len(cons) for cons in self.consumed)
-            self.stats.yield_entries = sum(len(y) for y in self.yielded)
-        else:
+    def run(self, strategy: str = "scc", release_masks: bool = True,
+            collapse: bool = True) -> "ObjectVersioning":
+        """Prelabel, meld (by *strategy*), intern and — unless *collapse*
+        is False — merge version cycles.  The per-run node flags are
+        released when it returns."""
+        if strategy not in ("scc", "fixpoint"):
             raise AnalysisError(f"unknown meld strategy {strategy!r}")
+        start = time.perf_counter()
+        svfg = self.svfg
+        keep = bytearray([self.keep_all_versions or _node_needs_versions(node)
+                          for node in svfg.nodes])
+        store_prelabels, delta_prelabels = self._prelabel()
+        meld = self._meld_per_object if strategy == "scc" else self._meld_fixpoint
+        if not release_masks:
+            self.consumed_masks = [{} for __ in svfg.nodes]
+            self.yielded_masks = [{} for __ in svfg.nodes]
+        for oid, consumed, yielded in meld(store_prelabels, delta_prelabels):
+            # Every version cycle runs through a δ node's version.
+            self._intern_object(oid, consumed, yielded,
+                                svfg.ind_edges.get(oid, {}), keep,
+                                collapse and oid in delta_prelabels)
+            if self.consumed_masks is not None and self.yielded_masks is not None:
+                for node_id, mask in consumed.items():
+                    self.consumed_masks[node_id][oid] = mask
+                for node_id, mask in yielded.items():
+                    self.yielded_masks[node_id][oid] = mask
         self.stats.versions = sum(self._version_counts.values())
         self.stats.time = time.perf_counter() - start
         return self
@@ -315,42 +340,34 @@ class ObjectVersioning:
 
     # ----------------------------------------------------- strategy: per-obj
 
-    def _run_per_object(
+    def _meld_per_object(
         self,
         store_prelabels: Dict[int, Dict[int, int]],
         delta_prelabels: Dict[int, Dict[int, int]],
-        release_masks: bool,
-    ) -> None:
+    ) -> Iterator[Tuple[int, Dict[int, int], Dict[int, int]]]:
+        """Yield ``(oid, consumed, yielded)`` masks one object at a time,
+        so each object's masks are released before the next is melded."""
         svfg = self.svfg
-        if not release_masks:
-            self.consumed_masks = [{} for __ in svfg.nodes]
-            self.yielded_masks = [{} for __ in svfg.nodes]
         # Relay nodes forward what they consume: non-STORE, non-δ.
         delta = svfg.delta_nodes
-        relay = [not store and node_id not in delta
-                 for node_id, store in enumerate(self._is_store)]
+        relay = bytearray([not store and node_id not in delta
+                           for node_id, store in enumerate(self._is_store)])
         ind_edges = svfg.ind_edges
-        no_edges: Dict[int, Tuple[int, ...]] = {}
+        no_edges: EdgeTable = {}
         oids = set(ind_edges) | set(store_prelabels) | set(delta_prelabels)
         for oid in oids:
-            edges = ind_edges.get(oid, no_edges)
             consumed, yielded = self._meld_one_object(
-                edges,
+                ind_edges.get(oid, no_edges),
                 relay,
                 store_prelabels.get(oid, {}),
                 delta_prelabels.get(oid, {}),
             )
-            self._intern_object(oid, consumed, yielded, edges)
-            if self.consumed_masks is not None and self.yielded_masks is not None:
-                for node_id, mask in consumed.items():
-                    self.consumed_masks[node_id][oid] = mask
-                for node_id, mask in yielded.items():
-                    self.yielded_masks[node_id][oid] = mask
+            yield oid, consumed, yielded
 
     def _meld_one_object(
         self,
-        edges: Dict[int, Tuple[int, ...]],
-        relay: List[bool],
+        edges: EdgeTable,
+        relay: bytearray,
         store_labels: Dict[int, int],
         delta_labels: Dict[int, int],
     ) -> Tuple[Dict[int, int], Dict[int, int]]:
@@ -358,65 +375,22 @@ class ObjectVersioning:
         returns (consumed, yielded) masks."""
         delta = self.svfg.delta_nodes
 
-        # Relay adjacency and membership.
-        relay_succs: Dict[int, Tuple[int, ...]] = {}
+        # The relay-to-relay subgraph and its SCCs, reverse topological
+        # (successors first).
+        relay_succs: Dict[int, List[int]] = {}
         relay_nodes: Set[int] = set()
         for src, dsts in edges.items():
             if relay[src]:
-                relay_succs[src] = dsts
+                relay_succs[src] = [dst for dst in dsts if relay[dst]]
                 relay_nodes.add(src)
             for dst in dsts:
                 if relay[dst]:
                     relay_nodes.add(dst)
-
-        # SCC over the relay-to-relay subgraph (iterative Tarjan).
+        comps = tarjan_sccs(relay_nodes, relay_succs)
         comp_of: Dict[int, int] = {}
-        comps: List[List[int]] = []  # reverse topological (succs first)
-        index: Dict[int, int] = {}
-        low: Dict[int, int] = {}
-        on_stack: Set[int] = set()
-        stack: List[int] = []
-        counter = 0
-        for root in relay_nodes:
-            if root in index:
-                continue
-            work = [(root, iter(relay_succs.get(root, ())))]
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, succs = work[-1]
-                advanced = False
-                for succ in succs:
-                    if not relay[succ]:
-                        continue
-                    if succ not in index:
-                        index[succ] = low[succ] = counter
-                        counter += 1
-                        stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(relay_succs.get(succ, ()))))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        low[node] = min(low[node], index[succ])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp: List[int] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        comp.append(member)
-                        comp_of[member] = len(comps)
-                        if member == node:
-                            break
-                    comps.append(comp)
+        for comp_id, members in enumerate(comps):
+            for member in members:
+                comp_of[member] = comp_id
 
         # Condensation DAG: fixed sources contribute prelabels; store
         # consumers are sinks (encoded as negative ids); δ targets are
@@ -478,48 +452,71 @@ class ObjectVersioning:
             yielded[node_id] = label  # δ nodes are non-store
         return consumed, yielded
 
+    # ------------------------------------------------- intern + collapse
+
     def _intern_object(
         self,
         oid: int,
         consumed: Dict[int, int],
         yielded: Dict[int, int],
-        edges: Dict[int, Tuple[int, ...]],
+        edges: EdgeTable,
+        keep: bytearray,
+        collapse: bool,
     ) -> None:
-        """Phase 3 for one object: dense ids + constraints, then release."""
+        """Phases 3 and 4 for one object: dense ids, the cycle collapse,
+        the constraints, then the tables the solver reads."""
         interner: Interner = Interner()
         interner.intern(0)  # ε is version 0
         consumed_ver = {node_id: interner.intern(mask) for node_id, mask in consumed.items()}
         yielded_ver = {node_id: interner.intern(mask) for node_id, mask in yielded.items()}
-        self._version_counts[oid] = len(interner)
+        count = len(interner)
         self.stats.consume_entries += len(consumed_ver)
         self.stats.yield_entries += len(yielded_ver)
-        epsilon = self.EPSILON
+        # This object's constraint graph, src version -> {dst versions}
+        # in first-seen order; ε sources constrain nothing.
+        succs: Dict[int, Dict[int, None]] = {}
         for src, dsts in edges.items():
-            src_ver = yielded_ver.get(src, epsilon)
-            if src_ver == epsilon:
+            src_ver = yielded_ver.get(src)
+            if not src_ver:
                 continue
+            targets = succs.get(src_ver)
             for dst in dsts:
-                dst_ver = consumed_ver.get(dst, epsilon)
+                dst_ver = consumed_ver.get(dst, 0)
                 if src_ver != dst_ver:
-                    self.add_constraint(oid, src_ver, dst_ver)
+                    if targets is None:
+                        targets = succs[src_ver] = {}
+                    targets[dst_ver] = None
+        remap: Sequence[int] = range(count)
+        if collapse and count > 2:  # a cycle needs two non-ε versions
+            merged = _merge_cycles(succs, count)
+            if merged is not None:
+                remap, count = merged
+                consumed_ver = {node_id: remap[ver] for node_id, ver in consumed_ver.items()}
+                yielded_ver = {node_id: remap[ver] for node_id, ver in yielded_ver.items()}
+        self._version_counts[oid] = count
+        # add_constraint drops the self-loops the collapse leaves.
+        for src_ver, dst_vers in succs.items():
+            for dst_ver in dst_vers:
+                self.add_constraint(oid, remap[src_ver], remap[dst_ver])
         # Persist only the entries the solver will consult again.
-        keep = self._keep
         for node_id, ver in consumed_ver.items():
             if keep[node_id]:
                 self._set_consumed(node_id, oid, ver)
+        is_store = self._is_store
         for node_id, ver in yielded_ver.items():
-            if keep[node_id]:
+            if keep[node_id] and is_store[node_id]:
                 self._set_yielded(node_id, oid, ver)
 
     # --------------------------------------------------- strategy: fixpoint
 
-    def _run_fixpoint(
+    def _meld_fixpoint(
         self,
         store_prelabels: Dict[int, Dict[int, int]],
         delta_prelabels: Dict[int, Dict[int, int]],
-        release_masks: bool,
-    ) -> None:
-        """The literal worklist reading of [EXTERNAL]ⱽ/[INTERNAL]ⱽ."""
+    ) -> Iterator[Tuple[int, Dict[int, int], Dict[int, int]]]:
+        """The literal worklist reading of [EXTERNAL]ⱽ/[INTERNAL]ⱽ over
+        the whole graph; then yields ``(oid, consumed, yielded)`` masks
+        object by object."""
         svfg = self.svfg
         is_store = self._is_store
         consumed_masks: List[Dict[int, int]] = [{} for __ in svfg.nodes]
@@ -540,7 +537,7 @@ class ObjectVersioning:
 
         delta = svfg.delta_nodes
         ind_edges = svfg.ind_edges
-        no_edges: Dict[int, Tuple[int, ...]] = {}
+        no_edges: EdgeTable = {}
         work = deque(seeds)
         in_work = set(seeds)
         while work:
@@ -569,38 +566,44 @@ class ObjectVersioning:
                         in_work.add(key)
                         work.append(key)
 
-        # Intern whole-graph results object by object.
-        interners: Dict[int, Interner] = {}
-
-        def intern(oid: int, mask: int) -> int:
-            interner = interners.get(oid)
-            if interner is None:
-                interner = Interner()
-                interner.intern(0)
-                interners[oid] = interner
-            return interner.intern(mask)
-
-        for node_id in range(len(svfg.nodes)):
-            for oid, mask in consumed_masks[node_id].items():
-                self._set_consumed(node_id, oid, intern(oid, mask))
-            if is_store[node_id]:
-                for oid, mask in yielded_masks[node_id].items():
-                    self._set_yielded(node_id, oid, intern(oid, mask))
-        self._version_counts = {oid: len(interner) for oid, interner in interners.items()}
-        for oid, table in ind_edges.items():
-            for src, dsts in table.items():
-                src_ver = self.yielded_version(src, oid)
-                if src_ver == self.EPSILON:
-                    continue
-                for dst in dsts:
-                    dst_ver = self.consumed_version(dst, oid)
-                    if src_ver != dst_ver:
-                        self.add_constraint(oid, src_ver, dst_ver)
-        if not release_masks:
-            self.consumed_masks = consumed_masks
-            self.yielded_masks = yielded_masks
+        by_object: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {
+            oid: ({}, {}) for oid in ind_edges}
+        for side, masks in enumerate((consumed_masks, yielded_masks)):
+            for node_id, table in enumerate(masks):
+                for oid, mask in table.items():
+                    by_object.setdefault(oid, ({}, {}))[side][node_id] = mask
+        for oid, (consumed, yielded) in by_object.items():
+            yield oid, consumed, yielded
 
 
-def version_objects(svfg: SVFG, strategy: str = "scc") -> ObjectVersioning:
-    """Run the versioning pre-analysis (prelabel → meld → intern)."""
-    return ObjectVersioning(svfg).run(strategy=strategy)
+def _merge_cycles(succs: Dict[int, Dict[int, None]],
+                  count: int) -> Optional[Tuple[List[int], int]]:
+    """Phase 4 for one object's constraint graph *succs* over *count*
+    versions: ``(remap, new count)`` merging every SCC into its smallest
+    member, renumbered densely in that order; ``None`` when acyclic."""
+    smallest: Optional[List[int]] = None
+    for component in tarjan_sccs(succs, succs):
+        if len(component) > 1:
+            if smallest is None:
+                smallest = list(range(count))
+            low = min(component)
+            for ver in component:
+                smallest[ver] = low
+    if smallest is None:
+        return None
+    remap = [0] * count
+    dense = 0
+    for ver, low in enumerate(smallest):
+        if low == ver:
+            remap[ver] = dense
+            dense += 1
+        else:
+            remap[ver] = remap[low]
+    return remap, dense
+
+
+def version_objects(svfg: SVFG, strategy: str = "scc",
+                    collapse: bool = True) -> ObjectVersioning:
+    """Run the versioning pre-analysis (prelabel → meld → intern →
+    collapse; ``collapse=False`` stops after interning)."""
+    return ObjectVersioning(svfg).run(strategy=strategy, collapse=collapse)

@@ -170,7 +170,7 @@ class VSFSAnalysis(StagedSolverBase):
     def _process_load(self, node: InstNode, inst: LoadInst) -> None:
         """[LOAD]ⱽ: pt(p) ⊇ pt_{C_ℓ(o)}(o) for each o ∈ pt(q)."""
         assert self.versioning is not None
-        consumed = self.versioning.consumed[node.id]
+        consumed = self.versioning.consumed_table(node.id)
         mask = 0
         for oid in iter_bits(self.value_mask(inst.ptr)):
             ver = consumed.get(oid)
@@ -185,9 +185,9 @@ class VSFSAnalysis(StagedSolverBase):
         versioning = self.versioning
         ptr_mask = self.value_mask(inst.ptr)
         su_oid = self.strong_update_target(ptr_mask)
-        yielded = versioning.yielded[node.id]
+        yielded = versioning.yielded_table(node.id)
         gen = self.value_mask(inst.value)
-        consumed = versioning.consumed[node.id]
+        consumed = versioning.consumed_table(node.id)
         for chi in self.memssa.store_chis.get(inst, ()):
             oid = chi.obj.id
             y_ver = yielded.get(oid)
@@ -247,8 +247,8 @@ class VSFSAnalysis(StagedSolverBase):
         if want_yield:
             if not versioning._is_store[nid]:
                 return None  # yields what it consumes — node_in covers it
-            return versioning.yielded[nid].get(oid)
-        return versioning.consumed[nid].get(oid)
+            return versioning.yielded_table(nid).get(oid)
+        return versioning.consumed_table(nid).get(oid)
 
     def _preload_memory(self, plan) -> None:
         """Write clean-region values straight into the version table.
@@ -309,7 +309,7 @@ class VSFSAnalysis(StagedSolverBase):
                     if mask:
                         node_out[nid] = {obj.id: mask}
                 continue
-            consumed = versioning.consumed[nid]
+            consumed = versioning.consumed_table(nid)
             if consumed:
                 table = {
                     oid: mask for oid, mask in
@@ -320,7 +320,7 @@ class VSFSAnalysis(StagedSolverBase):
                 if table:
                     node_in[nid] = table
             if versioning._is_store[nid]:
-                yielded = versioning.yielded[nid]
+                yielded = versioning.yielded_table(nid)
                 table = {
                     oid: mask for oid, mask in
                     ((oid, self.ptv_mask(oid, ver))

@@ -8,7 +8,8 @@ CPython's recursion limit.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, Iterable, Iterator, List, Set, Tuple, TypeVar
+from typing import (Dict, Generic, Hashable, Iterable, Iterator, List, Mapping,
+                    Set, Tuple, TypeVar)
 
 N = TypeVar("N", bound=Hashable)
 
@@ -99,38 +100,44 @@ class DiGraph(Generic[N]):
         return len(self._succs)
 
 
-def strongly_connected_components(graph: DiGraph[N]) -> List[List[N]]:
+def tarjan_sccs(roots: Iterable[N],
+                succs: Mapping[N, Iterable[N]]) -> List[List[N]]:
     """Tarjan's SCC algorithm, iterative, in reverse topological order.
 
-    Components are returned callee-first: every edge leaving a component
-    points to a component that appears *earlier* in the returned list.
+    Visits the graph reached from *roots* (in their order) through
+    ``succs.get(node, ())``, so a node without successors need not be a
+    key.  Every node of the visited graph lands in exactly one component,
+    and components are returned callee-first: every edge leaving a
+    component points to a component that appears *earlier* in the list.
     """
     index: Dict[N, int] = {}
     lowlink: Dict[N, int] = {}
     on_stack: Set[N] = set()
     stack: List[N] = []
     components: List[List[N]] = []
+    no_succs: Tuple[N, ...] = ()
     counter = 0
 
-    for root in list(graph.nodes()):
+    for root in roots:
         if root in index:
             continue
         # Each work item is (node, iterator over successors).
-        work: List[Tuple[N, Iterator[N]]] = [(root, iter(graph.successors(root)))]
+        work: List[Tuple[N, Iterator[N]]] = [
+            (root, iter(succs.get(root, no_succs)))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
         on_stack.add(root)
         while work:
-            node, succs = work[-1]
+            node, pending = work[-1]
             advanced = False
-            for succ in succs:
+            for succ in pending:
                 if succ not in index:
                     index[succ] = lowlink[succ] = counter
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(graph.successors(succ))))
+                    work.append((succ, iter(succs.get(succ, no_succs))))
                     advanced = True
                     break
                 if succ in on_stack:
@@ -151,6 +158,12 @@ def strongly_connected_components(graph: DiGraph[N]) -> List[List[N]]:
                         break
                 components.append(component)
     return components
+
+
+def strongly_connected_components(graph: DiGraph[N]) -> List[List[N]]:
+    """The SCCs of *graph* in reverse topological order (see
+    :func:`tarjan_sccs`)."""
+    return tarjan_sccs(list(graph.nodes()), graph._succs)
 
 
 def condensation(graph: DiGraph[N]) -> Tuple[Dict[N, int], List[List[N]], "DiGraph[int]"]:

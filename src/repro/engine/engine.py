@@ -2,7 +2,8 @@
 
 :meth:`Engine.ensure` builds a substrate stage after its inputs,
 memoising artifacts in the context and consulting the stage cache when
-one is attached; :meth:`Engine.solve` runs one solve rung (the timed
+one is attached, with the cyclic collector paused for the build;
+:meth:`Engine.solve` runs one solve rung (the timed
 main phase) under per-rung governance.  Every execution is bracketed by
 events on the context's bus, folded by the engine's
 :class:`~repro.engine.events.StageTrace` into the per-stage breakdown
@@ -11,9 +12,11 @@ reproducing the paper's setup-vs-main-phase split.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import time
-from typing import Any, Dict, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional
 
 from repro.engine.context import StageContext
 from repro.engine.events import (StageEvent, StageTrace, gc_collections,
@@ -21,6 +24,25 @@ from repro.engine.events import (StageEvent, StageTrace, gc_collections,
 from repro.engine.stages import Stage, default_stages
 from repro.errors import AnalysisError, CheckpointError, InjectedFault
 from repro.runtime.resilience import IO_RETRY
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Disable the cyclic collector for the block, if it is enabled.
+
+    A substrate build allocates large, long-lived object graphs, and the
+    collector's full collections would re-walk all of them without
+    freeing any.  Nothing is frozen and no threshold moves: the collector
+    runs as before once the block ends, so the daemon still reclaims the
+    cycles of evicted sessions.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Engine:
@@ -129,37 +151,38 @@ class Engine:
         ctx.bus.emit(StageEvent("stage_start", name,
                                 main_phase=stage.main_phase, fingerprint=fp))
         begun = time.perf_counter()
-        gc_begun = gc_collections()
-        cache_label: Optional[str] = None
-        try:
-            artifact: Any = None
-            if cacheable:
-                probe = self._cache_lookup(stage, fp)
-                cache_label = probe.mode
-                if probe.mode == "codec":
-                    artifact = probe.artifact
-                    ctx.bus.emit(StageEvent(
-                        "cache_hit", name, cache="codec",
-                        artifact_bytes=probe.nbytes, fingerprint=fp))
-            if artifact is None:
-                artifact = stage.run(ctx)
+        with _collector_paused():
+            gc_begun = gc_collections()
+            cache_label: Optional[str] = None
+            try:
+                artifact: Any = None
                 if cacheable:
-                    self._cache_store(stage, fp, artifact)
-        except BaseException as exc:
+                    probe = self._cache_lookup(stage, fp)
+                    cache_label = probe.mode
+                    if probe.mode == "codec":
+                        artifact = probe.artifact
+                        ctx.bus.emit(StageEvent(
+                            "cache_hit", name, cache="codec",
+                            artifact_bytes=probe.nbytes, fingerprint=fp))
+                if artifact is None:
+                    artifact = stage.run(ctx)
+                    if cacheable:
+                        self._cache_store(stage, fp, artifact)
+            except BaseException as exc:
+                ctx.bus.emit(StageEvent(
+                    "stage_end", name, wall_s=time.perf_counter() - begun,
+                    main_phase=stage.main_phase, cache=cache_label,
+                    fingerprint=fp, outcome=type(exc).__name__,
+                    detail=gc_detail(gc_begun)))
+                raise
+            ctx.artifacts[name] = artifact
+            if fp is None:
+                fp = self.fingerprint(name)  # content roots hash post-run
             ctx.bus.emit(StageEvent(
                 "stage_end", name, wall_s=time.perf_counter() - begun,
-                main_phase=stage.main_phase, cache=cache_label,
-                fingerprint=fp, outcome=type(exc).__name__,
+                steps=stage.steps(artifact), main_phase=stage.main_phase,
+                cache=cache_label, fingerprint=fp, outcome="ok",
                 detail=gc_detail(gc_begun)))
-            raise
-        ctx.artifacts[name] = artifact
-        if fp is None:
-            fp = self.fingerprint(name)  # content roots hash post-run
-        ctx.bus.emit(StageEvent(
-            "stage_end", name, wall_s=time.perf_counter() - begun,
-            steps=stage.steps(artifact), main_phase=stage.main_phase,
-            cache=cache_label, fingerprint=fp, outcome="ok",
-            detail=gc_detail(gc_begun)))
         return artifact
 
     # ------------------------------------------------------------ main phase

@@ -203,7 +203,7 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
                  store=None, incremental=None, budget=None,
                  fallback: bool = True, faults=None, ptrepo: bool = True,
                  checkpoint=None, resume_from=None, jobs: int = 1,
-                 parallel_mode: Optional[str] = None, before_solve=None):
+                 parallel_mode: Optional[str] = None):
     """Answer *analysis* from *store*, or solve it and store the answer.
 
     The stored solve behind ``repro-wpa --store``, the daemon, the chaos
@@ -216,9 +216,8 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
        holds the last solved program, and
        :func:`~repro.incremental.plan_warm` plans a warm re-solve of the
        edit's dirty closure (DESIGN.md §14).
-    3. *before_solve*, if given, is called; then the degradation ladder
-       runs; see :func:`analyze` for *budget*, *fallback*, *faults*,
-       *checkpoint* and *resume_from*.  With ``jobs > 1`` an SFS solve
+    3. The degradation ladder runs; see :func:`analyze` for *budget*,
+       *fallback*, *faults*, *checkpoint* and *resume_from*.  With ``jobs > 1`` an SFS solve
        that resumes nothing runs sharded.
     4. A full-precision answer is put in *store*, and the solved program
        is captured into the warm slot for the next edit.
@@ -286,8 +285,6 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
             warm_plan = plan_warm(slot, pipeline.svfg(), pipeline.modref(),
                                   analysis, ptrepo, pipeline.andersen())
     sharded = analysis == "sfs" and jobs > 1 and not resume_from
-    if before_solve is not None:
-        before_solve()
     result = solve_with_ladder(
         pipeline, analysis="sfs-par" if sharded else analysis, budget=budget,
         fallback=fallback, faults=faults, ptrepo=ptrepo,

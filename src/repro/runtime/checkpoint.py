@@ -52,7 +52,9 @@ __all__ = [
 #: ``fp_scheme`` so pre-refactor checkpoints are rejected, not resumed.
 #: 3: one eager kernel — the worklist snapshot is the plain FIFO queue
 #: (no ``full``/``dirty`` annotations) and the key drops ``delta``.
-CHECKPOINT_SCHEMA = 3
+#: 4: VSFS versioning merges version-constraint cycles and stores its
+#: tables sparsely, so a stored VSFS versioning means other versions.
+CHECKPOINT_SCHEMA = 4
 
 #: Artifact kind tag inside the sealed envelope.
 CHECKPOINT_KIND = "checkpoint"

@@ -199,15 +199,22 @@ class TestCheckpointManifest:
         assert meta["reason"] == "budget"
 
 
+def _reseal(path, kind, schema, payload_edit=None, **meta_edit):
+    """Rewrite a sealed document as *schema*, with *meta_edit* merged into
+    its manifest and *payload_edit* applied to its payload."""
+    with open(path) as handle:
+        document = json.load(handle)
+    payload = document["payload"]
+    if payload_edit is not None:
+        payload_edit(payload)
+    write_sealed_json(path, kind, schema, dict(document["meta"], **meta_edit),
+                      payload)
+
+
 def _reseal_as_schema_two(path, kind, payload_edit):
     """Rewrite a sealed document as the pre-eager-kernel layout: schema
     2, a ``delta`` flag in the manifest, *payload_edit* applied."""
-    with open(path) as handle:
-        document = json.load(handle)
-    meta = dict(document["meta"], delta=True)
-    payload = document["payload"]
-    payload_edit(payload)
-    write_sealed_json(path, kind, 2, meta, payload)
+    _reseal(path, kind, 2, payload_edit, delta=True)
 
 
 class TestSchemaTwoRefused:
@@ -251,3 +258,23 @@ class TestSchemaTwoRefused:
         assert os.path.exists(exc.value.path)
         # The quarantined entry no longer shadows the key.
         assert store.get(module, "vsfs", True) is None
+
+
+class TestSchemaThreeRefused:
+    """A VSFS checkpoint sealed before the version-cycle collapse (schema
+    3) stores meld-only version ids; it is refused typed and quarantined,
+    never restored into the collapsed version table."""
+
+    def test_schema_three_vsfs_checkpoint(self, tmp_path):
+        config, path = _interrupt(tmp_path, "vsfs", True, 5)
+        _reseal(path, "checkpoint", 3)
+        with pytest.raises(CheckpointError) as exc:
+            analyze(compile_c(PROGRAM), analysis="vsfs", resume_from=path)
+        assert exc.value.reason == "schema"
+        assert not os.path.exists(path)
+        assert os.path.exists(exc.value.path)  # the quarantined copy
+        fresh = analyze(compile_c(PROGRAM), analysis="vsfs",
+                        checkpoint=config, resume_from=True)
+        assert not fresh.report.resumed
+        assert fresh.snapshot() == analyze(compile_c(PROGRAM),
+                                           analysis="vsfs").snapshot()

@@ -353,20 +353,25 @@ class TestMultiLevelPointers:
 
 
 class TestDeterminism:
-    def test_sfs_counters_repeat_across_hash_seeds(self):
-        """SFS pushes work in discovery order, never in the order of
-        object addresses or string hashes: processes with different hash
-        seeds count the same work on one program."""
+    def test_counters_and_versioning_repeat_across_hash_seeds(self):
+        """SFS and VSFS push work in discovery order, and versioning
+        numbers versions in it, never in the order of object addresses
+        or string hashes: processes with different hash seeds count the
+        same work and build the same versioning on one program."""
         script = ("from repro.bench.workloads import suite_program\n"
                   "from repro.pipeline import AnalysisPipeline\n"
-                  "s = AnalysisPipeline(suite_program('du')).sfs().stats\n"
-                  "print(s.nodes_processed, s.propagations, s.unions)\n")
-        src = str(Path(__file__).resolve().parents[2] / "src")
+                  "from tests.digests import versioning_digest\n"
+                  "p = AnalysisPipeline(suite_program('du'))\n"
+                  "for s in (p.sfs().stats, p.vsfs().stats):\n"
+                  "    print(s.nodes_processed, s.propagations, s.unions)\n"
+                  "print(versioning_digest(p.versioning()))\n")
+        root = Path(__file__).resolve().parents[2]
+        path = os.pathsep.join([str(root / "src"), str(root)])
         counts = []
         for first in range(0, 8, 2):  # two processes at a time
             procs = [subprocess.Popen(
                 [sys.executable, "-c", script], stdout=subprocess.PIPE,
-                text=True, env={**os.environ, "PYTHONPATH": src,
+                text=True, env={**os.environ, "PYTHONPATH": path,
                                 "PYTHONHASHSEED": str(seed)})
                 for seed in (first, first + 1)]
             for proc in procs:
@@ -381,8 +386,8 @@ class TestDeterminism:
     #: re-pin only with the measured reason in the change log.
     PINNED = {
         ("du", "sfs"): (27_554, 46_054, 47_591),
-        ("du", "vsfs"): (2_232, 2_150, 2_759),
-        ("tmux", "vsfs"): (9_452, 42_146, 43_163),
+        ("du", "vsfs"): (2_205, 466, 1_057),
+        ("tmux", "vsfs"): (9_334, 4_793, 6_536),
     }
 
     @pytest.mark.parametrize("program,analysis", sorted(PINNED))

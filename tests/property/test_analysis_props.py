@@ -31,6 +31,25 @@ configs = st.builds(
     recursion_rate=st.floats(0.0, 0.1),
 )
 
+#: Programs that call through function pointers, so that δ nodes — and
+#: with them cycles of the version-constraint graph — exist.
+indirect_configs = st.builds(
+    WorkloadConfig,
+    name=st.just("prop"),
+    seed=st.integers(0, 10_000),
+    num_fields=st.integers(1, 4),
+    num_globals=st.integers(1, 4),
+    num_handlers=st.integers(1, 3),
+    num_functions=st.integers(2, 5),
+    stmts_per_function=st.integers(2, 8),
+    indirect_call_rate=st.floats(0.2, 0.5),
+    store_rate=st.floats(0.1, 0.5),
+    branch_rate=st.floats(0.0, 0.4),
+    loop_rate=st.floats(0.0, 0.3),
+    malloc_rate=st.floats(0.0, 0.3),
+    recursion_rate=st.floats(0.0, 0.1),
+)
+
 RELAXED = settings(
     max_examples=25,
     deadline=None,
@@ -85,6 +104,34 @@ class TestVersioningProps:
         assert scc.consumed_masks == fixpoint.consumed_masks
         assert scc.yielded_masks == fixpoint.yielded_masks
         assert scc.num_constraints() == fixpoint.num_constraints()
+
+    @given(indirect_configs)
+    @RELAXED
+    def test_cycle_collapse_is_exact(self, config):
+        """The default versioning leaves no version-constraint cycle,
+        never adds a constraint, and solves to the meld-only (and SFS)
+        answer."""
+        from repro.core.vsfs import VSFSAnalysis
+        from repro.solvers.sfs import SFSAnalysis
+
+        svfg = AnalysisPipeline(generate_program(config)).svfg()
+        # Solve each versioning before building the next: both write the
+        # single-object nodes' version slots on the shared SVFG.
+        meld_only = ObjectVersioning(svfg).run(collapse=False)
+        expected = VSFSAnalysis(svfg, versioning=meld_only).run().snapshot()
+        collapsed = ObjectVersioning(svfg).run()
+        assert collapsed.num_constraints() <= meld_only.num_constraints()
+        succs = collapsed.constraints
+        for (oid, start), dsts in succs.items():
+            seen, stack = set(), list(dsts)
+            while stack:
+                ver = stack.pop()
+                assert ver != start, f"object {oid}: version {start} on a cycle"
+                if ver not in seen:
+                    seen.add(ver)
+                    stack.extend(succs.get((oid, ver), ()))
+        snapshot = VSFSAnalysis(svfg, versioning=collapsed).run().snapshot()
+        assert snapshot == expected == SFSAnalysis(svfg).run().snapshot()
 
     @given(configs)
     @RELAXED

@@ -191,6 +191,27 @@ class TestErrorHandlingAndExitCodes:
         assert not tracemalloc.is_tracing()
 
 
+class TestPeakMemoryLine:
+    def test_ladder_runs_untraced(self, c_file, capsys, monkeypatch):
+        """The peak line reads the process's peak RSS: nothing traces
+        the solve's allocations."""
+        import tracemalloc
+
+        import repro.pipeline as pipeline_module
+
+        ladder = pipeline_module.solve_with_ladder
+        tracing = []
+
+        def watched(*args, **kwargs):
+            tracing.append(tracemalloc.is_tracing())
+            return ladder(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "solve_with_ladder", watched)
+        assert main(["-vfspta", c_file]) == 0
+        assert tracing == [False]
+        assert "peak RSS: " in capsys.readouterr().out
+
+
 class TestBudgetAndReportFlags:
     def test_generous_budget_runs_normally(self, c_file, capsys):
         assert main(["-vfspta", c_file, "--budget-seconds", "60",

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.datastructs.graph import DiGraph, strongly_connected_components, topological_order
+from repro.datastructs.graph import (DiGraph, strongly_connected_components, tarjan_sccs,
+                                    topological_order)
 from repro.datastructs.interning import Interner
 from repro.datastructs.unionfind import UnionFind
 from repro.datastructs.worklist import FIFOWorkList, PriorityWorkList, WorkList
@@ -195,6 +196,21 @@ class TestSCC:
             g.add_edge(a, b)
         comps = {frozenset(c) for c in strongly_connected_components(g)}
         assert comps == {frozenset({1, 2}), frozenset({3, 4})}
+
+
+class TestTarjanOverMapping:
+    def test_successor_mapping_of_ints(self):
+        succs = {1: [2], 2: [3, 1], 3: [4], 4: [3]}
+        comps = tarjan_sccs(succs, succs)
+        assert [sorted(c) for c in comps] == [[3, 4], [1, 2]]
+
+    def test_nodes_without_successors_need_no_key(self):
+        comps = tarjan_sccs([1], {1: (2, 3), 3: (1,)})
+        assert sorted(sorted(c) for c in comps) == [[1, 3], [2]]
+
+    def test_only_the_graph_reached_from_roots(self):
+        succs = {1: [2], 5: [6], 6: [5]}
+        assert tarjan_sccs([1], succs) == [[2], [1]]
 
 
 class TestTopologicalOrder:

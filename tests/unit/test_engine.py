@@ -203,6 +203,57 @@ class TestTrace:
         assert record.outcome == "BudgetExceeded"
 
 
+class TestCollectorPause:
+    """Substrate stages build with the cyclic collector paused."""
+
+    def test_unforced_substrate_stage_collects_nothing(self, monkeypatch):
+        import gc
+
+        from repro.engine.stages import SVFGStage
+
+        build = SVFGStage.run
+
+        def allocating_build(self, ctx):
+            # Enough container allocations to trip generation 0 often.
+            garbage = [[index] for index in range(50_000)]
+            del garbage
+            return build(self, ctx)
+
+        monkeypatch.setattr(SVFGStage, "run", allocating_build)
+        assert gc.isenabled()
+        engine = make_engine()
+        engine.ensure("svfg")
+        assert gc.isenabled()
+        for record in engine.trace.records:
+            assert record.detail["gc_collections"] == [0, 0, 0], record.stage
+
+    def test_collector_enabled_after_stage_raises(self, monkeypatch):
+        import gc
+
+        from repro.engine.stages import SVFGStage
+
+        def failing_build(self, ctx):
+            assert not gc.isenabled()
+            raise AnalysisError("build failed")
+
+        monkeypatch.setattr(SVFGStage, "run", failing_build)
+        engine = make_engine()
+        with pytest.raises(AnalysisError, match="build failed"):
+            engine.ensure("svfg")
+        assert gc.isenabled()
+        assert engine.trace.record_for("svfg").outcome == "AnalysisError"
+
+    def test_callers_disabled_collector_stays_disabled(self):
+        import gc
+
+        gc.disable()
+        try:
+            make_engine().ensure("svfg")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
 class TestRegistry:
     def test_default_stages_cover_every_solve_level(self):
         stages = default_stages()

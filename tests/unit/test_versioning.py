@@ -214,3 +214,116 @@ class TestStrategies:
         svfg = pipeline.svfg()
         versioning = ObjectVersioning(svfg).run()
         assert versioning.stats.versions < len(svfg.nodes)
+
+
+class TestCollapse:
+    """Phase 4: cycles of the version-constraint graph, which run through
+    δ nodes, merge into one version each."""
+
+    # rec is an indirect-call target (δ FormalIN) that calls itself
+    # directly, and its indirect call site's ActualOUT is a δ node too.
+    SRC = """
+        int *g; int x; int y;
+        fnptr h;
+        fnptr k;
+        void leaf(int c) { g = &x; }
+        void rec(int c) {
+            if (c) { h(c); }
+            if (c) { rec(c - 1); }
+            g = &y;
+        }
+        int main(int c) {
+            h = leaf;
+            k = rec;
+            k(c);
+            int *r; r = g;
+            return 0;
+        }
+    """
+
+    def versionings(self):
+        module, pipeline = build(self.SRC)
+        svfg = pipeline.svfg()
+        g = next(o for o in module.objects if o.name == "g")
+        meld_only = ObjectVersioning(svfg, keep_all_versions=True).run(collapse=False)
+        collapsed = ObjectVersioning(svfg, keep_all_versions=True).run()
+        return svfg, g, meld_only, collapsed
+
+    def test_cycle_merges_versions_and_constraints(self):
+        __, g, meld_only, collapsed = self.versionings()
+        assert collapsed.num_versions(g.id) < meld_only.num_versions(g.id)
+        assert collapsed.num_constraints() < meld_only.num_constraints()
+        assert collapsed.stats.versions < meld_only.stats.versions
+        assert collapsed.stats.meld_steps == meld_only.stats.meld_steps
+
+    def test_merge_is_a_monotone_dense_renumbering(self):
+        """Each merged version takes its smallest member's id, ids are
+        renumbered densely in that order, and ε stays 0."""
+        svfg, g, meld_only, collapsed = self.versionings()
+        remap = {}
+        for node_id in range(len(svfg.nodes)):
+            for side in ("consumed_version", "yielded_version"):
+                before = getattr(meld_only, side)(node_id, g.id)
+                after = getattr(collapsed, side)(node_id, g.id)
+                assert remap.setdefault(before, after) == after
+                assert (before == ObjectVersioning.EPSILON) == \
+                    (after == ObjectVersioning.EPSILON)
+        remap.setdefault(ObjectVersioning.EPSILON, ObjectVersioning.EPSILON)
+        assert sorted(remap) == list(range(meld_only.num_versions(g.id)))
+        merged = {}
+        for before, after in remap.items():
+            merged.setdefault(after, []).append(before)
+        assert sorted(merged) == list(range(collapsed.num_versions(g.id)))
+        smallest = [min(merged[after]) for after in sorted(merged)]
+        assert smallest == sorted(smallest)
+        assert any(len(members) > 1 for members in merged.values())
+
+    def test_collapsed_constraints_are_acyclic(self):
+        __, g, __, collapsed = self.versionings()
+        succs = {src: dsts for (oid, src), dsts in collapsed.constraints.items()
+                 if oid == g.id}
+        for start in succs:
+            seen, stack = set(), list(succs[start])
+            while stack:
+                ver = stack.pop()
+                assert ver != start, "version reaches itself"
+                if ver not in seen:
+                    seen.add(ver)
+                    stack.extend(succs.get(ver, ()))
+
+    def test_solution_unchanged(self):
+        from repro.core.vsfs import VSFSAnalysis
+
+        __, pipeline = build(self.SRC)
+        svfg = pipeline.svfg()
+        expected = pipeline.sfs().snapshot()
+        for collapse in (False, True):
+            versioning = version_objects(svfg, collapse=collapse)
+            result = VSFSAnalysis(svfg, versioning=versioning).run()
+            assert result.snapshot() == expected
+
+
+class TestSparseState:
+    def test_only_nodes_with_versions_hold_tables(self):
+        __, pipeline = build(TestStrategies.SRC)
+        svfg = pipeline.svfg()
+        versioning = ObjectVersioning(svfg).run()
+        assert isinstance(versioning._is_store, bytearray)
+        assert isinstance(versioning._single, bytearray)
+        assert all(versioning.consumed.values())
+        assert all(versioning._is_store[node_id] for node_id in versioning.yielded)
+        bare = [node_id for node_id in range(len(svfg.nodes))
+                if node_id not in versioning.consumed]
+        assert bare
+        tables = {id(versioning.consumed_table(node_id)) for node_id in bare}
+        assert len(tables) == 1  # the one shared empty table
+        assert versioning.consumed_table(bare[0]) == {}
+
+    def test_non_store_yield_is_its_consume(self):
+        __, pipeline = build(TestStrategies.SRC)
+        svfg = pipeline.svfg()
+        versioning = ObjectVersioning(svfg).run()
+        for node_id in versioning.consumed:
+            if not versioning._is_store[node_id]:
+                assert versioning.yielded_table(node_id) is \
+                    versioning.consumed_table(node_id)
