@@ -60,9 +60,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="analysis to run on every program (default vsfs)")
     parser.add_argument("--ir", action="store_true",
                         help="inputs are textual IR")
-    parser.add_argument("--no-ptrepo", action="store_true",
-                        help="store raw masks instead of deduplicated "
-                             "points-to sets")
     parser.add_argument("--budget-seconds", type=float, metavar="S",
                         help="per-attempt solver wall-clock budget")
     parser.add_argument("--budget-mb", type=float, metavar="MB",
@@ -129,8 +126,6 @@ def _attempt_cmd(args: argparse.Namespace, file: str, ckdir: Optional[str],
            _ANALYSIS_FLAGS[args.analysis], file]
     if args.ir:
         cmd.append("--ir")
-    if args.no_ptrepo:
-        cmd.append("--no-ptrepo")
     if args.budget_seconds is not None:
         cmd += ["--budget-seconds", str(args.budget_seconds)]
     if args.budget_mb is not None:

@@ -54,10 +54,6 @@ class BenchmarkMeasurement:
         """Stored references per distinct set (1.0 = no sharing)."""
         return self.stats.dedup_ratio() if self.stats else 0.0
 
-    @property
-    def union_cache_hit_rate(self) -> float:
-        return self.stats.union_cache_hit_rate() if self.stats else 0.0
-
 
 def measure_analysis(
     label: str,

@@ -91,13 +91,6 @@ class SuiteResult:
                     unique_ptsets=stats.unique_ptsets,
                     unique_ptset_bits=stats.unique_ptset_bits,
                     dedup_ratio=stats.dedup_ratio(),
-                    union_cache_hits=stats.union_cache_hits,
-                    union_cache_misses=stats.union_cache_misses,
-                    union_cache_hit_rate=stats.union_cache_hit_rate(),
-                    ptrepo_enabled=stats.ptrepo_enabled,
-                    interner_entries=stats.interner_entries,
-                    union_cache_entries=stats.union_cache_entries,
-                    dedup_resident_bytes=stats.dedup_resident_bytes,
                 )
             if meas.report is not None:
                 record["run_report"] = meas.report.to_dict()

@@ -43,30 +43,28 @@ def format_table2(results: List[SuiteResult]) -> str:
 
 
 def _dedup_cell(meas) -> str:
-    """``unique/referenced`` stored sets, '-' when the repo was off."""
+    """``unique/referenced`` stored sets, '-' without solver stats."""
     stats = meas.stats
-    if stats is None or not stats.ptrepo_enabled:
+    if stats is None:
         return "-"
     return f"{stats.unique_ptsets}/{stats.stored_ptsets}"
 
 
 def format_table3(results: List[SuiteResult]) -> str:
     """Main results (the paper's Table III): time and memory, SFS vs VSFS,
-    plus the repository's dedup evidence (unique vs referenced sets and
-    memoised-union cache hit rate)."""
+    plus the dedup evidence (unique vs referenced stored sets)."""
     headers = [
         "Bench.",
         "Ander(s)", "SFS(s)", "VSFS ver.(s)", "VSFS main(s)",
         "SFS mem(KiB)", "VSFS mem(KiB)",
         "Time diff.", "Mem diff.", "Prop diff.", "Sets diff.",
-        "SFS uniq/ref", "VSFS uniq/ref", "U-cache hit",
+        "SFS uniq/ref", "VSFS uniq/ref",
     ]
     rows = []
     time_diffs: List[float] = []
     mem_diffs: List[float] = []
     prop_diffs: List[float] = []
     set_diffs: List[float] = []
-    hit_rates: List[float] = []
     for res in results:
         time_diff = res.time_speedup()
         mem_diff = res.memory_ratio()
@@ -76,8 +74,6 @@ def format_table3(results: List[SuiteResult]) -> str:
         mem_diffs.append(mem_diff)
         prop_diffs.append(prop_diff)
         set_diffs.append(sets_diff)
-        hit_rate = res.sfs.union_cache_hit_rate
-        hit_rates.append(hit_rate)
         rows.append([
             res.name,
             f"{res.andersen_time:.3f}",
@@ -92,7 +88,6 @@ def format_table3(results: List[SuiteResult]) -> str:
             f"{sets_diff:.2f}x",
             _dedup_cell(res.sfs),
             _dedup_cell(res.vsfs),
-            f"{hit_rate:.1%}" if res.sfs.stats and res.sfs.stats.ptrepo_enabled else "-",
         ])
     rows.append([
         "Average", "", "", "", "", "", "",
@@ -101,6 +96,5 @@ def format_table3(results: List[SuiteResult]) -> str:
         f"{geometric_mean(prop_diffs):.2f}x",
         f"{geometric_mean(set_diffs):.2f}x",
         "", "",
-        f"{sum(hit_rates) / len(hit_rates):.1%}" if hit_rates else "-",
     ])
     return _render(headers, rows)

@@ -18,7 +18,7 @@ Crash safety: ``--checkpoint-dir`` snapshots the in-flight solver on a
 cadence (``--checkpoint-every`` pops and/or ``--checkpoint-seconds``) and
 when a budget trips; ``--resume`` picks the work back up bit-identically.
 ``--store`` caches completed results content-addressed by IR hash ×
-analysis × storage flag, and additionally caches the Andersen result
+analysis, and additionally caches the Andersen result
 (``DIR/stages``) so another analysis of the same program skips it, and
 the last SFS/VSFS solution (``DIR/incremental``) so a rerun after an
 edit re-solves warm; :func:`repro.pipeline.solve_stored` does all of it.
@@ -92,10 +92,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="print points-to sets of top-level variables")
     parser.add_argument("--profile", action="store_true",
                         help="print a solver work/dedup report (propagations, "
-                             "unions, unique vs referenced sets, union cache)")
-    parser.add_argument("--no-ptrepo", action="store_true",
-                        help="store raw masks instead of deduplicated "
-                             "points-to sets (SFS/VSFS reference path)")
+                             "unions, unique vs referenced sets)")
     parser.add_argument("--budget-seconds", type=float, metavar="S",
                         help="wall-clock budget for the solve phase")
     parser.add_argument("--budget-mb", type=float, metavar="MB",
@@ -272,7 +269,7 @@ def _run(args: argparse.Namespace, source: str) -> int:
     result, hit = solve_stored(
         pipeline, args.analysis, store=store, incremental=incremental,
         budget=_budget_from(args), fallback=not args.no_fallback,
-        ptrepo=not args.no_ptrepo, checkpoint=_checkpoint_config(args),
+        checkpoint=_checkpoint_config(args),
         resume_from=args.resume, jobs=args.jobs,
         parallel_mode=args.parallel_mode)
     if hit:
@@ -390,22 +387,13 @@ def _client_flags(args: argparse.Namespace, module, pipeline, result) -> int:
                   file=sys.stderr)
             return 1
         print("--- solver profile ---")
-        print(f"points-to repository: "
-              f"{'on' if stats.ptrepo_enabled else 'off'}")
         print(f"nodes processed: {stats.nodes_processed}, "
               f"propagations: {stats.propagations}, unions applied: {stats.unions}")
         print(f"stored points-to sets: {stats.stored_ptsets} "
               f"({stats.stored_ptset_bits} bits)")
-        if stats.ptrepo_enabled:
-            print(f"unique points-to sets: {stats.unique_ptsets} "
-                  f"({stats.unique_ptset_bits} bits), "
-                  f"dedup ratio: {stats.dedup_ratio():.2f}x")
-            print(f"union cache: {stats.union_cache_hits} hits / "
-                  f"{stats.union_cache_misses} misses "
-                  f"({stats.union_cache_hit_rate():.1%} hit rate)")
-            print(f"dedup memory: {stats.interner_entries} interned sets, "
-                  f"{stats.union_cache_entries} union-cache entries, "
-                  f"~{stats.dedup_resident_bytes} resident bytes")
+        print(f"unique points-to sets: {stats.unique_ptsets} "
+              f"({stats.unique_ptset_bits} bits), "
+              f"dedup ratio: {stats.dedup_ratio():.2f}x")
         incr = getattr(result, "incremental", None)
         if incr is not None:
             entry = incr.to_dict()

@@ -220,7 +220,11 @@ class ObjectVersioning:
         on-the-fly constraints (which a fresh pre-analysis over the
         restored call graph would have to re-derive), and restoring is
         O(entries) where melding is the dominant pre-analysis cost.
-        Tables are written in node order.
+        Tables are written in node order, constraints in first-seen order
+        (the overlay's dict and list order): :meth:`restore` re-adds them
+        in that order, so a solve over the restored versioning walks each
+        object's constraints as the uninterrupted solve does and counts
+        the same work.
         """
         nodes = self.svfg.nodes
         single = []
@@ -240,10 +244,10 @@ class ObjectVersioning:
             "single": single,
             "consumed": tables(self.consumed),
             "yielded_store": tables(self.yielded),
-            "constraints": sorted(
+            "constraints": [
                 (oid, src, dst)
                 for (oid, src), dsts in (constraints or self.constraints).items()
-                for dst in dsts),
+                for dst in dsts],
             "version_counts": {str(oid): count
                                for oid, count in self._version_counts.items()},
             "time": self.stats.time,

@@ -16,9 +16,8 @@ pre-analysis (:mod:`repro.core.versioning`).
 MEMPHI/ActualIN/ActualOUT/FormalIN/FormalOUT nodes need no processing at
 solve time: their behaviour is entirely compiled into version constraints.
 
-On top of the versioned formulation sits the same storage option as SFS
-(:class:`StagedSolverBase`): the points-to repository, which stores each
-distinct version set once behind a memoised union cache.
+Version sets are stored like SFS's (:class:`StagedSolverBase`): as
+hash-consed masks, so equal sets of different versions share one object.
 """
 
 from __future__ import annotations
@@ -41,15 +40,13 @@ class VSFSAnalysis(StagedSolverBase):
     analysis_name = "vsfs"
 
     def __init__(self, svfg: SVFG, versioning: Optional[ObjectVersioning] = None,
-                 ptrepo: bool = True, meter=None,
-                 faults=None, checkpointer=None, ctx=None):
-        super().__init__(svfg, ptrepo=ptrepo, meter=meter,
+                 meter=None, faults=None, checkpointer=None, ctx=None):
+        super().__init__(svfg, meter=meter,
                          faults=faults, checkpointer=checkpointer, ctx=ctx)
         #: Read-only (often the engine's shared artifact); OTF constraints
         #: go to this solve's :attr:`constraints` overlay.
         self.versioning: Optional[ObjectVersioning] = versioning
-        # Global points-to table: oid -> version id -> entry (a PTRepo id
-        # when ptrepo is on, a raw mask otherwise).
+        # Global points-to table: oid -> version id -> stored mask.
         self.ptv: Dict[int, List[int]] = {}
         # (oid, version) -> nodes that must re-run when the set grows.
         self.readers: Dict[Tuple[int, int], List[int]] = {}
@@ -122,13 +119,13 @@ class VSFSAnalysis(StagedSolverBase):
         table = self.ptv.get(oid)
         if table is None or ver >= len(table):
             return 0
-        return self._entry_mask(table[ver])
+        return table[ver]
 
     def _ptv_join(self, oid: int, ver: int, mask: int) -> None:
         """Grow pt_κ(o) and run [A-PROP]ⱽ transitively.
 
         Eager: every visited version counts one union, and a version
-        that grew wakes its readers and re-forwards its whole mask.
+        that grew wakes its readers and re-forwards its whole stored mask.
         """
         if not mask:
             return
@@ -137,7 +134,7 @@ class VSFSAnalysis(StagedSolverBase):
             faults.fire("propagate", self.analysis_name)
         constraints = self.constraints
         readers = self.readers
-        repo = self.ptrepo
+        canon = self.canon
         push = self.worklist.push
         stats = self.stats
         stack = [(oid, ver, mask)]
@@ -146,24 +143,17 @@ class VSFSAnalysis(StagedSolverBase):
             table = self._table(oid)
             while ver >= len(table):  # defensive: OTF-interned versions
                 table.append(0)
-            entry = table[ver]
-            old = repo.mask(entry) if repo is not None else entry
+            old = table[ver]
             stats.unions += 1  # eager: union applied on every visit
-            added = mask & ~old
-            if not added:
+            new = old | mask
+            if new == old:
                 continue
-            if repo is not None:
-                if faults is not None:
-                    faults.fire("ptrepo_union", self.analysis_name)
-                table[ver] = repo.union_mask(entry, added)
-            else:
-                table[ver] = old | added
+            table[ver] = new = canon.setdefault(new, new)
             for reader in readers.get((oid, ver), ()):
                 push(reader)
-            forward = old | added
             for dst_ver in constraints.get((oid, ver), ()):
                 stats.propagations += 1
-                stack.append((oid, dst_ver, forward))
+                stack.append((oid, dst_ver, new))
 
     # -------------------------------------------------------------- mem rules
 
@@ -263,15 +253,15 @@ class VSFSAnalysis(StagedSolverBase):
         :meth:`_ptv_join`, whose reader pushes and transitive walk do
         the delivery.
         """
-        repo = self.ptrepo
+        canon = self.canon
         preloaded: "set[Tuple[int, int]]" = set()
 
         def write(oid: int, ver: int, mask: int) -> None:
             table = self._table(oid)
             while ver >= len(table):
                 table.append(0)
-            merged = self._entry_mask(table[ver]) | mask
-            table[ver] = repo.intern(merged) if repo is not None else merged
+            merged = table[ver] | mask
+            table[ver] = canon.setdefault(merged, merged)
             preloaded.add((oid, ver))
 
         for preload, want_yield in ((plan.node_in, False),
@@ -334,8 +324,9 @@ class VSFSAnalysis(StagedSolverBase):
     # ----------------------------------------------------------- persistence
 
     def _snapshot_memory(self) -> Dict[str, object]:
-        """The global ``(object, version)`` table, the PTRepo interning
-        table, and the full versioning state (C/Y tables + constraints —
+        """The global ``(object, version)`` table over one list of its
+        distinct masks (see :meth:`SFSAnalysis._snapshot_memory`), and the
+        full versioning state (C/Y tables + constraints —
         including this solve's OTF overlay, which a re-run of the
         pre-analysis could not reproduce without re-discovering the call
         graph first).
@@ -346,10 +337,13 @@ class VSFSAnalysis(StagedSolverBase):
         SVFG node.
         """
         assert self.versioning is not None
+        index: Dict[int, int] = {0: 0}
+        ptv = {str(oid): [index.setdefault(entry, len(index))
+                          for entry in table]
+               for oid, table in self.ptv.items()}
         return {
-            "repo": self.ptrepo.snapshot() if self.ptrepo is not None else None,
-            "ptv": {str(oid): [format(entry, "x") for entry in table]
-                    for oid, table in self.ptv.items()},
+            "masks": self._encode_masks(index),
+            "ptv": ptv,
             "versioning": self.versioning.snapshot(self.constraints),
         }
 
@@ -361,15 +355,8 @@ class VSFSAnalysis(StagedSolverBase):
         self._index_versioning()
 
     def _restore_memory(self, mem: Dict[str, object]) -> None:
-        from repro.datastructs.ptrepo import PTRepo
-        from repro.errors import CheckpointError
-
-        if self.ptrepo is not None:
-            if mem["repo"] is None:
-                raise CheckpointError(
-                    "checkpoint lacks the ptrepo interning table")
-            self.ptrepo = PTRepo.from_snapshot(mem["repo"])
-        self.ptv = {int(oid): [int(entry, 16) for entry in table]
+        masks = self._decode_masks(mem["masks"])
+        self.ptv = {int(oid): [masks[entry] for entry in table]
                     for oid, table in mem["ptv"].items()}
 
     # --------------------------------------------------------------- summary

@@ -13,8 +13,8 @@ chosen for speed under CPython:
   :class:`~repro.datastructs.worklist.PriorityWorkList` drive the fixed-point
   solvers; the staged solvers pop SVFG node ids from one FIFO list.
 - :class:`~repro.datastructs.ptrepo.PTRepo` interns points-to masks to dense
-  ids and memoises pairwise unions, so byte-identical sets are stored once;
-  every staged solve owns one.
+  ids; it is the parallel frontier's wire table (the staged solvers store
+  hash-consed masks and need no ids).
 - :class:`~repro.datastructs.unionfind.UnionFind` backs constraint-graph cycle
   collapsing in Andersen's analysis.
 - :class:`~repro.datastructs.graph.DiGraph` is a small adjacency-list digraph
@@ -25,7 +25,6 @@ chosen for speed under CPython:
 from repro.datastructs.bitset import BitSet, bits_of, count_bits, iter_bits
 from repro.datastructs.graph import DiGraph, strongly_connected_components, topological_order
 from repro.datastructs.interning import Interner
-from repro.datastructs.ptrepo import EMPTY_ID, PTRepo
 from repro.datastructs.unionfind import UnionFind
 from repro.datastructs.worklist import FIFOWorkList, PriorityWorkList, WorkList
 
@@ -38,8 +37,6 @@ __all__ = [
     "strongly_connected_components",
     "topological_order",
     "Interner",
-    "EMPTY_ID",
-    "PTRepo",
     "UnionFind",
     "FIFOWorkList",
     "PriorityWorkList",

@@ -29,9 +29,6 @@ class StageContext:
     module: Optional[Any] = None  # pre-built, already-prepared Module
     source: Optional[str] = None
     language: str = "c"
-    # ---- solver configuration ----
-    #: Deduplicated storage (PTRepo); off = the raw-mask reference.
-    ptrepo: bool = True
     # ---- parallel solving (repro.parallel) ----
     #: Worker count for the solve:*-par stages (1 = serial stages only).
     jobs: int = 1

@@ -187,8 +187,7 @@ class Engine:
 
     # ------------------------------------------------------------ main phase
 
-    def solve(self, level: str,
-              ptrepo: Optional[bool] = None, meter: Any = None,
+    def solve(self, level: str, meter: Any = None,
               faults: Any = None, checkpointer: Any = None,
               resume_state: Any = None, resume_step: int = 0,
               jobs: Optional[int] = None,
@@ -219,7 +218,6 @@ class Engine:
             for dep in stage.inputs:
                 self.ensure(dep)
         rung = ctx.for_solve(
-            ptrepo=ctx.ptrepo if ptrepo is None else bool(ptrepo),
             jobs=ctx.jobs if jobs is None else max(1, int(jobs)),
             parallel_mode=(ctx.parallel_mode if parallel_mode is None
                            else parallel_mode),

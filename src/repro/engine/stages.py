@@ -17,9 +17,9 @@ The graph mirrors the paper's staging::
 
 Fingerprints are content hashes: a stage's fingerprint mixes its name,
 its version, its configuration token and every upstream fingerprint; the
-root is the prepared module's printed-IR hash, so editing the program or
-flipping the storage flag changes exactly the fingerprints downstream of
-the change.
+root is the prepared module's printed-IR hash, so editing the program
+(or the sharded rung's worker count) changes exactly the fingerprints
+downstream of the change.
 """
 
 from __future__ import annotations
@@ -214,11 +214,6 @@ class SolveStage(Stage):
                        }.get(level, ("prepare",))
         self.fingerprint_inputs = self.inputs[:1]
 
-    def config_token(self, ctx: Any) -> str:
-        if self.level in ("sfs", "vsfs"):
-            return f"ptrepo={ctx.ptrepo}"
-        return ""
-
     def run(self, ctx: Any) -> Any:
         solver = self.make_solver(ctx)
         plan = ctx.warm_plan
@@ -259,12 +254,11 @@ class SolveStage(Stage):
         if self.level == "sfs":
             from repro.solvers.sfs import SFSAnalysis
 
-            return SFSAnalysis(svfg, ptrepo=ctx.ptrepo, ctx=ctx)
+            return SFSAnalysis(svfg, ctx=ctx)
         if self.level == "vsfs":
             from repro.core.vsfs import VSFSAnalysis
 
-            return VSFSAnalysis(svfg, ctx.artifacts["versioning"],
-                                ptrepo=ctx.ptrepo, ctx=ctx)
+            return VSFSAnalysis(svfg, ctx.artifacts["versioning"], ctx=ctx)
         raise AnalysisError(f"unknown solve level {self.level!r}")
 
     def steps(self, artifact: Any) -> int:
@@ -294,8 +288,7 @@ class ParallelSolveStage(SolveStage):
         self.name = "solve:sfs-par"
 
     def config_token(self, ctx: Any) -> str:
-        return (f"ptrepo={ctx.ptrepo},"
-                f"jobs={ctx.jobs},mode={ctx.parallel_mode}")
+        return f"jobs={ctx.jobs},mode={ctx.parallel_mode}"
 
     def run(self, ctx: Any) -> Any:
         from repro.parallel.driver import solve_parallel
@@ -320,8 +313,7 @@ class ParallelSolveStage(SolveStage):
         budget = ctx.meter.budget if ctx.meter is not None else None
         result = solve_parallel(
             ctx.artifacts["svfg"], "sfs", ctx.jobs,
-            ptrepo=ctx.ptrepo, budget=budget, faults=ctx.faults,
-            mode=ctx.parallel_mode)
+            budget=budget, faults=ctx.faults, mode=ctx.parallel_mode)
         if ctx.meter is not None:
             # The workers metered themselves (per-worker budgets); reflect
             # their pops into the governing meter so ladder reports and

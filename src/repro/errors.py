@@ -68,8 +68,8 @@ class CheckpointError(AnalysisError):
     - ``"schema"``: a schema version this build does not understand;
     - ``"kind"``: the sealed file is of a different artifact type;
     - ``"ir-mismatch"``: recorded for a different program (IR content hash);
-    - ``"config-mismatch"``: recorded for a different solver or storage
-      configuration.
+    - ``"config-mismatch"``: recorded for a different solver, stage or
+      ladder.
 
     The CLI maps it (like every :class:`AnalysisError`) to exit code 3 and
     never loads the rejected state.

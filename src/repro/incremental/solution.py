@@ -1,7 +1,7 @@
 """Stored solutions and warm re-solve planning.
 
-The incremental spine stores one solved program per ``(analysis,
-ptrepo)`` configuration — latest-solution semantics, like a build cache.
+The incremental spine stores one solved program per analysis —
+latest-solution semantics, like a build cache.
 A stored solution is written entirely in the **stable entity-key spaces**
 of :mod:`repro.ir.fingerprint` (object keys, variable keys, node keys),
 never dense ids, so it can be replayed onto a freshly compiled module
@@ -51,7 +51,8 @@ from repro.svfg.nodes import InstNode
 INCREMENTAL_KIND = "incremental-solution"
 #: Bumped whenever the slot layout changes.
 #: 2: slots are ``warm-<analysis>-p<0|1>`` and payloads drop ``delta``.
-INCREMENTAL_SCHEMA = 2
+#: 3: slots are ``warm-<analysis>`` and payloads drop ``ptrepo``.
+INCREMENTAL_SCHEMA = 3
 
 
 # ------------------------------------------------------------------- stats
@@ -108,7 +109,6 @@ class WarmPlan:
     """
 
     analysis: str
-    ptrepo: bool
     dirty_functions: Set[str] = dataclass_field(default_factory=set)
     pt_preload: Dict[int, int] = dataclass_field(default_factory=dict)
     node_in: Dict[int, Dict[int, int]] = dataclass_field(default_factory=dict)
@@ -127,8 +127,7 @@ class WarmPlan:
 # ----------------------------------------------------------------- capture
 
 def build_payload(svfg, modref, result, node_in, node_out, flow,
-                  analysis: str, ptrepo: bool,
-                  andersen=None) -> Dict[str, Any]:
+                  analysis: str, andersen=None) -> Dict[str, Any]:
     """Encode a finished solve as a warm-start payload (JSON-clean).
 
     *svfg* must be the **substrate** graph (as built, before the solver's
@@ -143,7 +142,6 @@ def build_payload(svfg, modref, result, node_in, node_out, flow,
     return {
         "fp_scheme": FINGERPRINT_SCHEME,
         "analysis": analysis,
-        "ptrepo": bool(ptrepo),
         "module_fp": module_fingerprint(module),
         "function_fps": module_function_fingerprints(module),
         "region_digests": digests,
@@ -169,10 +167,10 @@ def build_payload(svfg, modref, result, node_in, node_out, flow,
 # ------------------------------------------------------------------- store
 
 class IncrementalStore:
-    """Latest-solution slots, one per solver configuration.
+    """Latest-solution slots, one per analysis.
 
     With a *directory* the slots are sealed JSON documents under
-    ``<directory>/warm-{analysis}-p{π}.json``; without one (the
+    ``<directory>/warm-{analysis}.json``; without one (the
     service's default) they live in memory.  :meth:`load` refuses — with
     a typed :class:`CheckpointError` whose ``path`` names the
     quarantined file — any corrupt payload or one minted under a
@@ -185,21 +183,20 @@ class IncrementalStore:
         self._memory: Dict[str, Dict[str, Any]] = {}
 
     @staticmethod
-    def slot(analysis: str, ptrepo: bool) -> str:
-        return f"warm-{analysis}-p{int(bool(ptrepo))}"
+    def slot(analysis: str) -> str:
+        return f"warm-{analysis}"
 
     def _path(self, slot: str) -> str:
         return os.path.join(self.directory, slot + ".json")
 
     def save(self, payload: Dict[str, Any]) -> Optional[str]:
-        slot = self.slot(payload["analysis"], payload["ptrepo"])
+        slot = self.slot(payload["analysis"])
         if self.directory is None:
             self._memory[slot] = payload
             return None
         os.makedirs(self.directory, exist_ok=True)
         meta = {
             "analysis": payload["analysis"],
-            "ptrepo": payload["ptrepo"],
             "fp_scheme": payload["fp_scheme"],
             "module_fp": payload["module_fp"],
         }
@@ -208,14 +205,13 @@ class IncrementalStore:
                           meta, payload)
         return path
 
-    def load(self, analysis: str,
-             ptrepo: bool) -> Optional[Dict[str, Any]]:
-        """Stored payload for this configuration, or ``None`` if absent.
+    def load(self, analysis: str) -> Optional[Dict[str, Any]]:
+        """Stored payload for this analysis, or ``None`` if absent.
 
         Raises :class:`CheckpointError` (after quarantining the slot) on
         corruption or a fingerprint-scheme mismatch.
         """
-        slot = self.slot(analysis, ptrepo)
+        slot = self.slot(analysis)
         if self.directory is None:
             payload = self._memory.get(slot)
             if payload is None:
@@ -263,7 +259,7 @@ def _decode_node_table(encoded: Dict[str, Dict[str, str]]
 
 
 def plan_warm(payload: Dict[str, Any], svfg, modref, analysis: str,
-              ptrepo: bool, andersen=None) -> WarmPlan:
+              andersen=None) -> WarmPlan:
     """Plan a warm re-solve of *svfg* from a stored *payload*.
 
     Always returns a plan; one with ``fallback_reason`` set means "solve
@@ -271,7 +267,7 @@ def plan_warm(payload: Dict[str, Any], svfg, modref, analysis: str,
     """
     stats = IncrStats(analysis=analysis,
                       cold_steps_baseline=int(payload.get("steps", 0)))
-    plan = WarmPlan(analysis=analysis, ptrepo=bool(ptrepo), stats=stats)
+    plan = WarmPlan(analysis=analysis, stats=stats)
 
     def fallback(reason: str) -> WarmPlan:
         plan.fallback_reason = reason
@@ -280,8 +276,7 @@ def plan_warm(payload: Dict[str, Any], svfg, modref, analysis: str,
 
     if payload.get("fp_scheme") != FINGERPRINT_SCHEME:
         return fallback("scheme")
-    if (payload.get("analysis") != analysis
-            or bool(payload.get("ptrepo")) != bool(ptrepo)):
+    if payload.get("analysis") != analysis:
         return fallback("config")
 
     module = svfg.module

@@ -27,7 +27,7 @@ Re-application is idempotent (joins are monotone) and the revived
 worker's fresh wire repo is announced by an incarnation bump, so peers
 reset their mirrors instead of resolving against a dead table.
 
-Each worker interns its points-to sets in its own PTRepo; only the
+Each worker stores its points-to sets as hash-consed masks; only the
 frontier's wire repos cross worker boundaries.
 """
 
@@ -109,7 +109,6 @@ def _make_worker(spec: WorkerSpec, mode: str, mp_ctx):
 
 
 def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
-                   ptrepo: bool = True,
                    budget=None, faults=None,
                    shards_per_worker: int = 4, mode: Optional[str] = None,
                    seal_every: int = 0, kill_after_round: Optional[int] = None,
@@ -169,7 +168,7 @@ def solve_parallel(svfg, level: str = "sfs", jobs: int = 2, *,
 
     specs = [
         WorkerSpec(worker_id=w, svfg=svfg, partition=partition,
-                   ptrepo=ptrepo, budget=budget, faults=faults,
+                   budget=budget, faults=faults,
                    hang_after_round=(hang_after_round
                                      if w == hang_worker else None))
         for w in range(jobs)

@@ -16,9 +16,9 @@ A worker's round output is one :class:`FrontierBatch` holding
   name)`` references (broadcast; every worker re-wires its own SVFG copy).
 
 Receivers keep one positional mirror repo per peer
-(:class:`PeerMirrors`) and resolve wire ids through it.  The codec is
-independent of the solver's ``ptrepo`` storage flag: raw sets never
-travel even when deduplicated storage is switched off.
+(:class:`PeerMirrors`) and resolve wire ids through it.  The wire repo
+is the one use of :class:`~repro.datastructs.ptrepo.PTRepo`: the solvers
+store hash-consed masks, and raw sets never travel between workers.
 """
 
 from __future__ import annotations

@@ -325,18 +325,14 @@ class ShardedSFS(SFSAnalysis):
             return  # broadcast batch: not addressed to this worker
         in_set = self.in_sets.setdefault(node_id, {})
         entry = in_set.get(oid, 0)
-        old = self._entry_mask(entry)
-        added = mask & ~old
-        if not added:
+        new = entry | mask
+        if new == entry:
             return
         # The union the sender's _propagate would have applied happens
         # here, on the edge's receiving side — count it here too, so
         # merged worker stats line up with the serial solve's tallies.
         self.stats.unions += 1
-        if self.ptrepo is not None:
-            in_set[oid] = self.ptrepo.union_mask(entry, added)
-        else:
-            in_set[oid] = old | added
+        in_set[oid] = self.canon.setdefault(new, new)
         self.worklist.push(node_id)
 
     def apply_frontier(self, batches, mirrors) -> None:
@@ -362,11 +358,9 @@ class ShardedSFS(SFSAnalysis):
     def stored_masks(self) -> Iterator[int]:
         """Every stored non-empty address-taken mask (for the driver's
         exact global dedup recount across workers)."""
-        entry_mask = self._entry_mask
         for sets in (self.in_sets, self.out_sets):
             for table in sets.values():
-                for entry in table.values():
-                    mask = entry_mask(entry)
+                for mask in table.values():
                     if mask:
                         yield mask
 

@@ -57,7 +57,6 @@ class WorkerSpec:
     worker_id: int
     svfg: Any
     partition: Partition
-    ptrepo: bool = True
     budget: Any = None
     faults: Any = None
     #: Bumped on every revival of this worker slot (see FrontierBatch).
@@ -75,7 +74,7 @@ class WorkerSpec:
 def build_sharded_solver(spec: WorkerSpec) -> ShardedSFS:
     """Construct the shard-local solver for *spec* (fresh, unrestored)."""
     return ShardedSFS(
-        spec.svfg, spec.partition, spec.worker_id, ptrepo=spec.ptrepo,
+        spec.svfg, spec.partition, spec.worker_id,
         meter=spec.budget.meter() if spec.budget is not None else None,
         faults=spec.faults)
 

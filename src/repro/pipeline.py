@@ -94,11 +94,11 @@ class AnalysisPipeline:
 
     # ------------------------------------------------------------- main phase
 
-    def sfs(self, ptrepo: bool = True, meter=None,
+    def sfs(self, meter=None,
             faults=None, checkpointer=None, resume_state=None,
             resume_step: int = 0, warm_plan=None,
             capture_regions: Optional[bool] = None) -> FlowSensitiveResult:
-        return self.engine.solve("sfs", ptrepo=ptrepo,
+        return self.engine.solve("sfs",
                                  meter=meter, faults=faults,
                                  checkpointer=checkpointer,
                                  resume_state=resume_state,
@@ -106,11 +106,11 @@ class AnalysisPipeline:
                                  warm_plan=warm_plan,
                                  capture_regions=capture_regions)
 
-    def vsfs(self, ptrepo: bool = True, meter=None,
+    def vsfs(self, meter=None,
              faults=None, checkpointer=None, resume_state=None,
              resume_step: int = 0, warm_plan=None,
              capture_regions: Optional[bool] = None) -> FlowSensitiveResult:
-        return self.engine.solve("vsfs", ptrepo=ptrepo,
+        return self.engine.solve("vsfs",
                                  meter=meter, faults=faults,
                                  checkpointer=checkpointer,
                                  resume_state=resume_state,
@@ -118,14 +118,14 @@ class AnalysisPipeline:
                                  warm_plan=warm_plan,
                                  capture_regions=capture_regions)
 
-    def sfs_par(self, jobs: int = 2, ptrepo: bool = True,
+    def sfs_par(self, jobs: int = 2,
                 meter=None, faults=None, mode: Optional[str] = None,
                 warm_plan=None,
                 capture_regions: Optional[bool] = None) -> FlowSensitiveResult:
         """Sharded parallel SFS on *jobs* workers (bit-identical to
         :meth:`sfs`; see :mod:`repro.parallel`).  A usable *warm_plan*
         collapses the run onto the serial kernel (same result)."""
-        return self.engine.solve("sfs-par", ptrepo=ptrepo,
+        return self.engine.solve("sfs-par",
                                  meter=meter, faults=faults, jobs=jobs,
                                  parallel_mode=mode, warm_plan=warm_plan,
                                  capture_regions=capture_regions)
@@ -153,8 +153,7 @@ def module_from(source: Union[str, Module], language: str = "c") -> Module:
 
 def analyze(source: Union[str, Module], analysis: str = "vsfs",
             language: str = "c", budget=None, fallback: bool = True,
-            faults=None, ptrepo: bool = True,
-            checkpoint=None, resume_from=None):
+            faults=None, checkpoint=None, resume_from=None):
     """Run one analysis end to end, governed by the degradation ladder.
 
     :param source: a prepared :class:`Module`, mini-C source text, or
@@ -176,7 +175,7 @@ def analyze(source: Union[str, Module], analysis: str = "vsfs",
     :param resume_from: resume a previous interrupted run: a checkpoint
         file path, a directory to search, or ``True`` to search
         ``checkpoint``'s directory.  Discovery is content-addressed (IR
-        hash × rung × storage flag) and walks the ladder most-precise
+        hash × rung) and walks the ladder most-precise
         first; a stale or mismatched checkpoint raises
         :class:`~repro.errors.CheckpointError`, while "no checkpoint
         found" in directory mode simply starts fresh.
@@ -194,14 +193,14 @@ def analyze(source: Union[str, Module], analysis: str = "vsfs",
     else:
         pipeline = AnalysisPipeline.from_source(source, language=language)
     result, __ = solve_stored(pipeline, analysis, budget=budget,
-                              fallback=fallback, faults=faults, ptrepo=ptrepo,
+                              fallback=fallback, faults=faults,
                               checkpoint=checkpoint, resume_from=resume_from)
     return result
 
 
 def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
                  store=None, incremental=None, budget=None,
-                 fallback: bool = True, faults=None, ptrepo: bool = True,
+                 fallback: bool = True, faults=None,
                  checkpoint=None, resume_from=None, jobs: int = 1,
                  parallel_mode: Optional[str] = None):
     """Answer *analysis* from *store*, or solve it and store the answer.
@@ -251,7 +250,7 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
 
     if store is not None:
         try:
-            cached = store.get(module, analysis, ptrepo)
+            cached = store.get(module, analysis)
         except CheckpointError as err:
             heal("recompute", "result_store_get", err, reason=err.reason,
                  path=err.path)
@@ -265,7 +264,7 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
     resume_meta = resume_state = None
     if resume_from:
         resume_meta, resume_state = _load_resume_state(
-            module, analysis, resume_from, checkpoint, ptrepo)
+            module, analysis, resume_from, checkpoint)
     warm = (incremental is not None and analysis in ("sfs", "vsfs")
             and not resume_from)
     warm_plan = None
@@ -276,18 +275,18 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
         if isinstance(incremental, str):
             incremental = IncrementalStore(incremental)
         try:
-            slot = incremental.load(analysis, ptrepo)
+            slot = incremental.load(analysis)
         except CheckpointError as err:
             heal("recompute", "incremental_load", err, reason=err.reason,
                  path=err.path)
             slot = None
         if slot is not None:
             warm_plan = plan_warm(slot, pipeline.svfg(), pipeline.modref(),
-                                  analysis, ptrepo, pipeline.andersen())
+                                  analysis, pipeline.andersen())
     sharded = analysis == "sfs" and jobs > 1 and not resume_from
     result = solve_with_ladder(
         pipeline, analysis="sfs-par" if sharded else analysis, budget=budget,
-        fallback=fallback, faults=faults, ptrepo=ptrepo,
+        fallback=fallback, faults=faults,
         checkpoint=checkpoint, resume_state=resume_state,
         resume_meta=resume_meta, jobs=jobs, parallel_mode=parallel_mode,
         warm_plan=warm_plan, capture_regions=warm)
@@ -296,22 +295,21 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
         return result, False
     if store is not None:
         write("result_store_put",
-              lambda: store.put(module, analysis, ptrepo, result,
-                                faults=faults))
+              lambda: store.put(module, analysis, result, faults=faults))
     capture = getattr(result, "incremental_capture", None)
     if warm and capture is not None:
         from repro.incremental import build_payload
 
         slot = build_payload(
             pipeline.svfg(), pipeline.modref(), result, capture["node_in"],
-            capture["node_out"], capture["flow"], analysis, ptrepo,
+            capture["node_out"], capture["flow"], analysis,
             pipeline.andersen())
         write("incremental_save", lambda: incremental.save(slot))
     return result, False
 
 
 def _load_resume_state(module: Module, analysis: str, resume_from,
-                       checkpoint, ptrepo: bool):
+                       checkpoint):
     """Locate and verify the checkpoint ``analyze(resume_from=...)`` names.
 
     Returns ``(meta, payload)`` or ``(None, None)`` when directory-mode
@@ -339,12 +337,12 @@ def _load_resume_state(module: Module, analysis: str, resume_from,
                 "resume_from=True needs a checkpoint directory "
                 "(pass checkpoint=... or a directory path)")
         for level in levels:  # most precise rung first
-            path = find_checkpoint(directory, ir_hash, level, ptrepo)
+            path = find_checkpoint(directory, ir_hash, level)
             if path is not None:
                 break
         if path is None:
             return None, None
-    meta, payload = load_checkpoint(path, ir_hash=ir_hash, ptrepo=ptrepo)
+    meta, payload = load_checkpoint(path, ir_hash=ir_hash)
     if meta.get("analysis") not in levels:
         raise CheckpointError(
             f"checkpoint at {path} is for analysis {meta.get('analysis')!r}, "

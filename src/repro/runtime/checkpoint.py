@@ -4,8 +4,7 @@ A checkpoint is a sealed JSON document (:mod:`repro.store.atomic`) holding
 everything a solver needs to continue a fixpoint from the middle: the
 top-level points-to array, the solver's memory representation (IN/OUT maps
 for SFS/ICFG, the global ``(object, version)`` table plus meld/version
-tables for VSFS, the constraint-graph arrays for Andersen), the
-:class:`~repro.datastructs.ptrepo.PTRepo` interning table, the worklist
+tables for VSFS, the constraint-graph arrays for Andersen), the worklist
 *in queue order*, the on-the-fly call-graph edges, and the field objects
 materialised during the solve.
 
@@ -16,10 +15,9 @@ fixpoint an uninterrupted run reaches — the resume tests assert the
 stronger property that results are **bit-identical**.
 
 The manifest (the sealed document's ``meta``) records the schema version,
-the IR content hash, the storage flag, and the analysis; loading verifies
-all four so a checkpoint from an edited program, another solver, or a
-different storage configuration is rejected with a typed
-:class:`~repro.errors.CheckpointError` instead of corrupting a run.
+the IR content hash and the analysis; loading verifies all three so a
+checkpoint from an edited program or another solver is rejected with a
+typed :class:`~repro.errors.CheckpointError` instead of corrupting a run.
 Checkpoint files are written atomically, so a crash *during* a save leaves
 the previous checkpoint intact.
 """
@@ -54,7 +52,10 @@ __all__ = [
 #: (no ``full``/``dirty`` annotations) and the key drops ``delta``.
 #: 4: VSFS versioning merges version-constraint cycles and stores its
 #: tables sparsely, so a stored VSFS versioning means other versions.
-CHECKPOINT_SCHEMA = 4
+#: 5: one storage path — the memory section lists each distinct mask once
+#: (``masks``) and entries index it; versioning constraints keep their
+#: first-seen order; the manifest and the key drop ``ptrepo``.
+CHECKPOINT_SCHEMA = 5
 
 #: Artifact kind tag inside the sealed envelope.
 CHECKPOINT_KIND = "checkpoint"
@@ -75,34 +76,29 @@ class CheckpointConfig:
     every_seconds: Optional[float] = None
 
 
-def checkpoint_path(directory: str, ir_hash: str, analysis: str,
-                    ptrepo: bool) -> str:
-    """Deterministic checkpoint file name for one (program, config) pair.
+def checkpoint_path(directory: str, ir_hash: str, analysis: str) -> str:
+    """Deterministic checkpoint file name for one (program, analysis) pair.
 
     Content-keyed like the result store, so resume discovery is a pure
     function of what is being solved — no run ids to thread through.
     """
-    key = result_key(ir_hash, analysis, ptrepo)[:16]
+    key = result_key(ir_hash, analysis)[:16]
     return os.path.join(directory, f"ckpt-{analysis}-{key}.json")
 
 
 class Checkpointer:
     """Writes one solver's checkpoints on a cadence and on demand.
 
-    One instance per ladder rung: each (analysis, config) pair owns its own
-    file, so a degraded run's precise-rung checkpoint survives for a later
+    One instance per ladder rung: each analysis owns its own file, so a degraded run's precise-rung checkpoint survives for a later
     retry with a larger budget.
     """
 
     def __init__(self, config: CheckpointConfig, ir_hash: str, analysis: str,
-                 ptrepo: bool = True,
                  faults: Any = None, bus: Any = None):
         self.config = config
         self.ir_hash = ir_hash
         self.analysis = analysis
-        self.ptrepo = bool(ptrepo)
-        self.path = checkpoint_path(config.directory, ir_hash, analysis,
-                                    ptrepo)
+        self.path = checkpoint_path(config.directory, ir_hash, analysis)
         #: FaultPlan whose ``checkpoint_write`` point fires inside save().
         self.faults = faults
         #: EventBus receiving ``self_heal`` events for absorbed failures.
@@ -148,7 +144,6 @@ class Checkpointer:
             "ir_hash": self.ir_hash,
             "fp_scheme": FINGERPRINT_SCHEME,
             "analysis": self.analysis,
-            "ptrepo": self.ptrepo,
             "step": step,
             "reason": reason,
         }
@@ -200,17 +195,16 @@ class Checkpointer:
 
 
 def load_checkpoint(path: str, ir_hash: Optional[str] = None,
-                    analysis: Optional[str] = None,
-                    ptrepo: Optional[bool] = None
+                    analysis: Optional[str] = None
                     ) -> Tuple[Dict[str, Any], Any]:
     """Read + verify one checkpoint; returns ``(meta, payload)``.
 
     Beyond the envelope checks (checksum, kind, schema), any expectation
     passed as a keyword is matched against the manifest: a checkpoint
     recorded for a different program raises ``reason="ir-mismatch"``, one
-    for a different solver or storage configuration
-    ``reason="config-mismatch"``.  Corrupt files are quarantined so a
-    supervisor's next retry starts fresh instead of tripping again.
+    for a different solver ``reason="config-mismatch"``.  Corrupt files
+    are quarantined so a supervisor's next retry starts fresh instead of
+    tripping again.
     """
     try:
         meta, payload = read_sealed_json(path, CHECKPOINT_KIND,
@@ -236,18 +230,14 @@ def load_checkpoint(path: str, ir_hash: Optional[str] = None,
         raise CheckpointError(
             f"checkpoint was recorded for analysis {meta.get('analysis')!r}, "
             f"not {analysis!r}", reason="config-mismatch", path=path)
-    if ptrepo is not None and bool(meta.get("ptrepo")) != bool(ptrepo):
-        raise CheckpointError(
-            "checkpoint was recorded under a different ptrepo setting",
-            reason="config-mismatch", path=path)
     if not isinstance(meta.get("step"), int) or meta["step"] < 0:
         raise CheckpointError("checkpoint manifest lacks a valid step",
                               reason="corrupt", path=path)
     return meta, payload
 
 
-def find_checkpoint(directory: str, ir_hash: str, analysis: str,
-                    ptrepo: bool) -> Optional[str]:
-    """Path of the checkpoint for this (program, config), if one exists."""
-    path = checkpoint_path(directory, ir_hash, analysis, ptrepo)
+def find_checkpoint(directory: str, ir_hash: str,
+                    analysis: str) -> Optional[str]:
+    """Path of the checkpoint for this (program, analysis), if one exists."""
+    path = checkpoint_path(directory, ir_hash, analysis)
     return path if os.path.exists(path) else None

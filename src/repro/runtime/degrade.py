@@ -154,7 +154,7 @@ def result_steps(result: object) -> int:
 
 def solve_with_ladder(pipeline, analysis: str = "vsfs",
                       budget: Optional[Budget] = None, fallback: bool = True,
-                      faults=None, ptrepo: bool = True,
+                      faults=None,
                       checkpoint: Optional[CheckpointConfig] = None,
                       resume_state=None, resume_meta=None,
                       jobs: int = 1, parallel_mode: Optional[str] = None,
@@ -167,8 +167,8 @@ def solve_with_ladder(pipeline, analysis: str = "vsfs",
     bit-identical to calling the pipeline directly.
 
     With *checkpoint* (a :class:`CheckpointConfig`) each rung gets its own
-    :class:`Checkpointer`, keyed by IR hash × rung × storage flag — a
-    degraded run's precise-rung checkpoint survives for a later retry.
+    :class:`Checkpointer`, keyed by IR hash × rung — a degraded run's
+    precise-rung checkpoint survives for a later retry.
     *resume_state*/*resume_meta* (as returned by :func:`load_checkpoint`)
     restore the matching rung's solver mid-fixpoint before it runs; the
     state is applied only to the rung whose level equals the manifest's
@@ -197,8 +197,7 @@ def solve_with_ladder(pipeline, analysis: str = "vsfs",
             # the checkpoint_write fault point fires and skipped saves
             # surface as self_heal events on the run's trace.
             ck = checkpointers[level] = Checkpointer(
-                checkpoint, ir_hash, level, ptrepo=ptrepo,
-                faults=faults, bus=bus)
+                checkpoint, ir_hash, level, faults=faults, bus=bus)
         return ck
 
     resume_level = resume_meta.get("analysis") if resume_meta else None
@@ -224,19 +223,19 @@ def solve_with_ladder(pipeline, analysis: str = "vsfs",
             # The parallel rung does its own sealing/revival in memory;
             # cross-run checkpoints and resume stay serial-only.
             return level, lambda meter: pipeline.sfs_par(
-                jobs=jobs, ptrepo=ptrepo, meter=meter, faults=faults,
+                jobs=jobs, meter=meter, faults=faults,
                 mode=parallel_mode, warm_plan=plan_for(level),
                 capture_regions=capture_regions)
         ck = checkpointer_for(level)
         state = resume_state if level == resume_level else None
         if level == "vsfs":
             return level, lambda meter: pipeline.vsfs(
-                ptrepo=ptrepo, meter=meter, faults=faults,
+                meter=meter, faults=faults,
                 checkpointer=ck, resume_state=state, resume_step=resume_step,
                 warm_plan=plan_for(level), capture_regions=capture_regions)
         if level == "sfs":
             return level, lambda meter: pipeline.sfs(
-                ptrepo=ptrepo, meter=meter, faults=faults,
+                meter=meter, faults=faults,
                 checkpointer=ck, resume_state=state, resume_step=resume_step,
                 warm_plan=plan_for(level), capture_regions=capture_regions)
         if level == "icfg-fs":

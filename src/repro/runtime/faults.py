@@ -1,13 +1,12 @@
 """Deterministic fault injection across every platform fault domain.
 
-The original four trigger points covered only the solver hot loops; the
+The first trigger points covered only the solver hot loops; the
 resilience layer (:mod:`repro.runtime.resilience`, DESIGN.md §12) extends
 the table to every layer that can fail in production.  Points are grouped
 into **fault domains**:
 
-- ``solver`` — the original four: stage boundaries and the hot spots of
-  the solve loops (``pre_meld``, ``otf_edge``, ``propagate``,
-  ``ptrepo_union``);
+- ``solver`` — the stage boundary and the hot spots of the solve loops
+  (``pre_meld``, ``otf_edge``, ``propagate``);
 - ``io`` — the on-disk substrate: stage-cache read/write, checkpoint
   write, result-store put;
 - ``parallel`` — the sharded driver's transport: frontier send/recv,
@@ -41,7 +40,7 @@ from repro.errors import AnalysisError, InjectedFault
 
 #: Fault domain -> its trigger points, in pipeline order.
 FAULT_DOMAINS: Dict[str, Tuple[str, ...]] = {
-    "solver": ("pre_meld", "otf_edge", "propagate", "ptrepo_union"),
+    "solver": ("pre_meld", "otf_edge", "propagate"),
     "io": ("stage_cache_read", "stage_cache_write", "checkpoint_write",
            "result_store_put"),
     "parallel": ("worker_spawn", "worker_heartbeat",
@@ -61,8 +60,6 @@ FAULT_DESCRIPTIONS: Dict[str, str] = {
     "otf_edge": "a new on-the-fly call edge is about to be wired into "
                 "the SVFG",
     "propagate": "an indirect points-to propagation is starting",
-    "ptrepo_union": "a deduplicated-storage union is about to be applied "
-                    "(ptrepo only)",
     "stage_cache_read": "a stage-cache entry is about to be probed "
                         "(heals: quarantine + recompute)",
     "stage_cache_write": "a fresh stage artifact is about to be persisted "

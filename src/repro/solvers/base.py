@@ -12,17 +12,20 @@ points-to set of an address-taken object is *stored and propagated*:
 Subclasses implement the five memory hooks (`_process_load`,
 `_process_store`, `_process_mem_node`, `_on_new_call_edge`, and
 `_memory_footprint`).
+
+Both store a points-to set as a plain int mask, hash-consed per solve: a
+write that grows a set stores ``canon.setdefault(new, new)``, so equal
+sets are one int object and forwarding a set forwards that object.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.analysis.callgraph import CallGraph
 from repro.datastructs.bitset import count_bits, iter_bits
-from repro.datastructs.ptrepo import PTRepo
 from repro.datastructs.worklist import FIFOWorkList
 from repro.errors import BudgetExceeded
 from repro.ir.function import Function
@@ -62,9 +65,7 @@ class SolverStats:
     ``stored_ptsets``/``stored_ptset_bits`` describe the final memory
     footprint of address-taken points-to data, the paper's memory story;
     ``unique_ptsets``/``unique_ptset_bits`` are the deduplicated
-    counterparts (what a :class:`~repro.datastructs.ptrepo.PTRepo`
-    actually keeps), and ``union_cache_hits``/``union_cache_misses``
-    describe its memoised-union cache.
+    counterparts — the int objects the hash-consed tables actually hold.
     """
 
     analysis: str = ""
@@ -79,12 +80,9 @@ class SolverStats:
     stored_ptset_bits: int = 0
     unique_ptsets: int = 0
     unique_ptset_bits: int = 0
-    union_cache_hits: int = 0
-    union_cache_misses: int = 0
     top_level_bits: int = 0
     callgraph_edges: int = 0
     indirect_calls_resolved: int = 0
-    ptrepo_enabled: bool = False  # deduplicated storage enabled for this run
     #: Pops inherited from a restored checkpoint.  ``nodes_processed`` is
     #: the *logical solve's* total (restored runs continue the count), so
     #: the work this attempt actually performed is :meth:`own_steps`.
@@ -92,13 +90,6 @@ class SolverStats:
     #: difference — summing ``nodes_processed`` over the attempts of a
     #: crashed-and-resumed run counts every pre-crash pop once per resume.
     resumed_steps: int = 0
-    #: Dedup *memory* cost gauges: how many rows the interner holds, how
-    #: many entries the pairwise-union memo has accumulated (it grows
-    #: without bound), and the estimated resident bytes of the
-    #: deduplicated mask content.
-    interner_entries: int = 0
-    union_cache_entries: int = 0
-    dedup_resident_bytes: int = 0
 
     #: Work counters that add across disjoint units of work (parallel
     #: shard workers, independent programs).  Times sum to aggregate CPU
@@ -107,7 +98,6 @@ class SolverStats:
         "solve_time", "pre_time", "nodes_processed", "propagations",
         "unions", "strong_updates", "weak_updates", "stored_ptsets",
         "stored_ptset_bits", "unique_ptsets", "unique_ptset_bits",
-        "union_cache_hits", "union_cache_misses",
         "indirect_calls_resolved", "resumed_steps",
     )
     #: Final-state gauges over structures the units may share (each
@@ -115,9 +105,7 @@ class SolverStats:
     #: merged top-level table is the OR of the workers') — summing would
     #: multiply shared state by the worker count, so a merge takes the
     #: max and the driver overwrites them with globally recomputed values.
-    GAUGE_FIELDS = ("top_level_bits", "callgraph_edges",
-                    "interner_entries", "union_cache_entries",
-                    "dedup_resident_bytes")
+    GAUGE_FIELDS = ("top_level_bits", "callgraph_edges")
 
     @classmethod
     def merge(cls, parts: "List[SolverStats]") -> "SolverStats":
@@ -130,7 +118,7 @@ class SolverStats:
         whole logical solve (its own new work is :meth:`own_steps`).
 
         ``unique_ptsets``/``unique_ptset_bits`` sum the per-unit dedup
-        counts; a set interned by two workers counts twice, so the sum is
+        counts; a set stored by two workers counts twice, so the sum is
         an upper bound on the global unique count (the parallel driver
         recomputes the exact global figure over the merged tables).
         """
@@ -138,7 +126,6 @@ class SolverStats:
         if not parts:
             return merged
         merged.analysis = parts[0].analysis
-        merged.ptrepo_enabled = all(p.ptrepo_enabled for p in parts)
         for name in cls.ADDITIVE_FIELDS:
             setattr(merged, name, sum(getattr(p, name) for p in parts))
         for name in cls.GAUGE_FIELDS:
@@ -156,10 +143,6 @@ class SolverStats:
     def dedup_ratio(self) -> float:
         """Referenced sets per unique set (1.0 = no sharing at all)."""
         return self.stored_ptsets / self.unique_ptsets if self.unique_ptsets else 0.0
-
-    def union_cache_hit_rate(self) -> float:
-        calls = self.union_cache_hits + self.union_cache_misses
-        return self.union_cache_hits / calls if calls else 0.0
 
 
 class FlowSensitiveResult:
@@ -210,12 +193,10 @@ class StagedSolverBase:
     """Worklist solver over the SVFG; see module docstring.
 
     Propagation is eager: a popped node re-runs its whole transfer rule
-    and forwards whole masks.  Storage is deduplicated by default
-    (``ptrepo``): IN/OUT / version-table entries hold dense ids into
-    this solve's own :class:`~repro.datastructs.ptrepo.PTRepo`, so
-    byte-identical sets are stored once and repeated unions hit a
-    memoised cache.  ``ptrepo=False`` stores raw masks — the reference
-    the tests compare the repository against; results are bit-identical.
+    and forwards whole masks.  IN/OUT / version-table entries are masks,
+    hash-consed through :attr:`canon`: every write that grows a set
+    stores ``canon.setdefault(new, new)``, and so do a warm preload and
+    a checkpoint restore, so equal sets are one int object per solve.
     """
 
     analysis_name = "base"
@@ -225,7 +206,7 @@ class StagedSolverBase:
     SEED_TYPES = (AllocInst, CopyInst, PhiInst, FieldInst, LoadInst,
                   StoreInst, CallInst, RetInst)
 
-    def __init__(self, svfg: SVFG, ptrepo: bool = True,
+    def __init__(self, svfg: SVFG,
                  meter=None, faults=None, checkpointer=None, ctx=None):
         if ctx is not None:
             # Engine path: governance defaults come from the StageContext
@@ -240,7 +221,8 @@ class StagedSolverBase:
         self.memssa = svfg.memssa
         self.pt: List[int] = [0] * len(self.module.variables)
         self.callgraph = CallGraph(self.module)
-        self.ptrepo: Optional[PTRepo] = PTRepo() if ptrepo else None
+        #: mask -> the one int object every table entry equal to it is.
+        self.canon: Dict[int, int] = {}
         # Resource governance (repro.runtime): a BudgetMeter ticked once
         # per worklist pop, and a FaultPlan fired at the instrumented
         # trigger points.  Both default to None, leaving the hot loops of
@@ -258,9 +240,7 @@ class StagedSolverBase:
         # preloaded and only the dirty closure is recomputed.
         self._warm_plan = None
         self._steps_done = 0  # pops completed in earlier (resumed) runs
-        self._union_baseline = (0, 0)  # pre-resume repo cache hits/misses
-        self.stats = SolverStats(analysis=self.analysis_name,
-                                 ptrepo_enabled=ptrepo)
+        self.stats = SolverStats(analysis=self.analysis_name)
         # Worklist of SVFG node ids with O(1) dedup.
         self.worklist: FIFOWorkList[int] = FIFOWorkList()
         self._function_objects: Dict[int, Function] = {
@@ -268,10 +248,6 @@ class StagedSolverBase:
             for obj in self.module.objects
             if isinstance(obj, FunctionObject)
         }
-
-    def _entry_mask(self, entry: int) -> int:
-        """The mask a stored table entry denotes (repo id or raw mask)."""
-        return self.ptrepo.mask(entry) if self.ptrepo is not None else entry
 
     # ------------------------------------------------------------- top level
 
@@ -433,15 +409,14 @@ class StagedSolverBase:
         """Everything needed to continue this solve in a fresh process.
 
         Top-level masks are hex strings; the memory layer (IN/OUT maps or
-        the versioned global table, plus the PTRepo interning table) comes
-        from the subclass hook ``_snapshot_memory``; call edges and field
+        the versioned global table, over one list of their distinct masks)
+        comes from the subclass hook ``_snapshot_memory``; call edges and field
         objects are stored as replayable references (see
         :mod:`repro.store.codec`).
         """
         from repro.store.codec import snapshot_call_edges, snapshot_fields
 
         stats = self.stats
-        union_hits, union_misses = self._union_counters()
         return {
             "pt": [format(mask, "x") for mask in self.pt],
             "worklist": self.worklist.snapshot(),
@@ -455,12 +430,6 @@ class StagedSolverBase:
                 "strong_updates": stats.strong_updates,
                 "weak_updates": stats.weak_updates,
                 "indirect_calls_resolved": stats.indirect_calls_resolved,
-                # Union-cache tallies live on the repo, whose snapshot
-                # is deliberately content-only; carrying the cumulative
-                # per-solve figures here keeps them consistent with the
-                # cumulative ``unions`` across a resume.
-                "union_cache_hits": union_hits,
-                "union_cache_misses": union_misses,
             },
         }
 
@@ -495,11 +464,6 @@ class StagedSolverBase:
             stats.strong_updates = counters["strong_updates"]
             stats.weak_updates = counters["weak_updates"]
             stats.indirect_calls_resolved = counters["indirect_calls_resolved"]
-            # The restored repo's live tallies start at zero; remember the
-            # pre-crash ones so _finish_footprint reports cumulative
-            # cache numbers matching the cumulative union count.
-            self._union_baseline = (counters.get("union_cache_hits", 0),
-                                    counters.get("union_cache_misses", 0))
         except CheckpointError:
             raise
         except (KeyError, ValueError, TypeError, IndexError, AttributeError) as err:
@@ -535,6 +499,20 @@ class StagedSolverBase:
     def _snapshot_memory(self) -> Dict[str, object]:
         """Hook: the solver's address-taken memory representation."""
         raise NotImplementedError
+
+    @staticmethod
+    def _encode_masks(index: Dict[int, int]) -> List[str]:
+        """A snapshot's ``masks`` list: *index* maps each distinct mask to
+        its position (filled with ``index.setdefault(mask, len(index))``
+        while the entries were encoded), so each set is written once."""
+        return [format(mask, "x") for mask in index]
+
+    def _decode_masks(self, texts: List[str]) -> List[int]:
+        """Inverse of :meth:`_encode_masks`, hash-consed into
+        :attr:`canon`; entries restore as ``masks[i]``."""
+        canon = self.canon
+        return [canon.setdefault(mask, mask)
+                for mask in (int(text, 16) for text in texts)]
 
     def _restore_memory(self, mem: Dict[str, object]) -> None:
         """Hook: inverse of ``_snapshot_memory``."""
@@ -648,28 +626,16 @@ class StagedSolverBase:
 
     # --------------------------------------------------------------- helpers
 
-    def _union_counters(self) -> Tuple[int, int]:
-        """This solve's cumulative union-cache (hits, misses): any
-        pre-resume baseline plus its own repo's tallies."""
-        base_hits, base_misses = self._union_baseline
-        if self.ptrepo is None:
-            return base_hits, base_misses
-        return (base_hits + self.ptrepo.union_hits,
-                base_misses + self.ptrepo.union_misses)
+    def _finish_footprint(self, masks: Iterable[int]) -> None:
+        """Fill storage stats from every stored table entry.
 
-    def _finish_footprint(self, entries) -> None:
-        """Fill storage stats from every stored table entry (id or mask).
-
-        ``stored_ptsets`` counts referenced non-empty sets, ``unique_*``
-        their exact deduplication (what a repo physically keeps), and the
-        union-cache counters come from the repo when one is attached.
+        ``stored_ptsets`` counts referenced non-empty sets and ``unique_*``
+        their exact deduplication (the int objects the tables share).
         """
-        entry_mask = self._entry_mask
         sets = 0
         bits = 0
         seen: Set[int] = set()
-        for entry in entries:
-            mask = entry_mask(entry)
+        for mask in masks:
             if mask:
                 sets += 1
                 bits += count_bits(mask)
@@ -678,14 +644,6 @@ class StagedSolverBase:
         self.stats.stored_ptset_bits = bits
         self.stats.unique_ptsets = len(seen)
         self.stats.unique_ptset_bits = sum(count_bits(mask) for mask in seen)
-        if self.ptrepo is not None:
-            stats = self.stats
-            stats.union_cache_hits, stats.union_cache_misses = \
-                self._union_counters()
-            repo = self.ptrepo
-            stats.interner_entries = repo.size
-            stats.union_cache_entries = repo.union_cache_size
-            stats.dedup_resident_bytes = repo.content_bytes()
 
     def strong_update_target(self, ptr_mask: int) -> Optional[int]:
         """If a store through *ptr_mask* may strong-update, the object id.

@@ -1,15 +1,14 @@
 """Content-addressed on-disk store for completed analysis results.
 
 Keying is structural, never positional: an entry's name is
-``sha256(ir_hash | analysis | ptrepo)`` where ``ir_hash`` is the
+``sha256(ir_hash | analysis)`` where ``ir_hash`` is the
 SHA-256 of the module's printed IR (:func:`ir_fingerprint`).  Asking for the
-same program under the same solver and storage configuration therefore hits
-the cache; recompiling an *edited* program changes the IR hash and misses —
+same program under the same solver therefore hits the cache; recompiling an *edited* program changes the IR hash and misses —
 stale answers cannot be served.
 
 Entries are sealed documents (:mod:`repro.store.atomic`): every read
 re-verifies the checksum, the artifact kind, the schema version, and the
-recorded IR hash/configuration.  Anything that fails verification is moved
+recorded IR hash and analysis.  Anything that fails verification is moved
 to quarantine (``*.quarantined``) and reported as a typed
 :class:`~repro.errors.CheckpointError` — the store never silently returns
 damaged or mismatched data, and a damaged entry can never be loaded twice.
@@ -67,7 +66,9 @@ __all__ = [
 #: ``fp_scheme`` so stale pre-refactor entries quarantine instead of
 #: silently (mis)matching.
 #: 3: the key and the manifest drop ``delta`` (one eager kernel).
-STORE_SCHEMA = 3
+#: 4: the key and the manifest drop ``ptrepo`` (one storage path), and
+#: the stored ``SolverStats`` lose the union-cache and interner fields.
+STORE_SCHEMA = 4
 
 
 # -------------------------------------------------------------- result codecs
@@ -138,7 +139,7 @@ class ResultStore:
 
     # ---------------------------------------------------------------- writing
 
-    def put(self, module: Module, analysis: str, ptrepo: bool,
+    def put(self, module: Module, analysis: str,
             result: Union[FlowSensitiveResult, AndersenResult],
             ir_hash: Optional[str] = None, faults: Any = None) -> str:
         """Persist *result* under its content key; returns the entry path.
@@ -152,13 +153,12 @@ class ResultStore:
         if faults is not None:
             faults.fire("result_store_put", stage=f"store:{analysis}")
         ir_hash = ir_hash or ir_fingerprint(module)
-        key = result_key(ir_hash, analysis, ptrepo)
+        key = result_key(ir_hash, analysis)
         path = self.entry_path(key)
         meta = {
             "ir_hash": ir_hash,
             "fp_scheme": FINGERPRINT_SCHEME,
             "analysis": analysis,
-            "ptrepo": bool(ptrepo),
         }
         write_sealed_json(path, self.KIND, STORE_SCHEMA, meta,
                           encode_result(result))
@@ -167,18 +167,18 @@ class ResultStore:
 
     # ---------------------------------------------------------------- reading
 
-    def get(self, module: Module, analysis: str, ptrepo: bool,
+    def get(self, module: Module, analysis: str,
             ir_hash: Optional[str] = None
             ) -> Optional[Union[FlowSensitiveResult, AndersenResult]]:
-        """Load the entry for this configuration, fully verified.
+        """Load the entry for this analysis, fully verified.
 
         Returns ``None`` on a clean miss.  A present-but-untrustworthy
         entry (corrupt bytes, bad checksum, recorded for a different
-        program or configuration, undecodable payload) is quarantined and
+        program or analysis, undecodable payload) is quarantined and
         reported as :class:`CheckpointError`.
         """
         ir_hash = ir_hash or ir_fingerprint(module)
-        key = result_key(ir_hash, analysis, ptrepo)
+        key = result_key(ir_hash, analysis)
         path = self.entry_path(key)
         if not os.path.exists(path):
             self.misses += 1
@@ -195,12 +195,10 @@ class ResultStore:
                     "entry was recorded for a different program "
                     f"(IR hash {meta.get('ir_hash')!r})",
                     reason="ir-mismatch", path=path)
-            if (meta.get("analysis") != analysis
-                    or bool(meta.get("ptrepo")) != bool(ptrepo)):
+            if meta.get("analysis") != analysis:
                 raise CheckpointError(
-                    "entry was recorded for a different solver/storage "
-                    f"configuration ({meta.get('analysis')}, "
-                    f"ptrepo={meta.get('ptrepo')})",
+                    "entry was recorded for a different solver "
+                    f"({meta.get('analysis')})",
                     reason="config-mismatch", path=path)
             try:
                 result = decode_result(module, payload)

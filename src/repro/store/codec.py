@@ -56,9 +56,9 @@ def ir_fingerprint(module: Module) -> str:
     return module_fingerprint(module)
 
 
-def result_key(ir_hash: str, analysis: str, ptrepo: bool) -> str:
-    """Store/checkpoint key: IR hash × solver × storage configuration."""
-    token = f"{ir_hash}|{analysis}|ptrepo={int(bool(ptrepo))}"
+def result_key(ir_hash: str, analysis: str) -> str:
+    """Store/checkpoint key: IR hash × solver."""
+    token = f"{ir_hash}|{analysis}"
     return hashlib.sha256(token.encode("utf-8")).hexdigest()
 
 

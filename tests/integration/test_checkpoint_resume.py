@@ -35,32 +35,20 @@ PROGRAM = """
     }
 """
 
-#: Storage configurations: the PTRepo default and the raw-mask reference.
-ABLATIONS = {
-    "default": True,
-    "no-ptrepo": False,
-}
-
 MATRIX = [
-    (analysis, ablation, kill_at)
-    for analysis in ("sfs", "vsfs")
-    for ablation in ABLATIONS
+    (analysis, kill_at)
+    for analysis in ("sfs", "vsfs", "ander", "icfg-fs")
     for kill_at in (3, 11)
-] + [
-    ("ander", "default", 3),
-    ("ander", "default", 11),
-    ("icfg-fs", "default", 3),
-    ("icfg-fs", "default", 11),
 ]
 
 
-def _interrupt(tmp_path, analysis, ptrepo, kill_at):
+def _interrupt(tmp_path, analysis, kill_at, program=None, every_steps=2):
     """Budget-kill a run at *kill_at* steps; returns the checkpoint path."""
-    config = CheckpointConfig(str(tmp_path), every_steps=2)
+    config = CheckpointConfig(str(tmp_path), every_steps=every_steps)
     with pytest.raises(BudgetExceeded) as exc:
-        analyze(compile_c(PROGRAM), analysis=analysis,
-                budget=Budget(max_steps=kill_at), fallback=False,
-                checkpoint=config, ptrepo=ptrepo)
+        analyze(program if program is not None else compile_c(PROGRAM),
+                analysis=analysis, budget=Budget(max_steps=kill_at),
+                fallback=False, checkpoint=config)
     path = exc.value.checkpoint_path
     assert path is not None and os.path.exists(path)
     report = exc.value.run_report
@@ -70,17 +58,13 @@ def _interrupt(tmp_path, analysis, ptrepo, kill_at):
 
 
 class TestKillResumeMatrix:
-    @pytest.mark.parametrize("analysis,ablation,kill_at", MATRIX,
+    @pytest.mark.parametrize("analysis,kill_at", MATRIX,
                              ids=lambda p: str(p))
-    def test_resume_is_bit_identical(self, tmp_path, analysis, ablation,
-                                     kill_at):
-        ptrepo = ABLATIONS[ablation]
-        clean = analyze(compile_c(PROGRAM), analysis=analysis,
-                        ptrepo=ptrepo)
-        config, __ = _interrupt(tmp_path, analysis, ptrepo, kill_at)
+    def test_resume_is_bit_identical(self, tmp_path, analysis, kill_at):
+        clean = analyze(compile_c(PROGRAM), analysis=analysis)
+        config, __ = _interrupt(tmp_path, analysis, kill_at)
         resumed = analyze(compile_c(PROGRAM), analysis=analysis,
-                          checkpoint=config, resume_from=True,
-                          ptrepo=ptrepo)
+                          checkpoint=config, resume_from=True)
         assert resumed.report.resumed
         assert resumed.report.resumed_from_step is not None
         assert resumed.snapshot() == clean.snapshot()
@@ -90,7 +74,7 @@ class TestKillResumeMatrix:
 
     def test_resume_via_explicit_path(self, tmp_path):
         clean = analyze(compile_c(PROGRAM), analysis="vsfs")
-        __, path = _interrupt(tmp_path, "vsfs", True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", 5)
         resumed = analyze(compile_c(PROGRAM), analysis="vsfs",
                           resume_from=path)
         assert resumed.report.resumed
@@ -107,7 +91,7 @@ class TestKillResumeMatrix:
     def test_repeated_interrupts_chain(self, tmp_path):
         """Kill, resume-and-kill again, then finish: still bit-identical."""
         clean = analyze(compile_c(PROGRAM), analysis="vsfs")
-        config, __ = _interrupt(tmp_path, "vsfs", True, 3)
+        config, __ = _interrupt(tmp_path, "vsfs", 3)
         with pytest.raises(BudgetExceeded):
             analyze(compile_c(PROGRAM), analysis="vsfs", checkpoint=config,
                     resume_from=True, budget=Budget(max_steps=4),
@@ -126,27 +110,36 @@ class TestRejection:
         assert exc.value.reason == "missing"
 
     def test_edited_program_rejected(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", 5)
         edited = PROGRAM.replace("g = a", "g = b")
         with pytest.raises(CheckpointError) as exc:
             analyze(compile_c(edited), analysis="vsfs", resume_from=path)
         assert exc.value.reason == "ir-mismatch"
 
     def test_wrong_ablation_rejected(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, 5)
+        """A checkpoint of the deleted storage fork (schema 4, which wrote
+        ``ptrepo`` in its manifest and PTRepo ids or raw masks where
+        schema 5 indexes one ``masks`` list) is refused typed and
+        quarantined; directory mode then starts fresh."""
+        config, path = _interrupt(tmp_path, "sfs", 5)
+        _reseal(path, "checkpoint", 4, ptrepo=False)
         with pytest.raises(CheckpointError) as exc:
-            analyze(compile_c(PROGRAM), analysis="vsfs", resume_from=path,
-                    ptrepo=False)
-        assert exc.value.reason == "config-mismatch"
+            analyze(compile_c(PROGRAM), analysis="sfs", resume_from=path)
+        assert exc.value.reason == "schema"
+        assert not os.path.exists(path)
+        assert os.path.exists(exc.value.path)  # the quarantined copy
+        fresh = analyze(compile_c(PROGRAM), analysis="sfs",
+                        checkpoint=config, resume_from=True)
+        assert not fresh.report.resumed
 
     def test_wrong_ladder_rejected(self, tmp_path):
-        __, path = _interrupt(tmp_path, "icfg-fs", True, 5)
+        __, path = _interrupt(tmp_path, "icfg-fs", 5)
         with pytest.raises(CheckpointError) as exc:
             analyze(compile_c(PROGRAM), analysis="sfs", resume_from=path)
         assert exc.value.reason == "config-mismatch"
 
     def test_corrupt_checkpoint_raises_typed_error(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", 5)
         with open(path, "r+b") as handle:
             handle.seek(200)
             handle.write(b"\x00\x00\x00")
@@ -157,7 +150,7 @@ class TestRejection:
         assert not os.path.exists(path)
 
     def test_truncated_checkpoint_raises_typed_error(self, tmp_path):
-        config, path = _interrupt(tmp_path, "vsfs", True, 5)
+        config, path = _interrupt(tmp_path, "vsfs", 5)
         size = os.path.getsize(path)
         with open(path, "r+b") as handle:
             handle.truncate(size // 2)
@@ -168,7 +161,7 @@ class TestRejection:
 
     def test_corruption_never_degrades(self, tmp_path):
         """A bad checkpoint must surface even with fallback enabled."""
-        __, path = _interrupt(tmp_path, "vsfs", True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", 5)
         with open(path, "w") as handle:
             handle.write("garbage")
         with pytest.raises(CheckpointError):
@@ -178,11 +171,10 @@ class TestRejection:
 
 class TestCheckpointManifest:
     def test_manifest_records_run_identity(self, tmp_path):
-        __, path = _interrupt(tmp_path, "vsfs", True, 5)
+        __, path = _interrupt(tmp_path, "vsfs", 5)
         meta, payload = load_checkpoint(path)
         assert meta["analysis"] == "vsfs"
-        assert meta["ptrepo"] is True
-        assert "delta" not in meta
+        assert "delta" not in meta and "ptrepo" not in meta
         assert meta["reason"] == "budget"
         assert isinstance(meta["step"], int) and meta["step"] >= 0
         assert isinstance(payload, dict) and "worklist" in payload
@@ -222,7 +214,7 @@ class TestSchemaTwoRefused:
     and quarantined, never half-restored."""
 
     def test_schema_two_checkpoint_with_delta_worklist(self, tmp_path):
-        config, path = _interrupt(tmp_path, "sfs", True, 5)
+        config, path = _interrupt(tmp_path, "sfs", 5)
 
         def as_delta_worklist(payload):
             items = payload["worklist"]["items"]
@@ -247,17 +239,17 @@ class TestSchemaTwoRefused:
         module = compile_c(PROGRAM)
         result = analyze(module, analysis="vsfs")
         store = ResultStore(str(tmp_path))
-        path = store.put(module, "vsfs", True, result)
+        path = store.put(module, "vsfs", result)
         _reseal_as_schema_two(path, "result", lambda payload: None)
         with pytest.raises(CheckpointError) as exc:
-            store.get(compile_c(PROGRAM), "vsfs", True,
+            store.get(compile_c(PROGRAM), "vsfs",
                       ir_hash=ir_fingerprint(module))
         assert exc.value.reason == "schema"
         assert not os.path.exists(path)
         assert store.quarantined == [exc.value.path]
         assert os.path.exists(exc.value.path)
         # The quarantined entry no longer shadows the key.
-        assert store.get(module, "vsfs", True) is None
+        assert store.get(module, "vsfs") is None
 
 
 class TestSchemaThreeRefused:
@@ -266,7 +258,7 @@ class TestSchemaThreeRefused:
     never restored into the collapsed version table."""
 
     def test_schema_three_vsfs_checkpoint(self, tmp_path):
-        config, path = _interrupt(tmp_path, "vsfs", True, 5)
+        config, path = _interrupt(tmp_path, "vsfs", 5)
         _reseal(path, "checkpoint", 3)
         with pytest.raises(CheckpointError) as exc:
             analyze(compile_c(PROGRAM), analysis="vsfs", resume_from=path)
@@ -278,3 +270,49 @@ class TestSchemaThreeRefused:
         assert not fresh.report.resumed
         assert fresh.snapshot() == analyze(compile_c(PROGRAM),
                                            analysis="vsfs").snapshot()
+
+
+class TestPTRepoLayoutsRefused:
+    """A result entry of the PTRepo storage (store schema 3, whose stats
+    hold the union-cache fields) is refused typed and quarantined; for
+    its checkpoints see ``TestRejection.test_wrong_ablation_rejected``."""
+
+    def test_schema_three_result_store_entry(self, tmp_path):
+        module = compile_c(PROGRAM)
+        store = ResultStore(str(tmp_path))
+        path = store.put(module, "sfs", analyze(module, analysis="sfs"))
+
+        def with_union_cache_stats(payload):
+            payload["stats"].update(union_cache_hits=0, ptrepo_enabled=True)
+
+        _reseal(path, "result", 3, with_union_cache_stats, ptrepo=True)
+        with pytest.raises(CheckpointError) as exc:
+            store.get(module, "sfs")
+        assert exc.value.reason == "schema"
+        assert store.quarantined == [exc.value.path]
+        assert store.get(module, "sfs") is None
+
+
+class TestResumedSolveCountsSameWork:
+    """A resumed staged solve continues the uninterrupted one exactly:
+    the restored versioning keeps its constraints in first-seen order, so
+    the work counters match too, not only the answer."""
+
+    @pytest.mark.parametrize("program,analysis", [
+        ("du", "sfs"), ("du", "vsfs"), ("tmux", "sfs"), ("tmux", "vsfs"),
+    ])
+    def test_resumed_counters_match_uninterrupted(self, tmp_path, program,
+                                                  analysis):
+        from repro.bench.workloads import suite_program
+
+        module = suite_program(program)
+        clean = analyze(module, analysis=analysis)
+        config, __ = _interrupt(tmp_path, analysis, 500, program=module,
+                                every_steps=None)
+        resumed = analyze(module, analysis=analysis, checkpoint=config,
+                          resume_from=True)
+        assert resumed.report.resumed
+        assert resumed.snapshot() == clean.snapshot()
+        counters = ("nodes_processed", "propagations", "unions")
+        assert [getattr(resumed.stats, name) for name in counters] \
+            == [getattr(clean.stats, name) for name in counters]

@@ -91,8 +91,8 @@ class TestSolverIsolation:
         node_in, node_out = solver.export_node_memory()
         payload = build_payload(svfg, pipeline.modref(), result, node_in,
                                 node_out, node_flow_graph(solver.svfg),
-                                "vsfs", True, pipeline.andersen())
-        plan = plan_warm(payload, svfg, pipeline.modref(), "vsfs", True,
+                                "vsfs", pipeline.andersen())
+        plan = plan_warm(payload, svfg, pipeline.modref(), "vsfs",
                          pipeline.andersen())
         assert plan.usable, plan.fallback_reason
         warm = VSFSAnalysis(svfg, versioning)

@@ -148,18 +148,21 @@ def test_small_workload_sfs_within_icfg():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_optimisation_matrix_preserves_precision(name):
-    """The points-to repository is result-invisible: both storage
-    configurations of both staged solvers agree bit for bit with the
-    raw-mask SFS reference."""
+    """The version-cycle collapse is result-invisible: VSFS over the
+    collapsed versioning and over the paper's meld-only one agree bit for
+    bit with SFS."""
+    from repro.core.versioning import ObjectVersioning
+    from repro.core.vsfs import VSFSAnalysis
+
     module = compile_c(SCENARIOS[name])
     pipeline = AnalysisPipeline(module)
-    baseline = masks(module, pipeline.sfs(ptrepo=False))
-    for runner in (pipeline.sfs, pipeline.vsfs):
-        for ptrepo in (False, True):
-            result = runner(ptrepo=ptrepo)
-            assert masks(module, result) == baseline, (
-                f"{runner.__name__}(ptrepo={ptrepo}) diverged"
-            )
+    baseline = masks(module, pipeline.sfs())
+    assert masks(module, pipeline.vsfs()) == baseline, "vsfs diverged"
+    # Built after the collapsed solve: both write the single-object
+    # nodes' version slots.
+    meld_only = ObjectVersioning(pipeline.svfg()).run(collapse=False)
+    result = VSFSAnalysis(pipeline.svfg(), meld_only).run()
+    assert masks(module, result) == baseline, "meld-only vsfs diverged"
 
 
 def test_callgraphs_agree_between_sfs_and_vsfs():

@@ -1,7 +1,7 @@
 """Fault injection and graceful degradation, end to end.
 
 Proves the robustness contract of repro.runtime over the full matrix of
-trigger point × solver × optimisation ablation:
+trigger point × solver:
 
 - with ``fallback=False`` every injected **solver-domain** fault surfaces
   as a typed :class:`~repro.errors.InjectedFault` carrying stage context
@@ -42,17 +42,10 @@ PROGRAM = """
 
 SOLVERS = ("sfs", "vsfs")
 
-#: ptrepo — the default plus the raw-mask reference CI runs too.
-ABLATIONS = {
-    "default": True,
-    "no-ptrepo": False,
-}
-
 MATRIX = [
-    (point, solver, ablation)
+    (point, solver)
     for point in FAULT_DOMAINS["solver"]
     for solver in SOLVERS
-    for ablation in ABLATIONS
 ]
 
 
@@ -66,22 +59,13 @@ def _precise_masks(solver):
     return list(result._pt)
 
 
-@pytest.mark.parametrize("point,solver,ablation", MATRIX, ids=_matrix_id)
+@pytest.mark.parametrize("point,solver", MATRIX, ids=_matrix_id)
 class TestFaultMatrix:
-    def test_fault_surfaces_typed_without_fallback(self, point, solver, ablation):
-        ptrepo = ABLATIONS[ablation]
+    def test_fault_surfaces_typed_without_fallback(self, point, solver):
         plan = FaultPlan(point=point)
-        if point == "ptrepo_union" and not ptrepo:
-            # The point is unreachable with the repository disabled: the
-            # run must complete precisely and the plan must not fire.
-            result = analyze(compile_c(PROGRAM), analysis=solver,
-                             fallback=False, faults=plan, ptrepo=ptrepo)
-            assert result.precision_level == solver
-            assert plan.fired == []
-            return
         with pytest.raises(InjectedFault) as info:
             analyze(compile_c(PROGRAM), analysis=solver, fallback=False,
-                    faults=plan, ptrepo=ptrepo)
+                    faults=plan)
         err = info.value
         assert err.point == point
         assert err.stage == solver  # stage context names the solver it hit
@@ -90,22 +74,16 @@ class TestFaultMatrix:
         assert err.run_report.attempts[0].outcome == "fault-injected"
         assert plan.fired and plan.fired[0][0] == point
 
-    def test_fault_degrades_to_sound_superset(self, point, solver, ablation):
-        ptrepo = ABLATIONS[ablation]
+    def test_fault_degrades_to_sound_superset(self, point, solver):
         plan = FaultPlan(point=point)  # once=True: the retry completes
-        result = analyze(compile_c(PROGRAM), analysis=solver, faults=plan,
-                         ptrepo=ptrepo)
+        result = analyze(compile_c(PROGRAM), analysis=solver, faults=plan)
         precise = _precise_masks(solver)
-        if point == "ptrepo_union" and not ptrepo:
-            assert result.precision_level == solver
-            assert not result.report.degraded
-        else:
-            assert result.degraded_from == solver
-            assert result.report.degraded
-            ladder_rest = {"vsfs": ("sfs", "andersen"), "sfs": ("andersen",)}
-            assert result.precision_level in ladder_rest[solver]
-            assert "fault-injected" in [
-                a.outcome for a in result.report.attempts]
+        assert result.degraded_from == solver
+        assert result.report.degraded
+        ladder_rest = {"vsfs": ("sfs", "andersen"), "sfs": ("andersen",)}
+        assert result.precision_level in ladder_rest[solver]
+        assert "fault-injected" in [
+            a.outcome for a in result.report.attempts]
         # Soundness: degrading may only ADD may-point-to facts.
         degraded = list(result._pt)
         assert len(degraded) == len(precise)
@@ -147,11 +125,13 @@ class TestDegradationLadder:
         partial = err.partial_result
         assert partial is not None and partial.complete is False
 
-    def test_vsfs_fault_falls_to_sfs_not_straight_to_floor(self):
-        plan = FaultPlan(point="pre_meld")
+    @pytest.mark.parametrize("point", ["pre_meld", "propagate"])
+    def test_vsfs_fault_falls_to_sfs_not_straight_to_floor(self, point):
+        plan = FaultPlan(point=point)
         result = analyze(compile_c(PROGRAM), analysis="vsfs", faults=plan)
         # once=True disarms after the vsfs firing, so the sfs rung — which
-        # computes the *identical* points-to sets — completes.
+        # computes the *identical* points-to sets — completes; a fault in
+        # the middle of VSFS's propagation leaves nothing the rung reuses.
         assert result.precision_level == "sfs"
         assert result._pt == _precise_masks("vsfs")
 
@@ -167,18 +147,14 @@ class TestDegradationLadder:
 
 class TestGovernedRunsAreBitIdentical:
     @pytest.mark.parametrize("solver", SOLVERS)
-    @pytest.mark.parametrize("ablation", list(ABLATIONS), ids=_matrix_id)
-    def test_unbudgeted_faultfree_matches_ungoverned(self, solver, ablation):
-        ptrepo = ABLATIONS[ablation]
-        governed = analyze(compile_c(PROGRAM), analysis=solver,
-                           ptrepo=ptrepo)
+    def test_unbudgeted_faultfree_matches_ungoverned(self, solver):
+        governed = analyze(compile_c(PROGRAM), analysis=solver)
         pipeline = AnalysisPipeline(compile_c(PROGRAM))
-        direct = (pipeline.sfs if solver == "sfs" else pipeline.vsfs)(
-            ptrepo=ptrepo)
+        direct = (pipeline.sfs if solver == "sfs" else pipeline.vsfs)()
         assert governed._pt == direct._pt
         for counter in ("propagations", "unions", "strong_updates",
                         "weak_updates", "nodes_processed", "stored_ptsets",
-                        "top_level_bits", "callgraph_edges"):
+                        "unique_ptsets", "top_level_bits", "callgraph_edges"):
             assert getattr(governed.stats, counter) == \
                 getattr(direct.stats, counter), counter
         assert governed.precision_level == solver

@@ -50,36 +50,42 @@ def snapshot(result):
             for v in result.module.variables if result.pts_mask(v)}
 
 
-def solve_and_capture(src, analysis, ptrepo=True):
+def solve_and_capture(src, analysis):
     pipeline = AnalysisPipeline.from_source(src)
     svfg = pipeline.svfg()
-    solver = SOLVERS[analysis](svfg, ptrepo=ptrepo)
+    solver = SOLVERS[analysis](svfg)
     result = solver.run()
     node_in, node_out = solver.export_node_memory()
     payload = build_payload(svfg, pipeline.modref(), result, node_in,
                             node_out, node_flow_graph(solver.svfg),
-                            analysis, ptrepo, pipeline.andersen())
+                            analysis, pipeline.andersen())
     return result, payload
 
 
-def warm_vs_cold(payload, src, analysis, ptrepo=True):
+def warm_solver(payload, src, analysis):
+    """A solver of *src* warm-started from *payload* (not yet run), its
+    plan, and its pipeline."""
     pipeline = AnalysisPipeline.from_source(src)
     plan = plan_warm(payload, pipeline.svfg(), pipeline.modref(),
-                     analysis, ptrepo, pipeline.andersen())
+                     analysis, pipeline.andersen())
     assert plan.usable, plan.fallback_reason
-    cold = SOLVERS[analysis](pipeline.svfg(), ptrepo=ptrepo).run()
-    warm_solver = SOLVERS[analysis](pipeline.svfg(), ptrepo=ptrepo)
-    warm_solver.warm_start(plan)
-    warm = warm_solver.run()
+    solver = SOLVERS[analysis](pipeline.svfg())
+    solver.warm_start(plan)
+    return solver, plan, pipeline
+
+
+def warm_vs_cold(payload, src, analysis):
+    solver, plan, pipeline = warm_solver(payload, src, analysis)
+    cold = SOLVERS[analysis](pipeline.svfg()).run()
+    warm = solver.run()
     return plan, cold, warm
 
 
 class TestWarmMatchesCold:
     @pytest.mark.parametrize("analysis", ["sfs", "vsfs"])
-    @pytest.mark.parametrize("ptrepo", [True, False])
-    def test_pointer_edit_bit_identical(self, analysis, ptrepo):
-        _, payload = solve_and_capture(PTR_BASE, analysis, ptrepo)
-        plan, cold, warm = warm_vs_cold(payload, PTR_EDIT, analysis, ptrepo)
+    def test_pointer_edit_bit_identical(self, analysis):
+        _, payload = solve_and_capture(PTR_BASE, analysis)
+        plan, cold, warm = warm_vs_cold(payload, PTR_EDIT, analysis)
         assert snapshot(cold) == snapshot(warm)
         assert cold.callgraph.num_edges() == warm.callgraph.num_edges()
         assert plan.stats.regions_reused > 0

@@ -3,12 +3,12 @@
 The sharded driver partitions the SVFG across workers and exchanges only
 frontier deltas, but SFS is confluent: any fair schedule reaches the
 identical least fixpoint.  These tests pin that down bit-for-bit —
-parallel SFS against its serial twin across worker counts, transports
-and storage modes, including a worker that is hard-killed mid-solve and
-revived from its last seal.  (VSFS is not sharded.)  Serial solves on
-one pipeline must not leak state into each other either: each owns its
-PTRepo, and a degradation-ladder fallback equals a plain solve of its
-rung.
+parallel SFS against its serial twin across worker counts and
+transports, including a worker that is hard-killed mid-solve and revived
+from its last seal.  (VSFS is not sharded.)  Serial solves on one
+pipeline must not leak state into each other either: each owns its
+hash-consing table, and a degradation-ladder fallback equals a plain
+solve of its rung.
 """
 
 import pytest
@@ -52,12 +52,6 @@ class TestParallelEquivalence:
         assert result.parallel.jobs == jobs
         assert result.parallel.rounds >= jobs  # topological stagger
 
-    def test_no_ptrepo_matches_serial(self, pipeline, serial_sfs):
-        # The frontier codec never ships raw sets even when deduplicated
-        # storage is switched off inside the solver.
-        result = pipeline.sfs_par(jobs=2, ptrepo=False)
-        assert result._pt == serial_sfs._pt
-
     def test_fork_transport_matches_inline(self, pipeline, serial_sfs):
         from repro.parallel.driver import fork_available
 
@@ -84,8 +78,8 @@ class TestSerialSolvesShareNothing:
 
     def test_each_solve_owns_its_repo(self, serial_sfs, serial_vsfs):
         """A vsfs solve then an sfs solve on one pipeline (the ladder's
-        fallback shape) match solves on fresh pipelines, interner
-        gauges included: no PTRepo outlives its solve."""
+        fallback shape) match solves on fresh pipelines, storage counts
+        included: no hash-consing table outlives its solve."""
         module = suite_program(SOURCE_NAME)
         shared = AnalysisPipeline(module=module)
         vsfs = shared.vsfs()
@@ -93,11 +87,8 @@ class TestSerialSolvesShareNothing:
         assert_identical(vsfs, serial_vsfs)
         assert_identical(sfs, serial_sfs)
         fresh = AnalysisPipeline(module=module).sfs()
-        assert sfs.stats.interner_entries == fresh.stats.interner_entries
-        assert sfs.stats.union_cache_entries == \
-            fresh.stats.union_cache_entries
-        assert (sfs.stats.union_cache_hits, sfs.stats.union_cache_misses) \
-            == (fresh.stats.union_cache_hits, fresh.stats.union_cache_misses)
+        assert (sfs.stats.stored_ptsets, sfs.stats.unique_ptsets) \
+            == (fresh.stats.stored_ptsets, fresh.stats.unique_ptsets)
 
     def test_ladder_fallback_matches_plain_sfs(self, serial_sfs,
                                                serial_vsfs):
@@ -115,10 +106,8 @@ class TestSerialSolvesShareNothing:
 
     def test_memory_surface_is_populated(self, serial_vsfs):
         stats = serial_vsfs.stats
-        assert stats.ptrepo_enabled
-        assert stats.interner_entries > 0
-        assert stats.union_cache_entries > 0
-        assert stats.dedup_resident_bytes > 0
+        assert 0 < stats.unique_ptsets <= stats.stored_ptsets
+        assert 0 < stats.unique_ptset_bits <= stats.stored_ptset_bits
 
 
 class TestKillAndResume:

@@ -404,3 +404,61 @@ class TestDeterminism:
         stats = solver.run().stats
         assert (stats.nodes_processed, stats.propagations, stats.unions) \
             == self.PINNED[(program, analysis)]
+
+
+class TestHashConsedStorage:
+    """Equal stored sets are one int object: every write that grows a set
+    goes through the solve's ``canon`` table, and so do a warm preload and
+    a checkpoint restore."""
+
+    @staticmethod
+    def stored_entries(solver):
+        if hasattr(solver, "ptv"):
+            return [entry for table in solver.ptv.values() for entry in table]
+        return [entry for sets in (solver.in_sets, solver.out_sets)
+                for table in sets.values() for entry in table.values()]
+
+    @staticmethod
+    def fresh_solver(pipeline, analysis):
+        from repro.core.vsfs import VSFSAnalysis
+        from repro.solvers.sfs import SFSAnalysis
+
+        if analysis == "sfs":
+            return SFSAnalysis(pipeline.svfg())
+        return VSFSAnalysis(pipeline.svfg(), pipeline.versioning())
+
+    @pytest.mark.parametrize("analysis", ["sfs", "vsfs"])
+    @pytest.mark.parametrize("how", ["fresh", "resumed", "warm"])
+    def test_equal_sets_are_one_object(self, how, analysis):
+        import json
+
+        from repro.bench.workloads import SUITE, generate_source, suite_program
+        from repro.errors import BudgetExceeded
+        from repro.runtime import Budget
+        from tests.integration.test_incremental_warm import (
+            solve_and_capture, warm_solver)
+
+        if how == "warm":
+            # An added function: every other region's memory is preloaded.
+            source = generate_source(SUITE["du"])
+            __, payload = solve_and_capture(source, analysis)
+            solver, plan, __ = warm_solver(
+                payload, source + "\nint warm_probe() { return 0; }\n",
+                analysis)
+            assert plan.dirty_functions == {"warm_probe"}
+            assert plan.node_in and plan.node_out
+        else:
+            pipeline = AnalysisPipeline(suite_program("du"))
+            solver = self.fresh_solver(pipeline, analysis)
+            if how == "resumed":
+                solver.meter = Budget(max_steps=500).meter()
+                with pytest.raises(BudgetExceeded):
+                    solver.run()
+                state = json.loads(json.dumps(solver.snapshot_state()))
+                solver = self.fresh_solver(pipeline, analysis)
+                solver.restore_state(state, 500)
+        stats = solver.run().stats
+        entries = self.stored_entries(solver)
+        assert 0 < stats.unique_ptsets < stats.stored_ptsets
+        assert len({id(entry) for entry in entries if entry}) \
+            == stats.unique_ptsets

@@ -3,8 +3,8 @@
 Three invariants:
 
 - :class:`PTRepo` snapshot/restore preserves every interned set *and* its
-  id — resumed solvers keep using recorded entry ids, so id stability is
-  load-bearing, not cosmetic.
+  id — a revived parallel worker's peer mirrors resolve recorded wire
+  ids, so id stability is load-bearing, not cosmetic.
 - :class:`ObjectVersioning` (the VSFS meld/version tables) round-trips
   through its snapshot exactly, including the ``[INTERNAL]`` version
   sharing the restore replays.
@@ -45,17 +45,6 @@ class TestPTRepoRoundTrip:
         # Interning the same sets again yields the same ids.
         for entry, mask in zip(ids, masks):
             assert restored.intern(mask) == entry
-
-    @given(masks_strategy, masks_strategy)
-    @settings(max_examples=100)
-    def test_restored_repo_unions_like_original(self, masks, others):
-        repo = PTRepo()
-        entries = [repo.intern(mask) for mask in masks]
-        restored = PTRepo.from_snapshot(repo.snapshot())
-        for entry in entries:
-            for other in others:
-                assert (restored.mask(restored.union_mask(entry, other))
-                        == repo.mask(repo.union_mask(entry, other)))
 
 
 # A pool of small programs with stores, loads, branches and indirect

@@ -60,8 +60,7 @@ class TestCheckpointCorruption:
         path = str(tmp_path / "ckpt.json")
         write_sealed_json(path, "checkpoint", CHECKPOINT_SCHEMA,
                           {"ir_hash": "x" * 8, "analysis": "sfs",
-                           "ptrepo": True, "step": 12,
-                           "fp_scheme": FINGERPRINT_SCHEME},
+                           "step": 12, "fp_scheme": FINGERPRINT_SCHEME},
                           {"worklist": [1, 2, 3], "pt": ["0x5"]})
         return path
 

@@ -112,7 +112,8 @@ class TestTables:
     def test_table3_shows_dedup_stats(self):
         result = run_suite_program("du")
         table3 = format_table3([result])
-        assert "SFS uniq/ref" in table3 and "U-cache hit" in table3
+        assert "SFS uniq/ref" in table3 and "VSFS uniq/ref" in table3
+        assert "U-cache hit" not in table3
         stats = result.sfs.stats
         assert f"{stats.unique_ptsets}/{stats.stored_ptsets}" in table3
 
@@ -134,18 +135,16 @@ class TestJSONExport:
             assert stats["wall_time_s"] > 0
             assert stats["propagations"] > 0
             assert stats["unions"] > 0
-            assert stats["ptrepo_enabled"] is True
-            # The repository's whole point: far fewer unique sets than
-            # references to them, almost all unions served from its memo.
+            # Hash-consing's whole point: far fewer unique sets than
+            # references to them.
             assert 0 < stats["unique_ptsets"] < stats["stored_ptsets"]
             assert stats["dedup_ratio"] > 1.0
-            calls = stats["union_cache_hits"] + stats["union_cache_misses"]
-            assert calls > 0 and stats["union_cache_hit_rate"] > 0.5
             for gone in ("delta_kernel", "mde_batch", "batch_memo_hits",
-                         "batch_cache_entries", "arena_masks"):
+                         "batch_cache_entries", "arena_masks",
+                         "ptrepo_enabled", "union_cache_hits",
+                         "union_cache_hit_rate", "interner_entries",
+                         "dedup_resident_bytes"):
                 assert gone not in stats
-            assert stats["interner_entries"] > 0
-            assert stats["dedup_resident_bytes"] > 0
         assert record["ratios"]["propagation_ratio"] > 1.0
 
     def test_runner_main_writes_json(self, tmp_path, capsys):

@@ -120,7 +120,7 @@ class TestSealedEnvelope:
 
 
 class TestCheckpointer:
-    CONFIG = dict(ir_hash="abc123", analysis="vsfs", ptrepo=True)
+    CONFIG = dict(ir_hash="abc123", analysis="vsfs")
 
     def _checkpointer(self, tmp_path, **overrides):
         config = CheckpointConfig(str(tmp_path), every_steps=10)
@@ -155,9 +155,8 @@ class TestCheckpointer:
         assert find_checkpoint(str(tmp_path), **self.CONFIG) is None
         ck.save(FakeSolver({}), step=1)
         assert find_checkpoint(str(tmp_path), **self.CONFIG) == ck.path
-        # A different config maps to a different file.
-        assert find_checkpoint(str(tmp_path), "abc123", "vsfs",
-                               ptrepo=False) is None
+        # A different analysis maps to a different file.
+        assert find_checkpoint(str(tmp_path), "abc123", "sfs") is None
 
     def test_discard(self, tmp_path):
         ck = self._checkpointer(tmp_path)
@@ -170,19 +169,15 @@ class TestCheckpointer:
         ck = self._checkpointer(tmp_path)
         path = ck.save(FakeSolver({}), step=1)
         with pytest.raises(CheckpointError) as exc:
-            load_checkpoint(path, ir_hash="different", analysis="vsfs",
-                            ptrepo=True)
+            load_checkpoint(path, ir_hash="different", analysis="vsfs")
         assert exc.value.reason == "ir-mismatch"
 
     def test_config_mismatch(self, tmp_path):
         ck = self._checkpointer(tmp_path)
         path = ck.save(FakeSolver({}), step=1)
-        for kwargs in ({"analysis": "sfs"}, {"ptrepo": False}):
-            expect = dict(self.CONFIG)
-            expect.update(kwargs)
-            with pytest.raises(CheckpointError) as exc:
-                load_checkpoint(path, **expect)
-            assert exc.value.reason == "config-mismatch"
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path, **dict(self.CONFIG, analysis="sfs"))
+        assert exc.value.reason == "config-mismatch"
 
     def test_corrupt_checkpoint_is_quarantined(self, tmp_path):
         ck = self._checkpointer(tmp_path)
@@ -197,11 +192,11 @@ class TestCheckpointer:
         assert os.path.exists(exc.value.path)
 
     def test_deterministic_paths(self, tmp_path):
-        first = checkpoint_path(str(tmp_path), "h", "vsfs", True)
-        second = checkpoint_path(str(tmp_path), "h", "vsfs", True)
-        other = checkpoint_path(str(tmp_path), "h", "sfs", True)
-        raw = checkpoint_path(str(tmp_path), "h", "vsfs", False)
-        assert first == second != other != raw != first
+        first = checkpoint_path(str(tmp_path), "h", "vsfs")
+        second = checkpoint_path(str(tmp_path), "h", "vsfs")
+        other = checkpoint_path(str(tmp_path), "h", "sfs")
+        program = checkpoint_path(str(tmp_path), "g", "vsfs")
+        assert first == second != other != program != first
 
     def test_schema_constant_in_envelope(self, tmp_path):
         ck = self._checkpointer(tmp_path)

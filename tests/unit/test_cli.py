@@ -106,28 +106,26 @@ class TestProfileAndAblationFlags:
         assert main([flag, c_file, "--profile"]) == 0
         out = capsys.readouterr().out
         assert "--- solver profile ---" in out
-        assert "points-to repository: on" in out
         assert "unions applied:" in out
-        assert "unique points-to sets:" in out and "union cache:" in out
-
-    def test_profile_reports_disabled_features(self, c_file, capsys):
-        assert main(["-vfspta", c_file, "--profile", "--no-ptrepo"]) == 0
-        out = capsys.readouterr().out
-        assert "points-to repository: off" in out
-        assert "unique points-to sets:" not in out  # repo off: nothing to report
+        assert "stored points-to sets:" in out
+        assert "unique points-to sets:" in out and "dedup ratio:" in out
+        assert "union cache" not in out and "repository" not in out
 
     def test_profile_requires_staged_analysis(self, c_file, capsys):
         assert main(["-ander", c_file, "--profile"]) == 1
         assert "--profile needs a staged analysis" in capsys.readouterr().err
 
-    def test_ablation_flags_preserve_results(self, c_file, capsys):
-        """--no-ptrepo changes the storage, never the answer."""
-        assert main(["-vfspta", c_file, "--dump-pts"]) == 0
-        baseline = capsys.readouterr().out
-        assert main(["-vfspta", c_file, "--dump-pts", "--no-ptrepo"]) == 0
-        ablated = capsys.readouterr().out
-        pts = lambda text: [l for l in text.splitlines() if l.startswith("pt(")]
-        assert pts(baseline) == pts(ablated) != []
+    @pytest.mark.parametrize("prefix,run", [([], ["-vfspta"]),
+                                            (["batch"], [])],
+                             ids=["repro-wpa", "batch"])
+    def test_no_storage_flag(self, prefix, run, c_file, capsys):
+        """One storage path: neither CLI offers ``--no-ptrepo``."""
+        with pytest.raises(SystemExit):
+            main(prefix + ["--help"])
+        assert "--no-ptrepo" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(prefix + run + [c_file, "--no-ptrepo"])
+        assert exc.value.code == 2
 
 
 class TestClientFlags:

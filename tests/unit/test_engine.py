@@ -67,21 +67,27 @@ class TestFingerprints:
             assert one.fingerprint(name) != two.fingerprint(name)
 
     def test_solve_fingerprint_varies_with_ablation_flags(self):
+        """The worker count (E10's ``--jobs`` row) is the one solve flag
+        left: it keys the sharded rung only, and storage keys nothing."""
         engine = make_engine()
         engine.ensure("svfg")
-        stage = engine.stages["solve:vsfs"]
-        base = engine._fingerprint_for(stage, engine.ctx)
-        ablated = engine._fingerprint_for(
-            stage, engine.ctx.for_solve(ptrepo=False))
-        assert base != ablated
+        par = engine.stages["solve:sfs-par"]
+        assert engine._fingerprint_for(par, engine.ctx.for_solve(jobs=2)) \
+            != engine._fingerprint_for(par, engine.ctx.for_solve(jobs=3))
+        for level in ("sfs", "vsfs"):
+            stage = engine.stages[f"solve:{level}"]
+            assert stage.config_token(engine.ctx) == ""
+            assert engine._fingerprint_for(stage, engine.ctx) \
+                == engine._fingerprint_for(stage,
+                                           engine.ctx.for_solve(jobs=2))
 
     def test_substrate_fingerprint_ignores_ablation_flags(self):
-        with_repo = make_engine()
-        without = Engine(StageContext(module=None, source=SRC,
-                                      language="c", ptrepo=False))
-        with_repo.ensure("svfg")
-        without.ensure("svfg")
-        assert with_repo.fingerprint("svfg") == without.fingerprint("svfg")
+        serial = make_engine()
+        sharded = Engine(StageContext(module=None, source=SRC,
+                                      language="c", jobs=2))
+        serial.ensure("svfg")
+        sharded.ensure("svfg")
+        assert serial.fingerprint("svfg") == sharded.fingerprint("svfg")
 
 
 class TestSolve:

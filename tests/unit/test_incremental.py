@@ -179,15 +179,15 @@ class TestRegionDigests:
         assert old["probe"] != new["probe"]
 
 
-def _solve_payload(src, analysis="sfs", ptrepo=True):
+def _solve_payload(src, analysis="sfs"):
     pipeline = AnalysisPipeline.from_source(src)
     svfg = pipeline.svfg()
-    solver = SFSAnalysis(svfg, ptrepo=ptrepo)
+    solver = SFSAnalysis(svfg)
     result = solver.run()
     node_in, node_out = solver.export_node_memory()
     return build_payload(svfg, pipeline.modref(), result, node_in,
                          node_out, node_flow_graph(solver.svfg),
-                         analysis, ptrepo, pipeline.andersen())
+                         analysis, pipeline.andersen())
 
 
 class TestIncrementalStore:
@@ -198,15 +198,15 @@ class TestIncrementalStore:
         store = IncrementalStore()
         payload = _solve_payload(BASE)
         assert store.save(payload) is None
-        assert store.load("sfs", True) is payload
-        assert store.load("vsfs", True) is None
+        assert store.load("sfs") is payload
+        assert store.load("vsfs") is None
 
     def test_disk_roundtrip(self, tmp_path):
         store = IncrementalStore(str(tmp_path))
         payload = _solve_payload(BASE)
         path = store.save(payload)
         assert path is not None
-        loaded = IncrementalStore(str(tmp_path)).load("sfs", True)
+        loaded = IncrementalStore(str(tmp_path)).load("sfs")
         assert loaded == payload
 
     def test_stale_scheme_quarantines(self, tmp_path):
@@ -215,12 +215,12 @@ class TestIncrementalStore:
         payload["fp_scheme"] = FINGERPRINT_SCHEME - 1  # pre-refactor entry
         path = store.save(payload)
         with pytest.raises(CheckpointError) as err:
-            store.load("sfs", True)
+            store.load("sfs")
         assert err.value.reason == "schema"
         import os
         assert not os.path.exists(path)
         # The quarantined slot reads as a clean miss afterwards.
-        assert store.load("sfs", True) is None
+        assert store.load("sfs") is None
 
 
 class TestPlanFallbacks:
@@ -229,7 +229,7 @@ class TestPlanFallbacks:
         payload["fp_scheme"] = FINGERPRINT_SCHEME - 1
         pipeline = AnalysisPipeline.from_source(EDITED)
         plan = plan_warm(payload, pipeline.svfg(), pipeline.modref(),
-                         "sfs", True, pipeline.andersen())
+                         "sfs", pipeline.andersen())
         assert not plan.usable
         assert plan.fallback_reason == "scheme"
         assert plan.stats.fallback_reason == "scheme"
@@ -238,17 +238,14 @@ class TestPlanFallbacks:
         payload = _solve_payload(BASE)
         pipeline = AnalysisPipeline.from_source(EDITED)
         plan = plan_warm(payload, pipeline.svfg(), pipeline.modref(),
-                         "vsfs", True, pipeline.andersen())
-        assert plan.fallback_reason == "config"
-        plan = plan_warm(payload, pipeline.svfg(), pipeline.modref(),
-                         "sfs", False, pipeline.andersen())
+                         "vsfs", pipeline.andersen())
         assert plan.fallback_reason == "config"
 
     def test_usable_plan_marks_edited_function_dirty(self):
         payload = _solve_payload(BASE)
         pipeline = AnalysisPipeline.from_source(EDITED)
         plan = plan_warm(payload, pipeline.svfg(), pipeline.modref(),
-                         "sfs", True, pipeline.andersen())
+                         "sfs", pipeline.andersen())
         assert plan.usable
         assert "probe" in plan.dirty_functions
         assert "set" not in plan.dirty_functions

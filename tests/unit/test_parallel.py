@@ -24,16 +24,15 @@ from repro.solvers.base import SolverStats
 class TestSolverStatsMerge:
     def test_additive_fields_sum(self):
         a = SolverStats(analysis="sfs", solve_time=1.0, nodes_processed=10,
-                        propagations=5, unions=3, ptrepo_enabled=True)
+                        propagations=5, unions=3)
         b = SolverStats(analysis="sfs", solve_time=0.5, nodes_processed=7,
-                        propagations=2, unions=1, ptrepo_enabled=True)
+                        propagations=2, unions=1)
         merged = SolverStats.merge([a, b])
         assert merged.analysis == "sfs"
         assert merged.solve_time == pytest.approx(1.5)
         assert merged.nodes_processed == 17
         assert merged.propagations == 7
         assert merged.unions == 4
-        assert merged.ptrepo_enabled
 
     def test_every_additive_field_is_summed(self):
         parts = []
@@ -56,12 +55,6 @@ class TestSolverStatsMerge:
         merged = SolverStats.merge([a, b])
         assert merged.top_level_bits == 40
         assert merged.callgraph_edges == 7
-
-    def test_ablation_flags_and_of_parts(self):
-        a = SolverStats(ptrepo_enabled=False)
-        b = SolverStats(ptrepo_enabled=True)
-        assert not SolverStats.merge([a, b]).ptrepo_enabled
-        assert SolverStats.merge([b, b]).ptrepo_enabled
 
     def test_empty_merge_is_zero(self):
         merged = SolverStats.merge([])

@@ -139,7 +139,7 @@ class TestInvalidation:
     def test_ablation_flags_do_not_invalidate_substrate(self, tmp_path):
         cold, _ = engine_with_cache(tmp_path)
         cold.ensure("versioning")
-        ablated, cache = engine_with_cache(tmp_path, ptrepo=False)
+        ablated, cache = engine_with_cache(tmp_path, jobs=2)
         ablated.ensure("versioning")
         assert cache.hits == len(CACHED_STAGES)
 
