@@ -22,10 +22,10 @@ Implementation notes
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.datastructs.bitset import count_bits, iter_bits
+from repro.datastructs.bitset import iter_bits
 from repro.datastructs.graph import DiGraph, strongly_connected_components
 from repro.datastructs.unionfind import UnionFind
 from repro.datastructs.worklist import FIFOWorkList
@@ -43,7 +43,7 @@ from repro.ir.instructions import (
     StoreInst,
 )
 from repro.ir.module import Module
-from repro.ir.values import FunctionObject, MemObject, ObjectKind, Variable
+from repro.ir.values import FunctionObject, MemObject, Variable
 
 
 @dataclass
@@ -96,10 +96,6 @@ class AndersenResult:
         objects = self.module.objects
         return {objects[oid] for oid in iter_bits(self.pts_mask(var))}
 
-    def object_points_to(self, obj: MemObject) -> Set[MemObject]:
-        objects = self.module.objects
-        return {objects[oid] for oid in iter_bits(self.obj_pts_mask(obj))}
-
     def may_alias(self, a: Variable, b: Variable) -> bool:
         """May *a* and *b* point to a common object?"""
         return bool(self.pts_mask(a) & self.pts_mask(b))
@@ -112,10 +108,7 @@ class AndersenAnalysis:
     COLLAPSE_PERIOD = 20_000
 
     def __init__(self, module: Module, collapse_cycles: bool = True, meter=None,
-                 checkpointer=None, ctx=None):
-        if ctx is not None:
-            meter = ctx.meter if meter is None else meter
-            checkpointer = ctx.checkpointer if checkpointer is None else checkpointer
+                 checkpointer=None):
         self.module = module
         self.collapse_cycles = collapse_cycles
         self.meter = meter

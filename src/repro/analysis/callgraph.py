@@ -12,7 +12,7 @@ process.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, KeysView, List, Set, Tuple
+from typing import Dict, Iterator, KeysView, List, Tuple
 
 from repro.datastructs.graph import DiGraph, strongly_connected_components
 from repro.ir.function import Function
@@ -55,18 +55,6 @@ class CallGraph:
     def num_edges(self) -> int:
         return sum(len(targets) for targets in self.callees.values())
 
-    def function_graph(self) -> DiGraph:
-        return self._function_graph
-
     def bottom_up_order(self) -> List[List[Function]]:
         """SCCs of the function-level graph, callees before callers."""
         return strongly_connected_components(self._function_graph)
-
-    def recursive_functions(self) -> Set[Function]:
-        recursive: Set[Function] = set()
-        for component in self.bottom_up_order():
-            if len(component) > 1:
-                recursive.update(component)
-            elif self._function_graph.has_edge(component[0], component[0]):
-                recursive.add(component[0])
-        return recursive

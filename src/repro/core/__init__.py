@@ -10,13 +10,12 @@
   per ``(object, version)`` instead of per-node IN/OUT sets.
 """
 
-from repro.core.meld import MeldLabelling, meld_label
+from repro.core.meld import MeldLabelling
 from repro.core.versioning import ObjectVersioning, VersioningStats, version_objects
 from repro.core.vsfs import VSFSAnalysis
 
 __all__ = [
     "MeldLabelling",
-    "meld_label",
     "ObjectVersioning",
     "VersioningStats",
     "version_objects",

@@ -11,61 +11,22 @@ transitively reach them* — nodes with equal final labels depend on exactly
 the same prelabelled nodes.  The paper's worst case is O(|E|·P) time
 (P = number of prelabels) and O(|N|) space.
 
-Two interfaces are provided:
-
-- :func:`meld_label` — the fast path used by object versioning: labels are
-  int bit masks over prelabel indices and ``⊙`` is bitwise-or (the paper
-  explicitly names bitwise-or as a suitable operator);
-- :class:`MeldLabelling` — a generic engine over any user-supplied operator
-  (used by tests to check the algebraic requirements, e.g. with frozensets
-  or the pattern domain of the paper's Figure 4).
+:class:`MeldLabelling` is the rule as a generic engine over any
+user-supplied operator: int bit masks with bitwise-or (the operator the
+paper names), frozensets, or the pattern domain of the paper's Figure 4.
+Object versioning (:mod:`repro.core.versioning`) runs its own meld over
+the SVFG's object-major edge tables.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Hashable, Iterable, List, Mapping, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Hashable, List, TypeVar
 
 from repro.datastructs.graph import DiGraph
 from repro.datastructs.worklist import FIFOWorkList
 
 N = TypeVar("N", bound=Hashable)
 K = TypeVar("K")
-
-
-def meld_label(
-    num_nodes: int,
-    edges: Iterable[Tuple[int, int]],
-    prelabels: Mapping[int, int],
-    frozen: Iterable[int] = (),
-) -> List[int]:
-    """Meld-label a graph of dense int nodes with bit-mask labels.
-
-    :param num_nodes: nodes are ``0 .. num_nodes-1``.
-    :param edges: directed edges ``(src, dst)``.
-    :param prelabels: node -> initial bit mask (non-identity prelabels).
-    :param frozen: nodes whose label must never change (the paper keeps
-        prelabelled δ nodes fixed); melds into them are skipped.
-    :returns: final label mask per node (identity = 0).
-    """
-    labels = [0] * num_nodes
-    succs: List[List[int]] = [[] for __ in range(num_nodes)]
-    for src, dst in edges:
-        succs[src].append(dst)
-    for node, mask in prelabels.items():
-        labels[node] |= mask
-    frozen_set = set(frozen)
-    work: FIFOWorkList[int] = FIFOWorkList(prelabels.keys())
-    while work:
-        node = work.pop()
-        label = labels[node]
-        for succ in succs[node]:
-            if succ in frozen_set:
-                continue
-            new = labels[succ] | label
-            if new != labels[succ]:
-                labels[succ] = new
-                work.push(succ)
-    return labels
 
 
 class MeldLabelling(Generic[N, K]):

@@ -40,9 +40,9 @@ class VSFSAnalysis(StagedSolverBase):
     analysis_name = "vsfs"
 
     def __init__(self, svfg: SVFG, versioning: Optional[ObjectVersioning] = None,
-                 meter=None, faults=None, checkpointer=None, ctx=None):
+                 meter=None, faults=None, checkpointer=None):
         super().__init__(svfg, meter=meter,
-                         faults=faults, checkpointer=checkpointer, ctx=ctx)
+                         faults=faults, checkpointer=checkpointer)
         #: Read-only (often the engine's shared artifact); OTF constraints
         #: go to this solve's :attr:`constraints` overlay.
         self.versioning: Optional[ObjectVersioning] = versioning

@@ -3,9 +3,10 @@
 The points-to solvers are propagation-heavy, so the representations here are
 chosen for speed under CPython:
 
-- :class:`~repro.datastructs.bitset.BitSet` wraps an arbitrary-precision
-  integer used as a bit vector (union is a single ``|``), mirroring the role
-  LLVM's ``SparseBitVector`` plays in SVF.
+- Points-to sets are arbitrary-precision ints used as bit vectors (union
+  is a single ``|``), mirroring the role LLVM's ``SparseBitVector`` plays
+  in SVF; :func:`~repro.datastructs.bitset.iter_bits` and
+  :func:`~repro.datastructs.bitset.count_bits` read them.
 - :class:`~repro.datastructs.interning.Interner` deduplicates hashable values
   to dense integer ids; it is how meld-labelling results become version ids.
 - :class:`~repro.datastructs.worklist.WorkList` /
@@ -22,15 +23,13 @@ chosen for speed under CPython:
   graph and the constraint graph.
 """
 
-from repro.datastructs.bitset import BitSet, bits_of, count_bits, iter_bits
+from repro.datastructs.bitset import count_bits, iter_bits
 from repro.datastructs.graph import DiGraph, strongly_connected_components, topological_order
 from repro.datastructs.interning import Interner
 from repro.datastructs.unionfind import UnionFind
 from repro.datastructs.worklist import FIFOWorkList, PriorityWorkList, WorkList
 
 __all__ = [
-    "BitSet",
-    "bits_of",
     "count_bits",
     "iter_bits",
     "DiGraph",

@@ -1,30 +1,15 @@
 """Bit-vector sets over small non-negative integers.
 
-Two layers live here:
-
-1. Free functions (:func:`iter_bits`, :func:`count_bits`, :func:`bits_of`)
-   operating on plain Python ints used as bit masks.  The inner loops of the
-   solvers use raw ints directly because attribute lookups dominate the cost
-   of a wrapper under CPython.
-2. :class:`BitSet`, a thin set-like wrapper over such a mask, which is the
-   public, ergonomic face of the same representation (the counterpart of
-   LLVM's ``SparseBitVector`` that SVF uses for both points-to sets and meld
-   labels).
+Points-to sets and meld labels are plain Python ints used as bit masks
+(the counterpart of LLVM's ``SparseBitVector`` that SVF uses for both):
+union is one ``|``, and the solvers' inner loops use the raw ints
+directly because attribute lookups dominate the cost of a wrapper under
+CPython.  :func:`iter_bits` and :func:`count_bits` read such masks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-
-def bits_of(items: Iterable[int]) -> int:
-    """Build an int mask with one bit set per element of *items*."""
-    mask = 0
-    for item in items:
-        if item < 0:
-            raise ValueError(f"bit sets hold non-negative ints, got {item}")
-        mask |= 1 << item
-    return mask
+from typing import Iterator
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -47,125 +32,3 @@ else:  # pragma: no cover — exercised on Python 3.9 in CI
     def count_bits(mask: int) -> int:
         """Population count of *mask*."""
         return bin(mask).count("1") if mask else 0
-
-
-class BitSet:
-    """A mutable set of non-negative integers backed by one Python int.
-
-    Supports the usual set algebra. Union of two ``BitSet`` objects is a
-    single big-int ``|``, which is what makes propagation fast.
-
-    >>> s = BitSet([1, 5])
-    >>> s.add(3)
-    True
-    >>> sorted(s)
-    [1, 3, 5]
-    >>> s |= BitSet([5, 9])
-    >>> 9 in s
-    True
-    """
-
-    __slots__ = ("mask",)
-
-    def __init__(self, items: Iterable[int] = (), mask: int = 0):
-        self.mask = mask | bits_of(items)
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "BitSet":
-        """Wrap an existing int mask without copying."""
-        bitset = cls()
-        bitset.mask = mask
-        return bitset
-
-    def add(self, item: int) -> bool:
-        """Insert *item*; return True if it was not already present."""
-        bit = 1 << item
-        if self.mask & bit:
-            return False
-        self.mask |= bit
-        return True
-
-    def discard(self, item: int) -> None:
-        self.mask &= ~(1 << item)
-
-    def remove(self, item: int) -> None:
-        bit = 1 << item
-        if not self.mask & bit:
-            raise KeyError(item)
-        self.mask ^= bit
-
-    def clear(self) -> None:
-        self.mask = 0
-
-    def copy(self) -> "BitSet":
-        return BitSet.from_mask(self.mask)
-
-    def update(self, other: "BitSet | Iterable[int]") -> bool:
-        """In-place union; return True if the set grew."""
-        mask = other.mask if isinstance(other, BitSet) else bits_of(other)
-        new = self.mask | mask
-        if new == self.mask:
-            return False
-        self.mask = new
-        return True
-
-    def intersection_update(self, other: "BitSet") -> None:
-        self.mask &= other.mask
-
-    def difference_update(self, other: "BitSet") -> None:
-        self.mask &= ~other.mask
-
-    def isdisjoint(self, other: "BitSet") -> bool:
-        return not self.mask & other.mask
-
-    def issubset(self, other: "BitSet") -> bool:
-        return self.mask | other.mask == other.mask
-
-    def issuperset(self, other: "BitSet") -> bool:
-        return self.mask | other.mask == self.mask
-
-    def pop_lowest(self) -> int:
-        """Remove and return the smallest element."""
-        if not self.mask:
-            raise KeyError("pop from an empty BitSet")
-        low = self.mask & -self.mask
-        self.mask ^= low
-        return low.bit_length() - 1
-
-    def __contains__(self, item: int) -> bool:
-        return item >= 0 and bool(self.mask >> item & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.mask)
-
-    def __len__(self) -> int:
-        return count_bits(self.mask)
-
-    def __bool__(self) -> bool:
-        return bool(self.mask)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BitSet):
-            return self.mask == other.mask
-        if isinstance(other, (set, frozenset)):
-            return self.mask == bits_of(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:  # hashable snapshots are handy for interning
-        return hash(self.mask)
-
-    def __or__(self, other: "BitSet") -> "BitSet":
-        return BitSet.from_mask(self.mask | other.mask)
-
-    def __ior__(self, other: "BitSet") -> "BitSet":
-        self.mask |= other.mask
-        return self
-
-    def __and__(self, other: "BitSet") -> "BitSet":
-        return BitSet.from_mask(self.mask & other.mask)
-
-    def __sub__(self, other: "BitSet") -> "BitSet":
-        return BitSet.from_mask(self.mask & ~other.mask)
-
-    def __repr__(self) -> str:
-        return f"BitSet({sorted(self)})"

@@ -1,17 +1,19 @@
 """The instrumented stage-graph engine behind the analysis flow.
 
-``parse → prepare → andersen → modref → memssa → svfg → versioning →
-solve(sfs|vsfs|icfg-fs|andersen)`` as first-class, fingerprinted,
-cacheable stages executed by :class:`Engine` over one
-:class:`StageContext`.  :class:`~repro.pipeline.AnalysisPipeline` is a
+``parse → prepare → andersen → modref → memssa → svfg → versioning`` are
+the substrate stages, built by :meth:`Engine.ensure` over one
+:class:`StageContext` (Andersen through the stage cache when one is
+attached); :meth:`Engine.solve` builds and runs a solve rung
+(``andersen``, ``sfs``, ``vsfs``, ``icfg-fs`` or ``sfs-par``) from the
+governance passed to it.  :class:`~repro.pipeline.AnalysisPipeline` is a
 thin compatibility shim over this package.
 """
 
 from repro.engine.cache import STAGE_CACHE_SCHEMA, CacheProbe, StageCache
 from repro.engine.context import StageContext
-from repro.engine.engine import Engine
+from repro.engine.engine import SOLVE_LEVELS, Engine
 from repro.engine.events import EventBus, StageEvent, StageRecord, StageTrace
-from repro.engine.stages import SOLVE_LEVELS, Stage, default_stages
+from repro.engine.stages import Stage, default_stages
 
 __all__ = [
     "CacheProbe",

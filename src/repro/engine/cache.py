@@ -1,9 +1,9 @@
 """Content-addressed on-disk cache for intermediate stage artifacts.
 
-Each entry is a sealed JSON document (:mod:`repro.store.atomic`) named by
-the stage's content fingerprint — IR hash × upstream fingerprints ×
-configuration — so an edited program or changed configuration can never
-be served a stale artifact.  One storage mode, ``codec``: the artifact
+Each entry is a sealed JSON document (:mod:`repro.store.atomic`) keyed
+the way result-store entries and checkpoints are,
+``result_key(ir_hash, stage)``, so an edited program can never be served
+a stale artifact.  One storage mode, ``codec``: the artifact
 round-trips through an explicit encoder (Andersen results reuse the
 :mod:`repro.store` result codec), and a hit skips the stage entirely.
 Andersen is the only stage cached; the rest of the substrate is rebuilt
@@ -24,13 +24,16 @@ from typing import Any, List, Tuple
 from repro.errors import CheckpointError
 from repro.ir.fingerprint import FINGERPRINT_SCHEME
 from repro.store.atomic import quarantine_file, read_sealed_json, write_sealed_json
+from repro.store.codec import result_key
 
 #: Bumped whenever the stage-entry payload layout changes.
 #: 2: fingerprints derive from the per-function fingerprint scheme
 #: (:data:`repro.ir.fingerprint.FINGERPRINT_SCHEME`); entries carry
 #: ``fp_scheme`` so stale pre-refactor entries quarantine instead of
 #: silently (mis)matching.
-STAGE_CACHE_SCHEMA = 2
+#: 3: entries are keyed ``result_key(ir_hash, stage)`` and record the IR
+#: hash, not a per-stage fingerprint chain.
+STAGE_CACHE_SCHEMA = 3
 
 
 @dataclass
@@ -54,21 +57,22 @@ class StageCache:
         self.misses = 0
         self.quarantined: List[str] = []
 
-    def entry_path(self, stage_name: str, fingerprint: str) -> str:
-        safe = stage_name.replace(":", "-")
+    def entry_path(self, stage_name: str, ir_hash: str) -> str:
+        key = result_key(ir_hash, stage_name)
         return os.path.join(self.directory,
-                            f"stage-{safe}-{fingerprint[:40]}.json")
+                            f"stage-{stage_name}-{key[:40]}.json")
 
     # ---------------------------------------------------------------- reading
 
-    def lookup(self, stage: Any, ctx: Any, fingerprint: str) -> CacheProbe:
-        """Probe for *stage*'s entry under *fingerprint*, fully verified.
+    def lookup(self, stage: Any, ctx: Any, ir_hash: str) -> CacheProbe:
+        """Probe for *stage*'s entry for the program *ir_hash* names,
+        fully verified.
 
         Returns a ``miss`` probe when absent.  A present-but-untrustworthy
-        entry (bad checksum, wrong stage/fingerprint/mode, undecodable
+        entry (bad checksum, wrong stage/program/mode, undecodable
         payload) is quarantined and raised as :class:`CheckpointError`.
         """
-        path = self.entry_path(stage.name, fingerprint)
+        path = self.entry_path(stage.name, ir_hash)
         if not os.path.exists(path):
             self.misses += 1
             return CacheProbe("miss")
@@ -81,10 +85,10 @@ class StageCache:
                     f"{meta.get('fp_scheme')!r}, not {FINGERPRINT_SCHEME} — "
                     f"stale pre-refactor entry", reason="schema", path=path)
             if (meta.get("stage") != stage.name
-                    or meta.get("fingerprint") != fingerprint):
+                    or meta.get("ir_hash") != ir_hash):
                 raise CheckpointError(
-                    "entry was recorded for a different stage/fingerprint "
-                    f"({meta.get('stage')!r}, {meta.get('fingerprint')!r})",
+                    "entry was recorded for a different stage/program "
+                    f"({meta.get('stage')!r}, {meta.get('ir_hash')!r})",
                     reason="config-mismatch", path=path)
             if meta.get("mode") != stage.cache_mode:
                 raise CheckpointError(
@@ -117,17 +121,16 @@ class StageCache:
 
     # ---------------------------------------------------------------- writing
 
-    def store(self, stage: Any, ctx: Any, fingerprint: str,
+    def store(self, stage: Any, ir_hash: str,
               artifact: Any) -> Tuple[str, int]:
         """Persist *artifact* atomically; returns ``(path, bytes_on_disk)``."""
-        path = self.entry_path(stage.name, fingerprint)
+        path = self.entry_path(stage.name, ir_hash)
         meta = {
             "stage": stage.name,
-            "fingerprint": fingerprint,
+            "ir_hash": ir_hash,
             "fp_scheme": FINGERPRINT_SCHEME,
             "mode": stage.cache_mode,
-            "ir_hash": ctx.fingerprints.get("prepare"),
         }
         write_sealed_json(path, self.KIND, STAGE_CACHE_SCHEMA, meta,
-                          stage.encode(ctx, artifact))
+                          stage.encode(artifact))
         return path, os.path.getsize(path)

@@ -3,8 +3,8 @@
 :meth:`Engine.ensure` builds a substrate stage after its inputs,
 memoising artifacts in the context and consulting the stage cache when
 one is attached, with the cyclic collector paused for the build;
-:meth:`Engine.solve` runs one solve rung (the timed
-main phase) under per-rung governance.  Every execution is bracketed by
+:meth:`Engine.solve` builds and runs one solve rung (the timed main
+phase) from the governance it is given.  Every execution is bracketed by
 events on the context's bus, folded by the engine's
 :class:`~repro.engine.events.StageTrace` into the per-stage breakdown
 reproducing the paper's setup-vs-main-phase split.
@@ -13,17 +13,27 @@ reproducing the paper's setup-vs-main-phase split.
 from __future__ import annotations
 
 import gc
-import hashlib
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Iterator, Optional
 
+from repro.analysis.andersen import AndersenAnalysis
 from repro.engine.context import StageContext
 from repro.engine.events import (StageEvent, StageTrace, gc_collections,
                                  gc_detail, heal_event)
-from repro.engine.stages import Stage, default_stages
+from repro.engine.stages import default_stages
 from repro.errors import AnalysisError, CheckpointError, InjectedFault
+from repro.runtime.degrade import result_steps
 from repro.runtime.resilience import IO_RETRY
+from repro.store.codec import ir_fingerprint
+
+#: Solve levels the engine can run (= degradation-ladder rungs); it also
+#: runs ``sfs-par``, sharded SFS on ``jobs`` workers.
+SOLVE_LEVELS = ("andersen", "sfs", "vsfs", "icfg-fs")
+
+#: Substrate each solve level reads, ensured before its timed window.
+_SOLVE_INPUTS = {"sfs": ("svfg",), "sfs-par": ("svfg",),
+                 "vsfs": ("svfg", "versioning")}
 
 
 @contextmanager
@@ -48,38 +58,25 @@ def _collector_paused() -> Iterator[None]:
 class Engine:
     """Executes stages over one :class:`StageContext`."""
 
-    def __init__(self, ctx: StageContext,
-                 stages: Optional[Dict[str, Stage]] = None):
+    def __init__(self, ctx: StageContext):
         self.ctx = ctx
-        self.stages = stages if stages is not None else default_stages()
+        self.stages = default_stages()
         self.trace = StageTrace(ctx.bus)
+        self._ir_hash: Optional[str] = None
 
-    # ----------------------------------------------------------- fingerprints
+    def ir_hash(self) -> str:
+        """The prepared module's IR hash, computed on first use.
 
-    def fingerprint(self, name: str) -> str:
-        """Content fingerprint of *name* under the base context's config.
-
-        Requires the stage's fingerprint inputs to have been ensured
-        (the prepare stage is the content-addressed root and must have
-        run before anything downstream is fingerprinted).
+        Only persistence reads it (the stage cache, the result store and
+        checkpoints), so a run that stores nothing hashes nothing.
         """
-        fp = self.ctx.fingerprints.get(name)
-        if fp is None:
-            fp = self._fingerprint_for(self.stages[name], self.ctx)
-            self.ctx.fingerprints[name] = fp
-        return fp
-
-    def _fingerprint_for(self, stage: Stage, ctx: Any) -> str:
-        chained = stage.fingerprint_inputs
-        if chained is None:
-            chained = stage.inputs
-        parts = [stage.name, f"v{stage.version}", stage.config_token(ctx)]
-        parts.extend(self.fingerprint(dep) for dep in chained)
-        return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
+        if self._ir_hash is None:
+            self._ir_hash = ir_fingerprint(self.ensure("prepare"))
+        return self._ir_hash
 
     # -------------------------------------------------------------- substrate
 
-    def _cache_lookup(self, stage: Stage, fp: str) -> Any:
+    def _cache_lookup(self, stage: Any, ir_hash: str) -> Any:
         """Probe the stage cache, healing failed probes into misses.
 
         The ``stage_cache_read`` fault point fires here.  A corrupt or
@@ -94,7 +91,7 @@ class Engine:
         try:
             if ctx.faults is not None:
                 ctx.faults.fire("stage_cache_read", stage=stage.name)
-            return ctx.cache.lookup(stage, ctx, fp)
+            return ctx.cache.lookup(stage, ctx, ir_hash)
         except (CheckpointError, InjectedFault, OSError) as exc:
             ctx.bus.emit(heal_event(
                 stage.name, "io", "recompute", point="stage_cache_read",
@@ -104,7 +101,7 @@ class Engine:
             ctx.cache.misses += 1
             return CacheProbe("miss")
 
-    def _cache_store(self, stage: Stage, fp: str, artifact: Any) -> None:
+    def _cache_store(self, stage: Any, ir_hash: str, artifact: Any) -> None:
         """Persist a fresh artifact, retrying transient failures.
 
         The ``stage_cache_write`` fault point fires inside the retried
@@ -118,10 +115,9 @@ class Engine:
         def attempt() -> None:
             if ctx.faults is not None:
                 ctx.faults.fire("stage_cache_write", stage=name)
-            __, nbytes = ctx.cache.store(stage, ctx, fp, artifact)
-            ctx.bus.emit(StageEvent(
-                "artifact_bytes", name, artifact_bytes=nbytes,
-                fingerprint=fp))
+            __, nbytes = ctx.cache.store(stage, ir_hash, artifact)
+            ctx.bus.emit(StageEvent("artifact_bytes", name,
+                                    artifact_bytes=nbytes))
 
         def on_retry(attempt_no: int, exc: BaseException) -> None:
             ctx.bus.emit(heal_event(
@@ -147,9 +143,8 @@ class Engine:
         for dep in stage.inputs:
             self.ensure(dep)
         cacheable = stage.cache_mode is not None and ctx.cache is not None
-        fp = self.fingerprint(name) if cacheable else None
-        ctx.bus.emit(StageEvent("stage_start", name,
-                                main_phase=stage.main_phase, fingerprint=fp))
+        ir_hash = self.ir_hash() if cacheable else None
+        ctx.bus.emit(StageEvent("stage_start", name))
         begun = time.perf_counter()
         with _collector_paused():
             gc_begun = gc_collections()
@@ -157,32 +152,28 @@ class Engine:
             try:
                 artifact: Any = None
                 if cacheable:
-                    probe = self._cache_lookup(stage, fp)
+                    probe = self._cache_lookup(stage, ir_hash)
                     cache_label = probe.mode
                     if probe.mode == "codec":
                         artifact = probe.artifact
                         ctx.bus.emit(StageEvent(
                             "cache_hit", name, cache="codec",
-                            artifact_bytes=probe.nbytes, fingerprint=fp))
+                            artifact_bytes=probe.nbytes))
                 if artifact is None:
                     artifact = stage.run(ctx)
                     if cacheable:
-                        self._cache_store(stage, fp, artifact)
+                        self._cache_store(stage, ir_hash, artifact)
             except BaseException as exc:
                 ctx.bus.emit(StageEvent(
                     "stage_end", name, wall_s=time.perf_counter() - begun,
-                    main_phase=stage.main_phase, cache=cache_label,
-                    fingerprint=fp, outcome=type(exc).__name__,
+                    cache=cache_label, outcome=type(exc).__name__,
                     detail=gc_detail(gc_begun)))
                 raise
             ctx.artifacts[name] = artifact
-            if fp is None:
-                fp = self.fingerprint(name)  # content roots hash post-run
             ctx.bus.emit(StageEvent(
                 "stage_end", name, wall_s=time.perf_counter() - begun,
-                steps=stage.steps(artifact), main_phase=stage.main_phase,
-                cache=cache_label, fingerprint=fp, outcome="ok",
-                detail=gc_detail(gc_begun)))
+                steps=stage.steps(artifact), cache=cache_label,
+                outcome="ok", detail=gc_detail(gc_begun)))
         return artifact
 
     # ------------------------------------------------------------ main phase
@@ -190,11 +181,17 @@ class Engine:
     def solve(self, level: str, meter: Any = None,
               faults: Any = None, checkpointer: Any = None,
               resume_state: Any = None, resume_step: int = 0,
-              jobs: Optional[int] = None,
-              parallel_mode: Optional[str] = None,
-              warm_plan: Any = None,
-              capture_regions: Optional[bool] = None) -> Any:
-        """Run one solve rung; substrate is ensured (untimed) first.
+              jobs: int = 1, parallel_mode: Optional[str] = None,
+              warm_plan: Any = None, capture_regions: bool = False) -> Any:
+        """Build and run one solve rung; substrate is ensured (untimed)
+        first.
+
+        *meter*, *faults* and *checkpointer* govern the solver;
+        *resume_state*/*resume_step* restore it mid-fixpoint; a usable
+        *warm_plan* for this level re-solves only its dirty regions; and
+        *capture_regions* attaches the solved per-node memory and flow
+        graph as ``result.incremental_capture``.  ``sfs-par`` shards SFS
+        over *jobs* workers (*parallel_mode* picks the transport).
 
         The Andersen level keeps the auxiliary result's memo semantics: a
         plain call reuses the substrate artifact, a checkpointed/resumed
@@ -202,42 +199,30 @@ class Engine:
         substrate memo (a completed run is a valid auxiliary analysis).
         """
         ctx = self.ctx
-        name = f"solve:{level}"
-        stage = self.stages.get(name)
-        if stage is None:
+        if level not in SOLVE_LEVELS and level != "sfs-par":
             raise AnalysisError(f"unknown solve level {level!r}")
+        name = f"solve:{level}"
         if level == "andersen":
             if meter is None and checkpointer is None and resume_state is None:
                 return self.ensure("andersen")
             if checkpointer is None and resume_state is None \
                     and "andersen" in ctx.artifacts:
                 return ctx.artifacts["andersen"]
-            self.ensure("prepare")
-        else:
-            # Build the substrate outside the solve's timed window.
-            for dep in stage.inputs:
-                self.ensure(dep)
-        rung = ctx.for_solve(
-            jobs=ctx.jobs if jobs is None else max(1, int(jobs)),
-            parallel_mode=(ctx.parallel_mode if parallel_mode is None
-                           else parallel_mode),
-            meter=meter, faults=faults, checkpointer=checkpointer,
-            resume_state=resume_state, resume_step=resume_step,
-            warm_plan=warm_plan if warm_plan is not None else ctx.warm_plan,
-            capture_regions=(ctx.capture_regions if capture_regions is None
-                             else bool(capture_regions)))
-        fp = self._fingerprint_for(stage, rung)
-        ctx.bus.emit(StageEvent("stage_start", name, main_phase=True,
-                                fingerprint=fp))
+        # Build the substrate outside the solve's timed window.
+        for dep in _SOLVE_INPUTS.get(level, ("prepare",)):
+            self.ensure(dep)
+        ctx.bus.emit(StageEvent("stage_start", name, main_phase=True))
         begun = time.perf_counter()
         gc_begun = gc_collections()
         try:
-            result = stage.run(rung)
+            result = self._run_solver(
+                level, meter, faults, checkpointer, resume_state,
+                resume_step, jobs, parallel_mode, warm_plan, capture_regions)
         except BaseException as exc:
             ctx.bus.emit(StageEvent(
                 "stage_end", name, wall_s=time.perf_counter() - begun,
-                main_phase=True, fingerprint=fp,
-                outcome=type(exc).__name__, detail=gc_detail(gc_begun)))
+                main_phase=True, outcome=type(exc).__name__,
+                detail=gc_detail(gc_begun)))
             raise
         if level == "andersen":
             ctx.artifacts["andersen"] = result
@@ -251,10 +236,92 @@ class Engine:
                     getattr(pstats, "heartbeat_timeouts", 0) or None)))
         incr = getattr(result, "incremental", None)
         detail = {"incremental": incr.to_dict()} if incr is not None else None
+        # Per-execution work only: a resumed solve's nodes_processed is
+        # cumulative across attempts, and trace records are per attempt —
+        # reporting the cumulative figure would double-count every
+        # pre-crash pop when traces are summed (batch stage totals).
         ctx.bus.emit(StageEvent(
             "stage_end", name, wall_s=time.perf_counter() - begun,
-            steps=stage.steps(result), main_phase=True, fingerprint=fp,
+            steps=result_steps(result), main_phase=True,
             outcome="ok", detail=gc_detail(gc_begun, detail)))
+        return result
+
+    def _run_solver(self, level: str, meter: Any, faults: Any,
+                    checkpointer: Any, resume_state: Any, resume_step: int,
+                    jobs: int, parallel_mode: Optional[str], plan: Any,
+                    capture_regions: bool) -> Any:
+        """The body of :meth:`solve`'s timed window."""
+        artifacts = self.ctx.artifacts
+        usable = (plan is not None and plan.usable
+                  and plan.analysis == ("sfs" if level == "sfs-par"
+                                        else level))
+        if level == "sfs-par":
+            if usable:
+                # A warm re-solve retracts/reseeds from a stored solution;
+                # a sharded run would have to split that preload across
+                # worker partitions.  Collapse to the serial kernel —
+                # result-identical by confluence (DESIGN.md §10) — and
+                # keep the warm savings instead of the parallel speedup.
+                self.ctx.bus.emit(heal_event(
+                    "solve:sfs-par", "parallel", "collapse",
+                    reason="warm-start", jobs=jobs))
+                level = "sfs"
+            else:
+                if resume_state is not None:
+                    raise AnalysisError(
+                        "parallel solve stages cannot resume a serial "
+                        "checkpoint; rerun serially (--jobs 1) to resume")
+                from repro.parallel.driver import solve_parallel
+
+                result = solve_parallel(
+                    artifacts["svfg"], "sfs", jobs,
+                    budget=meter.budget if meter is not None else None,
+                    faults=faults, mode=parallel_mode)
+                if meter is not None:
+                    # The workers metered themselves (per-worker budgets);
+                    # reflect their pops into the governing meter so
+                    # ladder reports and stage step totals add up.
+                    meter.steps += result.stats.nodes_processed
+                return result
+        if level == "andersen":
+            solver = AndersenAnalysis(artifacts["prepare"], meter=meter,
+                                      checkpointer=checkpointer)
+        elif level == "icfg-fs":
+            from repro.solvers.icfg_fs import ICFGFlowSensitive
+
+            solver = ICFGFlowSensitive(artifacts["prepare"], meter=meter,
+                                       checkpointer=checkpointer)
+        elif level == "sfs":
+            from repro.solvers.sfs import SFSAnalysis
+
+            solver = SFSAnalysis(artifacts["svfg"], meter=meter,
+                                 faults=faults, checkpointer=checkpointer)
+        else:
+            from repro.core.vsfs import VSFSAnalysis
+
+            solver = VSFSAnalysis(artifacts["svfg"], artifacts["versioning"],
+                                  meter=meter, faults=faults,
+                                  checkpointer=checkpointer)
+        warm = usable and resume_state is None
+        if resume_state is not None:
+            solver.restore_state(resume_state, resume_step)
+        if warm:
+            solver.warm_start(plan)
+        result = solver.run()
+        if plan is not None and level in ("sfs", "vsfs"):
+            # A plan that fell back to cold still reports why.
+            if warm:
+                plan.stats.finish(result.stats.nodes_processed)
+            result.incremental = plan.stats
+        if capture_regions and level in ("sfs", "vsfs"):
+            from repro.incremental.deps import node_flow_graph
+
+            node_in, node_out = solver.export_node_memory()
+            result.incremental_capture = {
+                "node_in": node_in,
+                "node_out": node_out,
+                "flow": node_flow_graph(solver.svfg),
+            }
         return result
 
     # ----------------------------------------------------------- integration

@@ -21,7 +21,7 @@ collections too.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 #: Event kinds, in the order a single stage execution can emit them.
@@ -49,7 +49,6 @@ class StageEvent:
     #: True for solve stages (the paper's timed main phase); False for the
     #: substrate (parse/prepare/andersen/modref/memssa/svfg/versioning).
     main_phase: bool = False
-    fingerprint: Optional[str] = None
     #: "ok" or the exception type name that ended the stage.
     outcome: Optional[str] = None
     #: Optional stage-specific observations (every stage attaches its
@@ -109,7 +108,6 @@ class StageRecord:
     steps: int = 0
     cache: Optional[str] = None
     artifact_bytes: Optional[int] = None
-    fingerprint: Optional[str] = None
     outcome: Optional[str] = None
     detail: Optional[Dict[str, object]] = None
 
@@ -126,7 +124,6 @@ class StageRecord:
             "cache": self.cache,
             "cache_hit": self.cache_hit,
             "artifact_bytes": self.artifact_bytes,
-            "fingerprint": self.fingerprint,
             "outcome": self.outcome,
             "detail": self.detail,
         }
@@ -154,8 +151,7 @@ class StageTrace:
             return
         if event.kind == "stage_start":
             self._open[event.stage] = StageRecord(
-                stage=event.stage, main_phase=event.main_phase,
-                fingerprint=event.fingerprint)
+                stage=event.stage, main_phase=event.main_phase)
             return
         record = self._open.get(event.stage)
         if event.kind in ("cache_hit", "artifact_bytes"):
@@ -173,8 +169,6 @@ class StageTrace:
             record.wall_s = event.wall_s
             record.steps = event.steps
             record.outcome = event.outcome
-            if event.fingerprint is not None:
-                record.fingerprint = event.fingerprint
             if record.cache is None and event.cache is not None:
                 record.cache = event.cache
             if event.detail is not None:

@@ -1,30 +1,20 @@
-"""The typed stages of the analysis flow.
+"""The typed substrate stages of the analysis flow.
 
 Each :class:`Stage` names its inputs (edges of the stage graph), whether
 it is cached (``codec`` round-trips through an encoder; only Andersen's
-result is cached, because only its hit skips work), whether it belongs
-to the paper's timed main phase, and how to run it from a
-:class:`~repro.engine.context.StageContext`.
+result is cached, because only its hit skips work), and how to run it
+from a :class:`~repro.engine.context.StageContext`.
 
 The graph mirrors the paper's staging::
 
     parse -> prepare -> andersen -> modref -> memssa -> svfg -> versioning
-                   \\-> solve:andersen            (aux as the requested analysis)
-                   \\-> solve:icfg-fs             (dense baseline)
-                             svfg -> solve:sfs               (main phase)
-                             svfg -> solve:sfs-par           (main phase, sharded)
-                 svfg, versioning -> solve:vsfs              (main phase)
 
-Fingerprints are content hashes: a stage's fingerprint mixes its name,
-its version, its configuration token and every upstream fingerprint; the
-root is the prepared module's printed-IR hash, so editing the program
-(or the sharded rung's worker count) changes exactly the fingerprints
-downstream of the change.
+Solves are not stages: :meth:`~repro.engine.engine.Engine.solve` builds
+and runs the rung's solver from its own arguments, on top of these.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.andersen import AndersenAnalysis
@@ -41,20 +31,10 @@ class Stage:
     """One node of the stage graph; subclasses define the flow."""
 
     name: str = ""
-    #: Upstream stage names; executed (and fingerprint-chained) in order.
+    #: Upstream stage names, executed in order.
     inputs: Tuple[str, ...] = ()
-    #: Chain these fingerprints instead of ``inputs`` (None: same as inputs).
-    fingerprint_inputs: Optional[Tuple[str, ...]] = None
-    #: True only for solve stages — the paper's timed main phase.
-    main_phase: bool = False
-    #: Bump to invalidate cached artifacts when the stage's logic changes.
-    version: int = 1
     #: None (never cached) or "codec" (encode/decode through the cache).
     cache_mode: Optional[str] = None
-
-    def config_token(self, ctx: Any) -> str:
-        """Configuration that affects this stage's output (fingerprinted)."""
-        return ""
 
     def run(self, ctx: Any) -> Any:
         raise NotImplementedError
@@ -65,7 +45,7 @@ class Stage:
 
     # ---- codec mode ----
 
-    def encode(self, ctx: Any, artifact: Any) -> Any:
+    def encode(self, artifact: Any) -> Any:
         raise NotImplementedError
 
     def decode(self, ctx: Any, payload: Any) -> Any:
@@ -77,14 +57,6 @@ class ParseStage(Stage):
     caller-provided module."""
 
     name = "parse"
-
-    def config_token(self, ctx: Any) -> str:
-        if ctx.module is not None:
-            from repro.store.codec import ir_fingerprint
-
-            return "module:" + ir_fingerprint(ctx.module)
-        text = f"{ctx.language}\x00{ctx.source}"
-        return "source:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def run(self, ctx: Any) -> Any:
         if ctx.module is not None:
@@ -104,20 +76,13 @@ class ParseStage(Stage):
 class PrepareStage(Stage):
     """Pre-analysis normalisation (repro.passes.prepare), idempotent.
 
-    Content-addressed root of the fingerprint chain: its fingerprint is
-    derived from the *prepared* module's printed IR, so identical IR
-    reached from different source paths shares every downstream cache
-    entry.
+    Its artifact is the module whose IR hash keys everything persisted
+    (:meth:`~repro.engine.engine.Engine.ir_hash`), so identical IR
+    reached from different source text shares every stored entry.
     """
 
     name = "prepare"
     inputs = ("parse",)
-    fingerprint_inputs = ()
-
-    def config_token(self, ctx: Any) -> str:
-        from repro.store.codec import ir_fingerprint
-
-        return ir_fingerprint(ctx.artifacts[self.name])
 
     def run(self, ctx: Any) -> Any:
         module = ctx.artifacts["parse"]
@@ -141,7 +106,7 @@ class AndersenStage(Stage):
     def steps(self, artifact: Any) -> int:
         return artifact.stats.processed_nodes
 
-    def encode(self, ctx: Any, artifact: Any) -> Any:
+    def encode(self, artifact: Any) -> Any:
         return encode_result(artifact)
 
     def decode(self, ctx: Any, payload: Any) -> Any:
@@ -200,139 +165,9 @@ class VersioningStage(Stage):
         return version_objects(ctx.artifacts["svfg"])
 
 
-class SolveStage(Stage):
-    """One solve rung (the timed main phase); never disk-cached — final
-    results live in the :class:`~repro.store.ResultStore`.  VSFS's
-    fingerprint chains the SVFG's alone: versioning is a function of it."""
-
-    main_phase = True
-
-    def __init__(self, level: str):
-        self.level = level
-        self.name = f"solve:{level}"
-        self.inputs = {"sfs": ("svfg",), "vsfs": ("svfg", "versioning")
-                       }.get(level, ("prepare",))
-        self.fingerprint_inputs = self.inputs[:1]
-
-    def run(self, ctx: Any) -> Any:
-        solver = self.make_solver(ctx)
-        plan = ctx.warm_plan
-        warm = (plan is not None and getattr(plan, "usable", False)
-                and getattr(plan, "analysis", None) == self.level
-                and ctx.resume_state is None)
-        if ctx.resume_state is not None:
-            solver.restore_state(ctx.resume_state, ctx.resume_step)
-        if warm:
-            solver.warm_start(plan)
-        result = solver.run()
-        if warm:
-            plan.stats.finish(result.stats.nodes_processed)
-            result.incremental = plan.stats
-        elif plan is not None and self.level in ("sfs", "vsfs"):
-            # A plan that fell back to cold still reports why.
-            result.incremental = plan.stats
-        if ctx.capture_regions and self.level in ("sfs", "vsfs"):
-            from repro.incremental.deps import node_flow_graph
-
-            node_in, node_out = solver.export_node_memory()
-            result.incremental_capture = {
-                "node_in": node_in,
-                "node_out": node_out,
-                "flow": node_flow_graph(solver.svfg),
-            }
-        return result
-
-    def make_solver(self, ctx: Any) -> Any:
-        module = ctx.artifacts["prepare"]
-        if self.level == "andersen":
-            return AndersenAnalysis(module, ctx=ctx)
-        if self.level == "icfg-fs":
-            from repro.solvers.icfg_fs import ICFGFlowSensitive
-
-            return ICFGFlowSensitive(module, ctx=ctx)
-        svfg = ctx.artifacts["svfg"]
-        if self.level == "sfs":
-            from repro.solvers.sfs import SFSAnalysis
-
-            return SFSAnalysis(svfg, ctx=ctx)
-        if self.level == "vsfs":
-            from repro.core.vsfs import VSFSAnalysis
-
-            return VSFSAnalysis(svfg, ctx.artifacts["versioning"], ctx=ctx)
-        raise AnalysisError(f"unknown solve level {self.level!r}")
-
-    def steps(self, artifact: Any) -> int:
-        # Per-execution work only: a resumed solve's nodes_processed is
-        # cumulative across attempts, and trace records are per attempt —
-        # reporting the cumulative figure would double-count every
-        # pre-crash pop when traces are summed (batch stage totals).
-        from repro.runtime.degrade import result_steps
-
-        return result_steps(artifact)
-
-
-class ParallelSolveStage(SolveStage):
-    """Sharded multiprocessing SFS solve (:mod:`repro.parallel`).
-
-    ``solve:sfs-par`` runs the SFS kernel on ``ctx.jobs`` workers over an
-    SCC-condensed partition of the SVFG.  The result is bit-identical to
-    the serial rung's (SFS is confluent; DESIGN.md §10), so the worker
-    count is a *run* configuration, not an analysis change — which is why
-    this stage shares the serial rung's result identity and only the
-    trace and the attached ``result.parallel`` stats differ.
-    """
-
-    def __init__(self) -> None:
-        super().__init__("sfs")
-        self.level = "sfs-par"
-        self.name = "solve:sfs-par"
-
-    def config_token(self, ctx: Any) -> str:
-        return f"jobs={ctx.jobs},mode={ctx.parallel_mode}"
-
-    def run(self, ctx: Any) -> Any:
-        from repro.parallel.driver import solve_parallel
-
-        plan = ctx.warm_plan
-        if plan is not None and getattr(plan, "usable", False) \
-                and getattr(plan, "analysis", None) == "sfs":
-            # A warm re-solve retracts/reseeds from a stored solution; a
-            # sharded run would have to split that preload across worker
-            # partitions.  Collapse to the serial kernel — result-
-            # identical by confluence (DESIGN.md §10) — and keep the
-            # warm savings instead of the parallel speedup.
-            from repro.engine.events import heal_event
-
-            ctx.bus.emit(heal_event(self.name, "parallel", "collapse",
-                                    reason="warm-start", jobs=ctx.jobs))
-            return SolveStage("sfs").run(ctx)
-        if ctx.resume_state is not None:
-            raise AnalysisError(
-                "parallel solve stages cannot resume a serial checkpoint; "
-                "rerun serially (--jobs 1) to resume")
-        budget = ctx.meter.budget if ctx.meter is not None else None
-        result = solve_parallel(
-            ctx.artifacts["svfg"], "sfs", ctx.jobs,
-            budget=budget, faults=ctx.faults, mode=ctx.parallel_mode)
-        if ctx.meter is not None:
-            # The workers metered themselves (per-worker budgets); reflect
-            # their pops into the governing meter so ladder reports and
-            # stage step totals add up.
-            ctx.meter.steps += result.stats.nodes_processed
-        return result
-
-
-#: Solve levels the engine can run (= degradation-ladder rungs).
-SOLVE_LEVELS = ("andersen", "sfs", "vsfs", "icfg-fs")
-
-
 def default_stages() -> Dict[str, Stage]:
-    """The standard stage registry, name → stage."""
-    stages: Dict[str, Stage] = {}
-    for stage in (ParseStage(), PrepareStage(), AndersenStage(),
-                  ModRefStage(), MemSSAStage(), SVFGStage(),
-                  VersioningStage(),
-                  *(SolveStage(level) for level in SOLVE_LEVELS),
-                  ParallelSolveStage()):
-        stages[stage.name] = stage
-    return stages
+    """The substrate stage registry, name → stage."""
+    return {stage.name: stage
+            for stage in (ParseStage(), PrepareStage(), AndersenStage(),
+                          ModRefStage(), MemSSAStage(), SVFGStage(),
+                          VersioningStage())}

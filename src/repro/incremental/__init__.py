@@ -2,8 +2,8 @@
 
 The unit of invalidation is the **function**, not the module: the IR
 layer hashes every function independently
-(:mod:`repro.ir.fingerprint`), the dependency map
-(:mod:`repro.incremental.deps`) grows an edit into its *dirty closure*,
+(:mod:`repro.ir.fingerprint`), :mod:`repro.incremental.deps` grows an
+edit into its *dirty closure* over the SVFG,
 per-function region digests (:mod:`repro.incremental.regions`) certify
 that a nominally-clean region's analysis substrate really is unchanged,
 and :mod:`repro.incremental.solution` stores one solved program in a
@@ -12,7 +12,6 @@ the dirty regions — verified bit-identical to a cold run.
 """
 
 from repro.incremental.deps import (
-    DependencyMap,
     node_dirty_closure,
     node_flow_graph,
     potential_call_adjacency,
@@ -27,7 +26,6 @@ from repro.incremental.solution import (
 )
 
 __all__ = [
-    "DependencyMap",
     "IncrStats",
     "IncrementalStore",
     "WarmPlan",

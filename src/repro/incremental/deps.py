@@ -1,28 +1,19 @@
-"""Dependency maps: growing an edited function into its dirty closure.
+"""Growing an edited function into its dirty closure.
 
-Two granularities:
-
-- :class:`DependencyMap` is the *function-level* map the tentpole names —
-  call-graph edges (both directions: parameters/memory flow in, return
-  values/memory flow out) plus mod/ref overlap (``f`` writes an object
-  ``g`` reads).  Its :meth:`~DependencyMap.dirty_closure` is **monotone**:
-  closures only grow as edges or seeds are added — the property the
-  hypothesis suite pins down.
-
-- :func:`node_dirty_closure` is the *node-level* refinement the warm
-  planner actually uses: a forward BFS over the new SVFG (direct +
-  indirect edges) extended with :func:`potential_call_adjacency` — the
-  interprocedural edges on-the-fly call-graph resolution *would* wire in,
-  synthesised from the auxiliary (Andersen) resolution, so nothing the
-  solver could later connect escapes the closure.  Projected onto
-  function regions it is never coarser than the function-level closure,
-  and often finer (a callee whose only link back to its caller is a
-  return value nobody binds stays clean).
+:func:`node_dirty_closure` is what the warm planner uses: a forward BFS
+over the new SVFG (direct + indirect edges) extended with
+:func:`potential_call_adjacency` — the interprocedural edges on-the-fly
+call-graph resolution *would* wire in, synthesised from the auxiliary
+(Andersen) resolution, so nothing the solver could later connect escapes
+the closure.  It is node-granular, so a callee whose only link back to
+its caller is a return value nobody binds stays clean.
+:func:`node_flow_graph` is the solved graph's adjacency, stored with a
+solution so the next plan can see values an edit may shrink.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.datastructs.bitset import iter_bits
 from repro.ir.function import Function
@@ -45,68 +36,6 @@ def _call_targets(call: CallInst, module: Module, andersen) -> List[Function]:
         if isinstance(obj, FunctionObject):
             targets.append(obj.function)
     return targets
-
-
-class DependencyMap:
-    """Function-level dependency edges with a monotone forward closure."""
-
-    def __init__(self, edges: Optional[Dict[str, Set[str]]] = None):
-        self.edges: Dict[str, Set[str]] = {
-            name: set(succs) for name, succs in (edges or {}).items()}
-
-    def add_edge(self, src: str, dst: str) -> None:
-        self.edges.setdefault(src, set()).add(dst)
-        self.edges.setdefault(dst, set())
-
-    @classmethod
-    def from_module(cls, module: Module, andersen=None,
-                    modref=None) -> "DependencyMap":
-        """Build the map from call sites and (optionally) mod/ref masks.
-
-        Call edges run both ways: a caller feeds its callee (arguments,
-        memory in), and a callee feeds its caller (return value, memory
-        out).  With *modref*, ``f → g`` is added whenever ``f`` may write
-        an object ``g`` may read or write.
-        """
-        dep = cls()
-        functions = list(module.functions.values())
-        for fn in functions:
-            dep.edges.setdefault(fn.name, set())
-            for block in fn.blocks:
-                for inst in block.instructions:
-                    if not isinstance(inst, CallInst):
-                        continue
-                    for callee in _call_targets(inst, module, andersen):
-                        dep.add_edge(fn.name, callee.name)
-                        dep.add_edge(callee.name, fn.name)
-        if modref is not None:
-            for f in functions:
-                mod = modref.mod.get(f, 0)
-                if not mod:
-                    continue
-                for g in functions:
-                    if g is f:
-                        continue
-                    if mod & (modref.mod.get(g, 0) | modref.ref.get(g, 0)):
-                        dep.add_edge(f.name, g.name)
-        return dep
-
-    def dirty_closure(self, seeds: Iterable[str]) -> Set[str]:
-        """Forward reachability from *seeds* (seeds included).
-
-        Monotone in both arguments: adding a seed or an edge can only
-        grow the result, and ``f → g`` with ``f`` dirty forces ``g``
-        dirty — the invariants the property tests assert.
-        """
-        dirty: Set[str] = set(seeds)
-        frontier = list(dirty)
-        while frontier:
-            name = frontier.pop()
-            for succ in self.edges.get(name, ()):
-                if succ not in dirty:
-                    dirty.add(succ)
-                    frontier.append(succ)
-        return dirty
 
 
 # ------------------------------------------------------- node-level closure
@@ -228,32 +157,3 @@ def node_flow_graph(svfg) -> Dict[int, List[int]]:
         if succs:
             graph[nid] = sorted(succs)
     return graph
-
-
-def function_flow_graph(svfg) -> Dict[str, List[str]]:
-    """Function-level projection of a (solved) SVFG's edges.
-
-    Captured alongside a stored solution: at plan time the forward
-    closure of the *changed or deleted* functions over this old-graph
-    projection identifies everything whose old value may have depended
-    on flows the edit removed — values that could **shrink**, which the
-    new-graph closure alone cannot see.
-    """
-    nodes = svfg.nodes
-    ind_succs = svfg.indirect_succs()
-    edges: Dict[str, Set[str]] = {}
-
-    def name_of(nid: int) -> str:
-        fn = nodes[nid].function
-        return fn.name if fn is not None else ""
-
-    for nid in range(len(nodes)):
-        src = name_of(nid)
-        bucket = edges.setdefault(src, set())
-        for dst in svfg.direct_succs[nid]:
-            bucket.add(name_of(dst))
-        for dsts in ind_succs[nid].values():
-            for dst in dsts:
-                bucket.add(name_of(dst))
-    return {src: sorted(dsts - {src, ""})
-            for src, dsts in edges.items() if src}

@@ -127,7 +127,8 @@ class WarmPlan:
 # ----------------------------------------------------------------- capture
 
 def build_payload(svfg, modref, result, node_in, node_out, flow,
-                  analysis: str, andersen=None) -> Dict[str, Any]:
+                  analysis: str, andersen=None,
+                  ir_hash: Optional[str] = None) -> Dict[str, Any]:
     """Encode a finished solve as a warm-start payload (JSON-clean).
 
     *svfg* must be the **substrate** graph (as built, before the solver's
@@ -135,14 +136,15 @@ def build_payload(svfg, modref, result, node_in, node_out, flow,
     digests computed on the other side's substrate.  *node_in* /
     *node_out* come from ``solver.export_node_memory()`` and *flow*
     from ``node_flow_graph`` over the solver's *solved* copy (which has
-    every on-the-fly edge wired in).
+    every on-the-fly edge wired in).  *ir_hash* is the module's
+    fingerprint when the caller already has it.
     """
     module = svfg.module
     digests = region_digests(svfg, modref, andersen)
     return {
         "fp_scheme": FINGERPRINT_SCHEME,
         "analysis": analysis,
-        "module_fp": module_fingerprint(module),
+        "module_fp": ir_hash or module_fingerprint(module),
         "function_fps": module_function_fingerprints(module),
         "region_digests": digests,
         "flow": {str(nid): list(succs) for nid, succs in flow.items()},

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, TYPE_CHECKING
 
-from repro.ir.instructions import BranchInst, Instruction, PhiInst, RetInst
+from repro.ir.instructions import BranchInst, Instruction, PhiInst
 
 if TYPE_CHECKING:
     from repro.ir.function import Function
@@ -65,9 +65,6 @@ class BasicBlock:
 
     def phis(self) -> List[PhiInst]:
         return [inst for inst in self.instructions if isinstance(inst, PhiInst)]
-
-    def non_phi_instructions(self) -> Iterator[Instruction]:
-        return (inst for inst in self.instructions if not isinstance(inst, PhiInst))
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)

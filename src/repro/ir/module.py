@@ -160,8 +160,5 @@ class Module:
         for function in self.functions.values():
             yield from function.instructions()
 
-    def num_instructions(self) -> int:
-        return sum(1 for __ in self.instructions())
-
     def __repr__(self) -> str:
         return f"<module {self.name}: {len(self.functions)} functions, {len(self.objects)} objects>"

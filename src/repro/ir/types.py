@@ -14,12 +14,6 @@ from typing import Dict, List, Optional, Tuple
 class Type:
     """Base class for IR types."""
 
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
-
-    def is_struct(self) -> bool:
-        return isinstance(self, StructType)
-
 
 class IntType(Type):
     """A machine integer. One width is enough for analysis purposes."""
@@ -79,9 +73,6 @@ class StructType(Type):
     def __init__(self, name: str, fields: Optional[List[Type]] = None):
         self.name = name
         self.fields: List[Type] = fields or []
-
-    def field_count(self) -> int:
-        return len(self.fields)
 
     def __repr__(self) -> str:
         return f"%struct.{self.name}"

@@ -97,7 +97,7 @@ class AnalysisPipeline:
     def sfs(self, meter=None,
             faults=None, checkpointer=None, resume_state=None,
             resume_step: int = 0, warm_plan=None,
-            capture_regions: Optional[bool] = None) -> FlowSensitiveResult:
+            capture_regions: bool = False) -> FlowSensitiveResult:
         return self.engine.solve("sfs",
                                  meter=meter, faults=faults,
                                  checkpointer=checkpointer,
@@ -109,7 +109,7 @@ class AnalysisPipeline:
     def vsfs(self, meter=None,
              faults=None, checkpointer=None, resume_state=None,
              resume_step: int = 0, warm_plan=None,
-             capture_regions: Optional[bool] = None) -> FlowSensitiveResult:
+             capture_regions: bool = False) -> FlowSensitiveResult:
         return self.engine.solve("vsfs",
                                  meter=meter, faults=faults,
                                  checkpointer=checkpointer,
@@ -121,7 +121,7 @@ class AnalysisPipeline:
     def sfs_par(self, jobs: int = 2,
                 meter=None, faults=None, mode: Optional[str] = None,
                 warm_plan=None,
-                capture_regions: Optional[bool] = None) -> FlowSensitiveResult:
+                capture_regions: bool = False) -> FlowSensitiveResult:
         """Sharded parallel SFS on *jobs* workers (bit-identical to
         :meth:`sfs`; see :mod:`repro.parallel`).  A usable *warm_plan*
         collapses the run onto the serial kernel (same result)."""
@@ -234,6 +234,7 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
     """
     module = pipeline.module
     bus = pipeline.engine.ctx.bus
+    ir_hash = pipeline.engine.ir_hash  # computed once, on first call
     stage = f"solve:{'andersen' if analysis == 'ander' else analysis}"
 
     def heal(action: str, point: str, err: BaseException, **detail) -> None:
@@ -250,7 +251,7 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
 
     if store is not None:
         try:
-            cached = store.get(module, analysis)
+            cached = store.get(module, analysis, ir_hash=ir_hash())
         except CheckpointError as err:
             heal("recompute", "result_store_get", err, reason=err.reason,
                  path=err.path)
@@ -264,7 +265,7 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
     resume_meta = resume_state = None
     if resume_from:
         resume_meta, resume_state = _load_resume_state(
-            module, analysis, resume_from, checkpoint)
+            ir_hash(), analysis, resume_from, checkpoint)
     warm = (incremental is not None and analysis in ("sfs", "vsfs")
             and not resume_from)
     warm_plan = None
@@ -295,7 +296,8 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
         return result, False
     if store is not None:
         write("result_store_put",
-              lambda: store.put(module, analysis, result, faults=faults))
+              lambda: store.put(module, analysis, result, ir_hash=ir_hash(),
+                                faults=faults))
     capture = getattr(result, "incremental_capture", None)
     if warm and capture is not None:
         from repro.incremental import build_payload
@@ -303,12 +305,12 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
         slot = build_payload(
             pipeline.svfg(), pipeline.modref(), result, capture["node_in"],
             capture["node_out"], capture["flow"], analysis,
-            pipeline.andersen())
+            pipeline.andersen(), ir_hash=ir_hash())
         write("incremental_save", lambda: incremental.save(slot))
     return result, False
 
 
-def _load_resume_state(module: Module, analysis: str, resume_from,
+def _load_resume_state(ir_hash: str, analysis: str, resume_from,
                        checkpoint):
     """Locate and verify the checkpoint ``analyze(resume_from=...)`` names.
 
@@ -320,9 +322,7 @@ def _load_resume_state(module: Module, analysis: str, resume_from,
 
     from repro.runtime.checkpoint import find_checkpoint, load_checkpoint
     from repro.runtime.degrade import LADDERS
-    from repro.store.codec import ir_fingerprint
 
-    ir_hash = ir_fingerprint(module)
     levels = LADDERS[analysis]
     path = None
     if isinstance(resume_from, str) and not os.path.isdir(resume_from):

@@ -30,7 +30,7 @@ for diagnostics.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.andersen import AndersenResult
 from repro.datastructs.bitset import count_bits
@@ -39,7 +39,6 @@ from repro.runtime.budget import Budget, BudgetMeter
 from repro.runtime.checkpoint import CheckpointConfig, Checkpointer
 from repro.runtime.diagnostics import RunReport
 from repro.solvers.base import FlowSensitiveResult, SolverStats
-from repro.store.codec import ir_fingerprint
 
 #: Ladder per requested analysis, most precise first.  Sharded SFS
 #: degrades to its serial twin first (same precision, simpler execution)
@@ -183,10 +182,9 @@ def solve_with_ladder(pipeline, analysis: str = "vsfs",
     requested = "andersen" if analysis == "ander" else analysis
 
     checkpointers: Dict[str, Checkpointer] = {}
-    ir_hash = ir_fingerprint(pipeline.module) if checkpoint is not None else None
+    ir_hash = pipeline.engine.ir_hash() if checkpoint is not None else None
 
-    ctx = getattr(getattr(pipeline, "engine", None), "ctx", None)
-    bus = getattr(ctx, "bus", None)
+    bus = pipeline.engine.ctx.bus
 
     def checkpointer_for(level: str) -> Optional[Checkpointer]:
         if checkpoint is None:

@@ -42,15 +42,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.values import FunctionObject, MemObject, Variable
 from repro.svfg.builder import SVFG
-from repro.svfg.nodes import (
-    ActualINNode,
-    ActualOUTNode,
-    FormalINNode,
-    FormalOUTNode,
-    InstNode,
-    MemPhiNode,
-    SVFGNode,
-)
+from repro.svfg.nodes import InstNode, SVFGNode
 
 
 @dataclass
@@ -207,14 +199,7 @@ class StagedSolverBase:
                   StoreInst, CallInst, RetInst)
 
     def __init__(self, svfg: SVFG,
-                 meter=None, faults=None, checkpointer=None, ctx=None):
-        if ctx is not None:
-            # Engine path: governance defaults come from the StageContext
-            # instead of per-constructor keyword threading; explicit
-            # keywords still win.
-            meter = ctx.meter if meter is None else meter
-            faults = ctx.faults if faults is None else faults
-            checkpointer = ctx.checkpointer if checkpointer is None else checkpointer
+                 meter=None, faults=None, checkpointer=None):
         self.svfg = svfg.copy()  # private view: OTF edges grow only it
         self.module = svfg.module
         self.andersen = svfg.andersen

@@ -22,7 +22,7 @@ treatments aligned makes the precision comparison exact).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.callgraph import CallGraph
 from repro.datastructs.bitset import count_bits, iter_bits
@@ -51,11 +51,7 @@ class ICFGFlowSensitive:
 
     analysis_name = "icfg-fs"
 
-    def __init__(self, module: Module, meter=None, checkpointer=None,
-                 ctx=None):
-        if ctx is not None:
-            meter = ctx.meter if meter is None else meter
-            checkpointer = ctx.checkpointer if checkpointer is None else checkpointer
+    def __init__(self, module: Module, meter=None, checkpointer=None):
         self.module = module
         self.meter = meter
         self.checkpointer = checkpointer

@@ -30,9 +30,9 @@ class SFSAnalysis(StagedSolverBase):
     analysis_name = "sfs"
 
     def __init__(self, svfg: SVFG,
-                 meter=None, faults=None, checkpointer=None, ctx=None):
+                 meter=None, faults=None, checkpointer=None):
         super().__init__(svfg, meter=meter,
-                         faults=faults, checkpointer=checkpointer, ctx=ctx)
+                         faults=faults, checkpointer=checkpointer)
         # IN/OUT maps, lazily created per node id: {obj id -> stored mask}.
         self.in_sets: Dict[int, Dict[int, int]] = {}
         self.out_sets: Dict[int, Dict[int, int]] = {}

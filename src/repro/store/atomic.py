@@ -19,8 +19,9 @@ result store (:mod:`repro.store`) and the bench/CLI report writers:
   damaged files are rejected, never half-loaded.
 
 All numeric bit masks are serialised as lowercase hex strings (see
-:func:`enc_mask`): JSON keeps no 53-bit float limit that way, and decoding
-sidesteps CPython's ``int_max_str_digits`` guard on huge decimal literals.
+:func:`enc_mask_list`): JSON keeps no 53-bit float limit that way, and
+decoding sidesteps CPython's ``int_max_str_digits`` guard on huge
+decimal literals.
 """
 
 from __future__ import annotations
@@ -175,37 +176,9 @@ def quarantine_file(path: str) -> str:
 
 # --------------------------------------------------------------- mask codecs
 
-def enc_mask(mask: int) -> str:
-    """Hex-encode one points-to bit mask."""
-    return format(mask, "x")
-
-
-def dec_mask(text: str) -> int:
-    """Decode :func:`enc_mask` output (typed failure on junk)."""
-    return int(text, 16)
-
-
 def enc_mask_list(masks: Iterable[int]) -> List[str]:
     return [format(mask, "x") for mask in masks]
 
 
 def dec_mask_list(texts: Iterable[str]) -> List[int]:
     return [int(text, 16) for text in texts]
-
-
-def enc_int_map(table: Dict[int, int]) -> Dict[str, int]:
-    """``{int: int}`` → JSON object with string keys (ids, versions)."""
-    return {str(key): value for key, value in table.items()}
-
-
-def dec_int_map(table: Dict[str, int]) -> Dict[int, int]:
-    return {int(key): value for key, value in table.items()}
-
-
-def enc_mask_map(table: Dict[int, int]) -> Dict[str, str]:
-    """``{int: mask}`` → JSON object with hex values."""
-    return {str(key): format(mask, "x") for key, mask in table.items()}
-
-
-def dec_mask_map(table: Dict[str, str]) -> Dict[int, int]:
-    return {int(key): int(mask, 16) for key, mask in table.items()}

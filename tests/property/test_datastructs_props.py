@@ -1,8 +1,8 @@
 """Property-based tests: data structures against reference models."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.datastructs.bitset import BitSet, bits_of, count_bits, iter_bits
+from repro.datastructs.bitset import count_bits, iter_bits
 from repro.datastructs.interning import Interner
 from repro.datastructs.unionfind import UnionFind
 
@@ -10,54 +10,21 @@ small_ints = st.integers(min_value=0, max_value=200)
 int_sets = st.sets(small_ints, max_size=40)
 
 
+def mask_of(items):
+    mask = 0
+    for item in items:
+        mask |= 1 << item
+    return mask
+
+
 class TestBitSetModel:
     @given(int_sets)
-    def test_roundtrip(self, items):
-        assert set(BitSet(items)) == items
-
-    @given(int_sets, int_sets)
-    def test_union_matches_sets(self, a, b):
-        assert set(BitSet(a) | BitSet(b)) == a | b
-
-    @given(int_sets, int_sets)
-    def test_intersection_matches_sets(self, a, b):
-        assert set(BitSet(a) & BitSet(b)) == a & b
-
-    @given(int_sets, int_sets)
-    def test_difference_matches_sets(self, a, b):
-        assert set(BitSet(a) - BitSet(b)) == a - b
-
-    @given(int_sets, int_sets)
-    def test_subset_matches_sets(self, a, b):
-        assert BitSet(a).issubset(BitSet(b)) == a.issubset(b)
-
-    @given(int_sets)
     def test_count_matches_len(self, items):
-        assert count_bits(bits_of(items)) == len(items)
+        assert count_bits(mask_of(items)) == len(items)
 
     @given(int_sets)
     def test_iter_bits_sorted(self, items):
-        assert list(iter_bits(bits_of(items))) == sorted(items)
-
-    @given(int_sets, small_ints)
-    def test_add_then_contains(self, items, extra):
-        s = BitSet(items)
-        s.add(extra)
-        assert extra in s and set(s) == items | {extra}
-
-    @given(int_sets, small_ints)
-    def test_discard_removes(self, items, victim):
-        s = BitSet(items)
-        s.discard(victim)
-        assert set(s) == items - {victim}
-
-    @given(int_sets)
-    def test_pop_lowest_drains_in_order(self, items):
-        s = BitSet(items)
-        drained = []
-        while s:
-            drained.append(s.pop_lowest())
-        assert drained == sorted(items)
+        assert list(iter_bits(mask_of(items))) == sorted(items)
 
 
 class TestInternerProps:

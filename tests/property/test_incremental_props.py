@@ -1,19 +1,14 @@
 """Property-based tests for the function-granular incremental spine.
 
-Pins down the two contracts everything downstream leans on:
-
-- **Sibling stability** of per-function fingerprints: a hash depends
-  only on its own function's content — whitespace/comment noise changes
-  nothing, reordering siblings changes nothing, and editing one function
-  changes exactly that function's hash.
-- **Monotonicity** of the dependency map's dirty closure: adding seeds
-  or edges can only grow the closure, and a dirty function forces every
-  successor dirty.
+Pins down the contract everything downstream leans on: **sibling
+stability** of per-function fingerprints.  A hash depends only on its
+own function's content — whitespace/comment noise changes nothing,
+reordering siblings changes nothing, and editing one function changes
+exactly that function's hash.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.incremental import DependencyMap
 from repro.ir.fingerprint import module_function_fingerprints
 from repro.pipeline import AnalysisPipeline
 
@@ -104,38 +99,3 @@ class TestFingerprintStability:
                     leaves[which] == edited[which])
             else:
                 assert old[name] == new[name], name
-
-
-# ---------------------------------------------------- dirty-closure props
-
-names = st.sampled_from([f"n{i}" for i in range(8)])
-edges_strategy = st.dictionaries(
-    names, st.sets(names, max_size=4), max_size=8)
-seeds_strategy = st.sets(names, max_size=4)
-
-
-class TestDirtyClosureMonotone:
-    @RELAXED
-    @given(edges_strategy, seeds_strategy, seeds_strategy)
-    def test_more_seeds_never_shrink_the_closure(self, edges, seeds, extra):
-        dep = DependencyMap(edges)
-        assert dep.dirty_closure(seeds) <= dep.dirty_closure(seeds | extra)
-
-    @RELAXED
-    @given(edges_strategy, edges_strategy, seeds_strategy)
-    def test_more_edges_never_shrink_the_closure(self, edges, more, seeds):
-        sparse = DependencyMap(edges)
-        dense = DependencyMap(edges)
-        for src, dsts in more.items():
-            for dst in dsts:
-                dense.add_edge(src, dst)
-        assert sparse.dirty_closure(seeds) <= dense.dirty_closure(seeds)
-
-    @RELAXED
-    @given(edges_strategy, seeds_strategy)
-    def test_dirty_forces_successors_dirty(self, edges, seeds):
-        dep = DependencyMap(edges)
-        closure = dep.dirty_closure(seeds)
-        assert seeds <= closure
-        for name in closure:
-            assert dep.edges.get(name, set()) <= closure

@@ -9,7 +9,7 @@ prelabels which transitively reach them").
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.meld import MeldLabelling, meld_label
+from repro.core.meld import MeldLabelling
 from repro.datastructs.graph import DiGraph
 
 NODES = 12
@@ -43,32 +43,32 @@ def reachability_oracle(edges, prelabels):
     return expected
 
 
+def meld(edges, prelabels):
+    """Final labels of nodes ``0..NODES-1`` under bitwise-or melding."""
+    graph = DiGraph()
+    for n in range(NODES):
+        graph.add_node(n)
+    for a, b in edges:
+        graph.add_edge(a, b)
+    engine = MeldLabelling(graph, meld=lambda x, y: x | y, identity=0)
+    for node, mask in prelabels.items():
+        engine.prelabel(node, mask)
+    labels = engine.run()
+    return [labels[n] for n in range(NODES)]
+
+
 class TestMeldReachability:
     @given(edges_strategy, prelabel_strategy)
     @settings(max_examples=200)
-    def test_fast_path_matches_reachability(self, edges, prelabels):
-        assert meld_label(NODES, edges, prelabels) == reachability_oracle(edges, prelabels)
-
-    @given(edges_strategy, prelabel_strategy)
-    @settings(max_examples=100)
-    def test_generic_engine_matches_fast_path(self, edges, prelabels):
-        graph = DiGraph()
-        for n in range(NODES):
-            graph.add_node(n)
-        for a, b in edges:
-            graph.add_edge(a, b)
-        engine = MeldLabelling(graph, meld=lambda x, y: x | y, identity=0)
-        for node, mask in prelabels.items():
-            engine.prelabel(node, mask)
-        labels = engine.run()
-        assert [labels[n] for n in range(NODES)] == meld_label(NODES, edges, prelabels)
+    def test_bitwise_or_matches_reachability(self, edges, prelabels):
+        assert meld(edges, prelabels) == reachability_oracle(edges, prelabels)
 
     @given(edges_strategy, prelabel_strategy)
     @settings(max_examples=100)
     def test_idempotent_rerun(self, edges, prelabels):
-        first = meld_label(NODES, edges, prelabels)
+        first = meld(edges, prelabels)
         # re-running with the result as prelabels is a fixed point
-        again = meld_label(NODES, edges, {n: m for n, m in enumerate(first) if m})
+        again = meld(edges, {n: m for n, m in enumerate(first) if m})
         assert again == first
 
     @given(edges_strategy, prelabel_strategy, prelabel_strategy)
@@ -77,8 +77,8 @@ class TestMeldReachability:
         merged = dict(pre_a)
         for node, mask in pre_b.items():
             merged[node] = merged.get(node, 0) | mask
-        small = meld_label(NODES, edges, pre_a)
-        big = meld_label(NODES, edges, merged)
+        small = meld(edges, pre_a)
+        big = meld(edges, merged)
         assert all(s | b == b for s, b in zip(small, big))
 
 

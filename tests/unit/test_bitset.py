@@ -1,24 +1,9 @@
 """Unit tests for the bit-set substrate (repro.datastructs.bitset)."""
 
-import pytest
-
-from repro.datastructs.bitset import BitSet, bits_of, count_bits, iter_bits
+from repro.datastructs.bitset import count_bits, iter_bits
 
 
 class TestFreeFunctions:
-    def test_bits_of_empty(self):
-        assert bits_of([]) == 0
-
-    def test_bits_of_values(self):
-        assert bits_of([0, 1, 5]) == 0b100011
-
-    def test_bits_of_duplicates_collapse(self):
-        assert bits_of([3, 3, 3]) == 0b1000
-
-    def test_bits_of_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bits_of([-1])
-
     def test_iter_bits_ascending(self):
         assert list(iter_bits(0b101001)) == [0, 3, 5]
 
@@ -32,88 +17,3 @@ class TestFreeFunctions:
         assert count_bits(0) == 0
         assert count_bits(0b1011) == 3
         assert count_bits((1 << 500) | 1) == 2
-
-
-class TestBitSet:
-    def test_construction_from_items(self):
-        assert sorted(BitSet([4, 1, 4])) == [1, 4]
-
-    def test_from_mask_no_copy(self):
-        assert BitSet.from_mask(0b110).mask == 0b110
-
-    def test_add_returns_newness(self):
-        s = BitSet()
-        assert s.add(7) is True
-        assert s.add(7) is False
-
-    def test_discard_and_remove(self):
-        s = BitSet([1, 2])
-        s.discard(1)
-        s.discard(99)  # no-op
-        assert 1 not in s
-        with pytest.raises(KeyError):
-            s.remove(99)
-        s.remove(2)
-        assert not s
-
-    def test_update_reports_growth(self):
-        s = BitSet([1])
-        assert s.update(BitSet([2])) is True
-        assert s.update(BitSet([1, 2])) is False
-        assert s.update([5]) is True
-
-    def test_set_algebra(self):
-        a = BitSet([1, 2, 3])
-        b = BitSet([3, 4])
-        assert sorted(a | b) == [1, 2, 3, 4]
-        assert sorted(a & b) == [3]
-        assert sorted(a - b) == [1, 2]
-
-    def test_subset_superset_disjoint(self):
-        small = BitSet([1])
-        big = BitSet([1, 2])
-        assert small.issubset(big)
-        assert big.issuperset(small)
-        assert not small.isdisjoint(big)
-        assert BitSet([9]).isdisjoint(big)
-
-    def test_pop_lowest(self):
-        s = BitSet([5, 2, 9])
-        assert s.pop_lowest() == 2
-        assert s.pop_lowest() == 5
-        assert s.pop_lowest() == 9
-        with pytest.raises(KeyError):
-            s.pop_lowest()
-
-    def test_len_bool_contains(self):
-        s = BitSet([0, 63, 64])
-        assert len(s) == 3
-        assert bool(s)
-        assert 64 in s
-        assert -1 not in s
-
-    def test_eq_with_python_sets(self):
-        assert BitSet([1, 2]) == {1, 2}
-        assert BitSet() == frozenset()
-        assert BitSet([1]) != {2}
-
-    def test_copy_is_independent(self):
-        a = BitSet([1])
-        b = a.copy()
-        b.add(2)
-        assert 2 not in a
-
-    def test_intersection_difference_update(self):
-        s = BitSet([1, 2, 3])
-        s.intersection_update(BitSet([2, 3, 4]))
-        assert sorted(s) == [2, 3]
-        s.difference_update(BitSet([3]))
-        assert sorted(s) == [2]
-
-    def test_hashable_snapshot(self):
-        assert hash(BitSet([1, 2])) == hash(BitSet([2, 1]))
-
-    def test_clear(self):
-        s = BitSet([1, 2])
-        s.clear()
-        assert len(s) == 0

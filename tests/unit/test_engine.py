@@ -12,8 +12,6 @@ int *g; int x; int y;
 int main() { g = &x; int *a; a = g; g = &y; return 0; }
 """
 
-OTHER_SRC = "int *p; int z; int main() { p = &z; return 0; }"
-
 
 def make_engine(source=SRC):
     ctx = StageContext(module=None, source=source, language="c")
@@ -49,45 +47,6 @@ class TestEnsure:
         engine = make_engine()
         versioning = engine.ensure("versioning")
         assert versioning.svfg is engine.ctx.artifacts["svfg"]
-
-
-class TestFingerprints:
-    def test_deterministic_across_engines(self):
-        one, two = make_engine(), make_engine()
-        one.ensure("svfg")
-        two.ensure("svfg")
-        for name in ("prepare", "andersen", "modref", "memssa", "svfg"):
-            assert one.fingerprint(name) == two.fingerprint(name)
-
-    def test_source_change_changes_every_fingerprint(self):
-        one, two = make_engine(SRC), make_engine(OTHER_SRC)
-        one.ensure("svfg")
-        two.ensure("svfg")
-        for name in ("prepare", "andersen", "modref", "memssa", "svfg"):
-            assert one.fingerprint(name) != two.fingerprint(name)
-
-    def test_solve_fingerprint_varies_with_ablation_flags(self):
-        """The worker count (E10's ``--jobs`` row) is the one solve flag
-        left: it keys the sharded rung only, and storage keys nothing."""
-        engine = make_engine()
-        engine.ensure("svfg")
-        par = engine.stages["solve:sfs-par"]
-        assert engine._fingerprint_for(par, engine.ctx.for_solve(jobs=2)) \
-            != engine._fingerprint_for(par, engine.ctx.for_solve(jobs=3))
-        for level in ("sfs", "vsfs"):
-            stage = engine.stages[f"solve:{level}"]
-            assert stage.config_token(engine.ctx) == ""
-            assert engine._fingerprint_for(stage, engine.ctx) \
-                == engine._fingerprint_for(stage,
-                                           engine.ctx.for_solve(jobs=2))
-
-    def test_substrate_fingerprint_ignores_ablation_flags(self):
-        serial = make_engine()
-        sharded = Engine(StageContext(module=None, source=SRC,
-                                      language="c", jobs=2))
-        serial.ensure("svfg")
-        sharded.ensure("svfg")
-        assert serial.fingerprint("svfg") == sharded.fingerprint("svfg")
 
 
 class TestSolve:
@@ -164,7 +123,7 @@ class TestTrace:
         engine.solve("sfs")
         for record in engine.trace.to_dict():
             assert set(record) >= {"stage", "main_phase", "wall_s", "steps",
-                                   "cache", "cache_hit", "fingerprint"}
+                                   "cache", "cache_hit"}
 
     def test_stage_end_reports_collector_work(self, monkeypatch):
         import gc
@@ -261,11 +220,69 @@ class TestCollectorPause:
 
 
 class TestRegistry:
-    def test_default_stages_cover_every_solve_level(self):
-        stages = default_stages()
+    def test_registry_is_the_substrate(self):
+        """Solves are not stages: nothing caches or ensures them."""
+        assert list(default_stages()) == [
+            "parse", "prepare", "andersen", "modref", "memssa", "svfg",
+            "versioning"]
+        engine = make_engine()
         for level in SOLVE_LEVELS:
-            assert f"solve:{level}" in stages
+            with pytest.raises(AnalysisError, match="unknown stage"):
+                engine.ensure(f"solve:{level}")
 
-    def test_solve_stages_are_main_phase(self):
-        for name, stage in default_stages().items():
-            assert stage.main_phase == name.startswith("solve:")
+
+class TestIRHash:
+    """The IR hash is one value per pipeline, computed only to persist."""
+
+    @staticmethod
+    def _count_hashes(monkeypatch):
+        import sys
+
+        from repro.ir import fingerprint
+
+        original = fingerprint.module_fingerprint
+        calls = []
+
+        def counted(module):
+            calls.append(module)
+            return original(module)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "repro" or name.startswith("repro.")) and \
+                    getattr(module, "module_fingerprint", None) is original:
+                monkeypatch.setattr(module, "module_fingerprint", counted)
+        return calls
+
+    def test_storeless_solve_hashes_nothing(self, monkeypatch):
+        from repro.pipeline import AnalysisPipeline
+        from repro.runtime.degrade import solve_with_ladder
+
+        calls = self._count_hashes(monkeypatch)
+        pipeline = AnalysisPipeline.from_source(SRC)
+        result = solve_with_ladder(pipeline, "vsfs")
+        assert result.precision_level == "vsfs"
+        assert calls == []
+
+    def test_store_run_hashes_once_per_pipeline(self, monkeypatch, tmp_path,
+                                                capsys):
+        from repro.cli import main
+
+        program = tmp_path / "prog.c"
+        program.write_text(SRC)
+        store = str(tmp_path / "store")
+        calls = self._count_hashes(monkeypatch)
+        # A cold run (stage-cache miss and write, result-store miss and
+        # put, warm-slot capture), then a second analysis that hits the
+        # Andersen entry: one hash per run.
+        assert main(["-vfspta", "--store", store, str(program)]) == 0
+        assert len(calls) == 1
+        assert main(["-fspta", "--store", store, str(program)]) == 0
+        assert len(calls) == 2
+        capsys.readouterr()
+
+    def test_engine_memoises_the_hash(self):
+        from repro.store import ir_fingerprint
+
+        engine = make_engine()
+        assert engine.ir_hash() is engine.ir_hash()
+        assert engine.ir_hash() == ir_fingerprint(engine.ensure("prepare"))

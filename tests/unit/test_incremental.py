@@ -13,7 +13,6 @@ import pytest
 
 from repro.errors import CheckpointError
 from repro.incremental import (
-    DependencyMap,
     IncrementalStore,
     build_payload,
     node_dirty_closure,
@@ -131,13 +130,6 @@ class TestStableKeys:
 
 
 class TestDirtyClosure:
-    def test_function_closure_is_forward_reachability(self):
-        dep = DependencyMap({"a": {"b"}, "b": {"c"}, "c": set(),
-                             "d": set()})
-        assert dep.dirty_closure(["a"]) == {"a", "b", "c"}
-        assert dep.dirty_closure(["c"]) == {"c"}
-        assert dep.dirty_closure(["a", "d"]) == {"a", "b", "c", "d"}
-
     def test_node_closure_covers_seed_functions(self):
         pipeline = AnalysisPipeline.from_source(BASE)
         svfg = pipeline.svfg()

@@ -9,6 +9,7 @@ import json
 import os
 
 from repro.engine import STAGE_CACHE_SCHEMA, Engine, StageCache, StageContext
+from repro.store import result_key
 
 SRC = """
 int *g; int x; int y;
@@ -34,10 +35,10 @@ def _reseal_undecodable(path):
     return path
 
 
-def engine_with_cache(tmp_path, source=SRC, **ctx_kwargs):
+def engine_with_cache(tmp_path, source=SRC):
     cache = StageCache(str(tmp_path / "stages"))
     ctx = StageContext(module=None, source=source, language="c",
-                       cache=cache, **ctx_kwargs)
+                       cache=cache)
     return Engine(ctx), cache
 
 
@@ -48,7 +49,7 @@ class TestColdRun:
         assert cache.hits == 0
         assert cache.misses == len(CACHED_STAGES)
         for name in CACHED_STAGES:
-            path = cache.entry_path(name, engine.fingerprint(name))
+            path = cache.entry_path(name, engine.ir_hash())
             assert os.path.exists(path), name
         entries = sorted(os.listdir(cache.directory))
         assert len(entries) == len(CACHED_STAGES)
@@ -60,19 +61,21 @@ class TestColdRun:
         for name in REBUILT_STAGES:
             assert engine.stages[name].cache_mode is None, name
             assert engine.trace.record_for(name).cache is None, name
-            path = cache.entry_path(name, engine.fingerprint(name))
+            path = cache.entry_path(name, engine.ir_hash())
             assert not os.path.exists(path), name
 
     def test_entries_record_mode_and_fingerprint(self, tmp_path):
         engine, cache = engine_with_cache(tmp_path)
         engine.ensure("versioning")
         for name, mode in CACHED_STAGES.items():
-            path = cache.entry_path(name, engine.fingerprint(name))
+            path = cache.entry_path(name, engine.ir_hash())
+            assert os.path.basename(path).startswith(
+                f"stage-{name}-{result_key(engine.ir_hash(), name)[:40]}")
             with open(path) as handle:
                 doc = json.load(handle)
             assert doc["meta"]["stage"] == name
             assert doc["meta"]["mode"] == mode
-            assert doc["meta"]["fingerprint"] == engine.fingerprint(name)
+            assert doc["meta"]["ir_hash"] == engine.ir_hash()
 
 
 class TestWarmRun:
@@ -139,9 +142,18 @@ class TestInvalidation:
     def test_ablation_flags_do_not_invalidate_substrate(self, tmp_path):
         cold, _ = engine_with_cache(tmp_path)
         cold.ensure("versioning")
-        ablated, cache = engine_with_cache(tmp_path, jobs=2)
-        ablated.ensure("versioning")
+        ablated, cache = engine_with_cache(tmp_path)
+        ablated.solve("sfs-par", jobs=2, parallel_mode="inline")
         assert cache.hits == len(CACHED_STAGES)
+
+    def test_same_ir_from_different_text_hits(self, tmp_path):
+        cold, _ = engine_with_cache(tmp_path)
+        cold.ensure("andersen")
+        respaced, cache = engine_with_cache(
+            tmp_path, source=SRC + "\n/* same program */\n")
+        respaced.ensure("andersen")
+        assert cache.hits == len(CACHED_STAGES)
+        assert respaced.trace.record_for("andersen").cache == "codec"
 
 
 class TestCorruption:
@@ -152,7 +164,7 @@ class TestCorruption:
     def _cold_entry(self, tmp_path, stage):
         engine, cache = engine_with_cache(tmp_path)
         engine.ensure("versioning")
-        return cache.entry_path(stage, engine.fingerprint(stage))
+        return cache.entry_path(stage, engine.ir_hash())
 
     @staticmethod
     def _read_heal(engine):
@@ -219,7 +231,7 @@ class TestSelfHealing:
     def _cold_entry(self, tmp_path, stage):
         engine, cache = engine_with_cache(tmp_path)
         engine.ensure("versioning")
-        return cache.entry_path(stage, engine.fingerprint(stage))
+        return cache.entry_path(stage, engine.ir_hash())
 
     def test_garbage_entry_recomputes_and_restores(self, tmp_path):
         path = self._cold_entry(tmp_path, "andersen")
