@@ -141,7 +141,6 @@ class ObjectVersioning:
         self.yielded: Dict[int, Dict[int, int]] = {}
         #: (oid, src version) -> [dst versions]: deduplicated A-PROP work.
         self.constraints: Dict[Tuple[int, int], List[int]] = {}
-        self._constraint_set: Set[Tuple[int, int, int]] = set()
         self._version_counts: Dict[int, int] = {}
         # Raw label masks, kept only when run(release_masks=False).
         self.consumed_masks: Optional[List[Dict[int, int]]] = None
@@ -194,18 +193,22 @@ class ObjectVersioning:
         return self._version_counts.get(oid, 0)
 
     def add_constraint(self, oid: int, src_ver: int, dst_ver: int) -> bool:
-        """Register a constraint; return True if new."""
+        """Register a constraint; return True if new.  Deduplicated
+        against its source's list, which stays in first-seen order (the
+        lists are short: at most 9 on the suite)."""
         if src_ver == dst_ver:
             return False
-        key = (oid, src_ver, dst_ver)
-        if key in self._constraint_set:
+        dsts = self.constraints.get((oid, src_ver))
+        if dsts is None:
+            self.constraints[(oid, src_ver)] = [dst_ver]
+        elif dst_ver in dsts:
             return False
-        self._constraint_set.add(key)
-        self.constraints.setdefault((oid, src_ver), []).append(dst_ver)
+        else:
+            dsts.append(dst_ver)
         return True
 
     def num_constraints(self) -> int:
-        return len(self._constraint_set)
+        return sum(len(dsts) for dsts in self.constraints.values())
 
     # ----------------------------------------------------------- persistence
 

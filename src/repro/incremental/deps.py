@@ -149,8 +149,9 @@ def node_flow_graph(svfg) -> Dict[int, List[int]]:
     """
     graph: Dict[int, List[int]] = {}
     ind_succs = svfg.indirect_succs()
+    direct_row = svfg.row
     for nid in range(len(svfg.nodes)):
-        succs = set(svfg.direct_succs[nid])
+        succs = set(direct_row(nid))
         for dsts in ind_succs[nid].values():
             succs.update(dsts)
         succs.discard(nid)

@@ -32,7 +32,6 @@ from repro.incremental.deps import node_dirty_closure
 from repro.incremental.regions import region_digests
 from repro.ir.fingerprint import (
     FINGERPRINT_SCHEME,
-    module_fingerprint,
     module_function_fingerprints,
     node_keys,
     object_keys,
@@ -52,7 +51,8 @@ INCREMENTAL_KIND = "incremental-solution"
 #: Bumped whenever the slot layout changes.
 #: 2: slots are ``warm-<analysis>-p<0|1>`` and payloads drop ``delta``.
 #: 3: slots are ``warm-<analysis>`` and payloads drop ``ptrepo``.
-INCREMENTAL_SCHEMA = 3
+#: 4: payloads and slot metadata drop the unread ``module_fp``.
+INCREMENTAL_SCHEMA = 4
 
 
 # ------------------------------------------------------------------- stats
@@ -127,8 +127,7 @@ class WarmPlan:
 # ----------------------------------------------------------------- capture
 
 def build_payload(svfg, modref, result, node_in, node_out, flow,
-                  analysis: str, andersen=None,
-                  ir_hash: Optional[str] = None) -> Dict[str, Any]:
+                  analysis: str, andersen=None) -> Dict[str, Any]:
     """Encode a finished solve as a warm-start payload (JSON-clean).
 
     *svfg* must be the **substrate** graph (as built, before the solver's
@@ -136,15 +135,13 @@ def build_payload(svfg, modref, result, node_in, node_out, flow,
     digests computed on the other side's substrate.  *node_in* /
     *node_out* come from ``solver.export_node_memory()`` and *flow*
     from ``node_flow_graph`` over the solver's *solved* copy (which has
-    every on-the-fly edge wired in).  *ir_hash* is the module's
-    fingerprint when the caller already has it.
+    every on-the-fly edge wired in).
     """
     module = svfg.module
     digests = region_digests(svfg, modref, andersen)
     return {
         "fp_scheme": FINGERPRINT_SCHEME,
         "analysis": analysis,
-        "module_fp": ir_hash or module_fingerprint(module),
         "function_fps": module_function_fingerprints(module),
         "region_digests": digests,
         "flow": {str(nid): list(succs) for nid, succs in flow.items()},
@@ -200,7 +197,6 @@ class IncrementalStore:
         meta = {
             "analysis": payload["analysis"],
             "fp_scheme": payload["fp_scheme"],
-            "module_fp": payload["module_fp"],
         }
         path = self._path(slot)
         write_sealed_json(path, INCREMENTAL_KIND, INCREMENTAL_SCHEMA,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.datastructs.bitset import count_bits
 from repro.datastructs.worklist import FIFOWorkList
@@ -180,25 +180,24 @@ class ShardedSFS(SFSAnalysis):
     # ---------------------------------------------------------- edge exports
 
     def _split_all(self) -> None:
-        for oid, table in list(self.svfg.ind_edges.items()):
-            self._split_edges(oid, table)
+        for oid, table in list(self.svfg.edge_tables()):
+            self._split_edges(oid, table)  # writes the view's overlay
 
-    def _split_edges(self, oid: int, srcs: Iterable[int]) -> None:
-        """Move cross-worker successors of the owned *srcs* in *oid*'s
-        table to the export table."""
+    def _split_edges(self, oid: int, table: Dict[int, Tuple[int, ...]]) -> None:
+        """Move cross-worker successors of the owned sources in *table*
+        (``{src: dsts}`` of object *oid*) to the export table."""
         owned = self.owned
-        table = self.svfg.ind_edges.get(oid, {})
-        split = [src for src in srcs
-                 if owned[src] and not all(owned[dst] for dst in table[src])]
+        split = [src for src, dsts in table.items()
+                 if owned[src] and not all(owned[dst] for dst in dsts)]
         if not split:
             return
-        # The table is the build's: split this solver view's own copy.
-        table = self.svfg.own_table(oid)
         exports = self._export_succs.setdefault(oid, {})
         for src in split:
             dsts = table[src]
             exported = [dst for dst in dsts if not owned[dst]]
-            table[src] = tuple(dst for dst in dsts if owned[dst])
+            # The row is the build's: the owned part goes to the view.
+            self.svfg.replace_row(src, oid,
+                                  tuple(dst for dst in dsts if owned[dst]))
             seen = exports.get(src)
             if seen is None:
                 exports[src] = exported  # SVFG successor lists are deduped
@@ -210,12 +209,14 @@ class ShardedSFS(SFSAnalysis):
                           touched: List[int]) -> None:
         """connect_callsite may have appended cross-worker indirect edges
         (ActualIN→FormalIN / FormalOUT→ActualOUT) to owned sources."""
+        row = self.svfg.row
         for src, __, oid in self.svfg.call_edges(call, callee):
             if oid is not None and src in touched:
-                self._split_edges(oid, (src,))
+                self._split_edges(oid, {src: row(src, oid)})
 
-    def _propagate(self, node_id: int, oid: int, mask: int) -> None:
-        super()._propagate(node_id, oid, mask)
+    def _propagate(self, node_id: int, oid: int, mask: int,
+                   succs: Optional[Tuple[int, ...]] = None) -> None:
+        super()._propagate(node_id, oid, mask, succs)
         exports = self._export_succs.get(oid)
         if not exports or not mask:
             return

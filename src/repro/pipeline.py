@@ -7,7 +7,9 @@ so callers share the expensive substrate between SFS and VSFS runs —
 exactly how the paper benchmarks the two (auxiliary analysis and SVFG
 construction excluded from the timed main phase).  No solver mutates
 the shared SVFG or versioning: each reads the SVFG through its own view
-(:meth:`SVFG.copy`), which on-the-fly call resolution grows.
+(:meth:`SVFG.copy`), which shares every edge row and table with the
+build and keeps the rows on-the-fly call resolution grows in its own
+overlay (:attr:`SVFG.wired`).
 
 :func:`solve_stored` is the one *stored solve*: result-store lookup,
 warm-slot planning, the degradation ladder, the result put and the
@@ -305,7 +307,7 @@ def solve_stored(pipeline: AnalysisPipeline, analysis: str = "vsfs",
         slot = build_payload(
             pipeline.svfg(), pipeline.modref(), result, capture["node_in"],
             capture["node_out"], capture["flow"], analysis,
-            pipeline.andersen(), ir_hash=ir_hash())
+            pipeline.andersen())
         write("incremental_save", lambda: incremental.save(slot))
     return result, False
 

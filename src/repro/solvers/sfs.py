@@ -15,7 +15,7 @@ nodes holding equal sets share one int object.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
 from repro.datastructs.bitset import iter_bits
 from repro.ir.instructions import LoadInst, StoreInst
@@ -36,6 +36,9 @@ class SFSAnalysis(StagedSolverBase):
         # IN/OUT maps, lazily created per node id: {obj id -> stored mask}.
         self.in_sets: Dict[int, Dict[int, int]] = {}
         self.out_sets: Dict[int, Dict[int, int]] = {}
+        # The view's sources with wired rows (one set for the view's life),
+        # checked once per visited node.
+        self._wired_srcs = self.svfg.wired_srcs
 
     # ------------------------------------------------------------ propagation
 
@@ -46,17 +49,22 @@ class SFSAnalysis(StagedSolverBase):
             self.in_sets[node_id] = in_set
         return in_set
 
-    def _propagate(self, node_id: int, oid: int, mask: int) -> None:
+    def _propagate(self, node_id: int, oid: int, mask: int,
+                   succs: Optional[Tuple[int, ...]] = None) -> None:
         """A-PROP: push *mask* of object *oid* into successors' IN sets.
 
-        Eager: one union is applied (and counted) per successor, and a
-        successor is queued when its set grew.  *mask* is a stored entry,
-        so a successor whose set becomes equal to it shares the object.
+        *succs* is *node_id*'s row for *oid* when the caller read it
+        through the view's overlay (its node has wired rows, checked once
+        per visit); otherwise the built row is read here.  Eager: one
+        union is applied (and counted) per successor, and a successor is
+        queued when its set grew.  *mask* is a stored entry, so a
+        successor whose set becomes equal to it shares the object.
         """
         if not mask:
             return
-        table = self.svfg.ind_edges.get(oid)
-        succs = table.get(node_id) if table is not None else None
+        if succs is None:
+            table = self.svfg.ind_edges.get(oid)
+            succs = table.get(node_id) if table is not None else None
         if not succs:
             return
         faults = self.faults
@@ -99,6 +107,7 @@ class SFSAnalysis(StagedSolverBase):
         canon = self.canon
         gen = self.value_mask(inst.value)
         in_set = self.in_sets.get(node.id, {})
+        row = self.svfg.row if node.id in self._wired_srcs else None
         # The objects this store is responsible for are its χ annotations
         # (over-approximated by the auxiliary analysis) — they must flow
         # through even when the store does not (yet) write them.
@@ -121,15 +130,22 @@ class SFSAnalysis(StagedSolverBase):
                 entry = canon.setdefault(new, new)
             out_set[oid] = entry
             self.stats.unions += 1  # eager: union applied every visit
-            self._propagate(node.id, oid, entry)  # monotone OUT
+            self._propagate(node.id, oid, entry,  # monotone OUT
+                            row(node.id, oid) if row else None)
 
     def _process_mem_node(self, node: SVFGNode) -> None:
         """MEMPHI / ActualIN / ActualOUT / FormalIN / FormalOUT: OUT = IN."""
-        in_set = self.in_sets.get(node.id)
+        node_id = node.id
+        in_set = self.in_sets.get(node_id)
         if not in_set:
             return
+        if node_id in self._wired_srcs:
+            row = self.svfg.row
+            for oid, entry in in_set.items():
+                self._propagate(node_id, oid, entry, row(node_id, oid))
+            return
         for oid, entry in in_set.items():
-            self._propagate(node.id, oid, entry)
+            self._propagate(node_id, oid, entry)
 
     # ------------------------------------------------------- warm re-solve
 

@@ -16,7 +16,8 @@ Edges:
   uses.
 
 The built graph's edges are immutable and hold no per-node containers:
-direct rows are tuples, and indirect edges are stored object-major as
+the build makes each row once, as its final tuple; direct rows are one
+tuple per node, and indirect edges are stored object-major as
 ``SVFG.ind_edges[oid][src] = (dst, ...)`` — the layout versioning melds
 and SFS propagates over.  Node-major readers use
 :meth:`SVFG.indirect_succs` / :meth:`SVFG.indirect_preds`.
@@ -26,8 +27,10 @@ solvers resolve the call graph on the fly and call
 :meth:`SVFG.connect_callsite` when flow-sensitive analysis discovers a
 callee — the nodes that may acquire new incoming edges this way are the
 paper's *δ nodes* (Definition 3).  Each solver does so on its own
-:meth:`SVFG.copy` view, which copies an object's edge table before its
-first new edge and so never changes the built graph.
+:meth:`SVFG.copy` view, which shares every row, table and row list with
+the built graph and owns only its connected pairs and an overlay
+(:attr:`SVFG.wired`) of the rows it changed, each the built row plus
+the new edges; so a solve never changes the built graph.
 """
 
 from repro.svfg.nodes import (

@@ -30,6 +30,8 @@ from repro.svfg.nodes import (
     SVFGNode,
 )
 
+_NO_ROWS: Dict[int, Tuple[int, ...]] = {}
+
 
 @dataclass
 class SVFGStats:
@@ -47,18 +49,25 @@ class SVFGStats:
 class SVFG:
     """The sparse value-flow graph (see package docstring).
 
-    Edges are laid out once by :func:`build_svfg`; afterwards no shared
-    row or table is extended in place:
+    Edges are laid out once by :func:`build_svfg` and never change
+    afterwards:
 
     - :attr:`direct_succs` / :attr:`direct_preds` hold one tuple of node
       ids per node (nodes without direct edges share the empty tuple);
     - :attr:`ind_edges` is object-major, ``{oid: {src: (dst, ...)}}``,
       with sources ascending within each object and destinations in
-      build order (a view's on-the-fly edges follow them).  Versioning
-      melds one object's table at a time and SFS propagates along
-      ``ind_edges[oid][src]``; node-major readers use
-      :meth:`indirect_succs` / :meth:`indirect_preds`, which derive rows
-      from it on first use.
+      build order.  Versioning melds one object's table at a time and
+      SFS propagates along ``ind_edges[oid][src]``.
+
+    Edges wired later (:meth:`connect_callsite`) go to :attr:`wired`, an
+    overlay of whole rows laid out like the build's,
+    ``{oid or None: {src: (dst, ...)}}`` (None: direct rows): each row
+    is the built one plus the new destinations, and replaces it on this
+    graph (:attr:`wired_srcs` lists their sources, so a solver looks
+    the overlay up once per visited node).  :meth:`row` reads one row
+    through the overlay; node-major readers use :meth:`indirect_succs`
+    / :meth:`indirect_preds`, which derive rows from
+    :meth:`edge_tables` on first use.
     """
 
     def __init__(self, module: Module, andersen: AndersenResult, memssa: MemSSA):
@@ -72,6 +81,10 @@ class SVFG:
         self.direct_preds: List[Tuple[int, ...]] = []
         # Indirect (address-taken) edges: obj id -> src id -> dst ids.
         self.ind_edges: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        #: Rows replaced on this graph: obj id (None: direct) -> src -> dsts,
+        #: and the sources that have one.
+        self.wired: Dict[Optional[int], Dict[int, Tuple[int, ...]]] = {}
+        self.wired_srcs: Set[int] = set()
         # Per-call-site / per-function object nodes (obj id -> node id).
         self.actual_in: Dict[CallInst, Dict[int, int]] = {}
         self.actual_out: Dict[CallInst, Dict[int, int]] = {}
@@ -84,10 +97,7 @@ class SVFG:
         #: edges during on-the-fly call graph resolution.
         self.delta_nodes: Set[int] = set()
         self._connected: Set[Tuple[CallInst, Function]] = set()
-        # Object tables this graph copied and may extend; every other
-        # table may be shared with a view (see copy()).
-        self._owned: Set[int] = set()
-        # Node-major rows derived from ind_edges on first use.
+        # Node-major rows derived from edge_tables() on first use.
         self._succ_rows: Optional[List[Dict[int, Tuple[int, ...]]]] = None
         self._pred_rows: Optional[List[Sequence[Tuple[int, int]]]] = None
 
@@ -98,29 +108,58 @@ class SVFG:
         self.nodes.append(node)
         return node
 
-    def add_direct_edge(self, src: int, dst: int) -> bool:
-        """Add *src* → *dst* unless present, replacing both rows with
-        extended copies (safe on a :meth:`copy` view)."""
-        if dst in self.direct_succs[src]:
-            return False
-        self.direct_succs[src] += (dst,)
-        self.direct_preds[dst] += (src,)
-        return True
+    def row(self, src: int, oid: Optional[int] = None) -> Tuple[int, ...]:
+        """*src*'s successors along object *oid* (None: its direct
+        successors), this graph's wired edges included."""
+        rows = self.wired.get(oid)
+        if rows is not None:
+            dsts = rows.get(src)
+            if dsts is not None:
+                return dsts
+        if oid is None:
+            return self.direct_succs[src]
+        return self.ind_edges.get(oid, _NO_ROWS).get(src, ())
+
+    def replace_row(self, src: int, oid: Optional[int],
+                    dsts: Tuple[int, ...]) -> None:
+        """Make *dsts* *src*'s row for *oid* on this graph only (in
+        :attr:`wired`); drops the derived node-major rows."""
+        rows = self.wired.get(oid)
+        if rows is None:
+            rows = self.wired[oid] = {}
+        rows[src] = dsts
+        self.wired_srcs.add(src)
+        self._succ_rows = self._pred_rows = None
+
+    def edge_tables(self) -> Iterator[Tuple[int, Dict[int, Tuple[int, ...]]]]:
+        """``(oid, {src: dsts})`` per object, in :attr:`ind_edges` order,
+        with the wired rows applied (an object's table is merged into a
+        new dict only when a row of it was replaced)."""
+        wired = self.wired
+        for oid, table in self.ind_edges.items():
+            rows = wired.get(oid)
+            yield oid, table if rows is None else {**table, **rows}
+        for oid, rows in wired.items():
+            if oid is not None and oid not in self.ind_edges:
+                yield oid, rows
 
     def num_direct_edges(self) -> int:
-        return sum(len(succs) for succs in self.direct_succs)
+        direct = self.direct_succs
+        return sum(len(succs) for succs in direct) + sum(
+            len(dsts) - len(direct[src])
+            for src, dsts in self.wired.get(None, _NO_ROWS).items())
 
     def num_indirect_edges(self) -> int:
-        return sum(len(dsts) for table in self.ind_edges.values()
+        return sum(len(dsts) for __, table in self.edge_tables()
                    for dsts in table.values())
 
     def indirect_succs(self) -> List[Dict[int, Tuple[int, ...]]]:
         """Per node id, its outgoing indirect edges as ``{oid: dsts}``
-        (derived from :attr:`ind_edges` and cached; read-only)."""
+        (derived from :meth:`edge_tables` and cached; read-only)."""
         if self._succ_rows is None:
             empty: Dict[int, Tuple[int, ...]] = {}
             rows = [empty] * len(self.nodes)
-            for oid, table in self.ind_edges.items():
+            for oid, table in self.edge_tables():
                 for src, dsts in table.items():
                     row = rows[src]
                     if row is empty:
@@ -131,10 +170,10 @@ class SVFG:
 
     def indirect_preds(self) -> List[Sequence[Tuple[int, int]]]:
         """Per node id, the ``(src, oid)`` pairs of its incoming indirect
-        edges (derived from :attr:`ind_edges` and cached; read-only)."""
+        edges (derived from :meth:`edge_tables` and cached; read-only)."""
         if self._pred_rows is None:
             rows: List[Sequence[Tuple[int, int]]] = [()] * len(self.nodes)
-            for oid, table in self.ind_edges.items():
+            for oid, table in self.edge_tables():
                 for src, dsts in table.items():
                     for dst in dsts:
                         row = rows[dst]
@@ -190,54 +229,34 @@ class SVFG:
 
         Returns the node ids whose outputs must be (re)propagated — the
         sources of every newly created edge.  Used by the solvers when
-        on-the-fly call graph resolution discovers an edge.  It never
-        extends a row in place: direct rows are replaced by extended
-        copies, and an object's table is copied before its first new
-        edge (see :meth:`copy`).
+        on-the-fly call graph resolution discovers an edge.  Each new
+        edge replaces its source's row in :attr:`wired`; the built
+        layout is never written.
         """
         if (call, callee) in self._connected or callee.is_declaration:
             return []
         self._connected.add((call, callee))
         touched: List[int] = []
         for src, dst, oid in self.call_edges(call, callee):
-            if oid is None:
-                added = self.add_direct_edge(src, dst)
-            else:
-                dsts = self.ind_edges.get(oid, {}).get(src, ())
-                added = dst not in dsts
-                if added:
-                    self.own_table(oid)[src] = dsts + (dst,)
-            if added:
+            dsts = self.row(src, oid)
+            if dst not in dsts:
+                self.replace_row(src, oid, dsts + (dst,))
                 touched.append(src)
         return touched
-
-    def own_table(self, oid: int) -> Dict[int, Tuple[int, ...]]:
-        """This graph's private table of *oid*'s edges, copied from the
-        shared one the first time; drops the derived node-major rows."""
-        if oid not in self._owned:
-            self._owned.add(oid)
-            self.ind_edges[oid] = dict(self.ind_edges.get(oid, {}))
-        self._succ_rows = self._pred_rows = None
-        return self.ind_edges[oid]
 
     # ----------------------------------------------------------------- view
 
     def copy(self) -> "SVFG":
-        """A solver's private view: it shares nodes, tables and every
-        edge row and object table, and owns only the per-node lists of
-        direct rows, the object map and its connected pairs, so the
-        edges :meth:`connect_callsite` adds on it leave this graph
-        intact.
+        """A solver's private view: it shares nodes, tables, the direct
+        rows and the object map, and owns only its connected pairs and
+        its :attr:`wired` overlay, so the edges :meth:`connect_callsite`
+        adds on it leave this graph intact.
         """
         view = SVFG.__new__(SVFG)
         view.__dict__.update(self.__dict__)
-        view.direct_succs = list(self.direct_succs)
-        view.direct_preds = list(self.direct_preds)
-        view.ind_edges = dict(self.ind_edges)
         view._connected = set(self._connected)
-        # Every table is shared now: either graph copies before extending.
-        view._owned = set()
-        self._owned = set()
+        view.wired = {oid: dict(rows) for oid, rows in self.wired.items()}
+        view.wired_srcs = set(self.wired_srcs)
         return view
 
     # ---------------------------------------------------------------- stats
@@ -260,18 +279,17 @@ def build_svfg(module: Module, andersen: AndersenResult, memssa: MemSSA) -> SVFG
     """Assemble the SVFG (nodes, direct edges, indirect edges, δ set)."""
     svfg = SVFG(module, andersen, memssa)
     _create_nodes(svfg)
-    # Edge rows per label (None: direct), extended in place, deduplicated.
-    rows: Dict[Optional[int], Dict[int, List[int]]] = {None: {}}
+    # Edge rows per label (None: direct), each built as its final tuple
+    # (rows are short: one is replaced by its extension, deduplicated).
+    rows: Dict[Optional[int], Dict[int, Tuple[int, ...]]] = {None: {}}
 
     def add_edge(src: int, dst: int, oid: Optional[int] = None) -> None:
         table = rows.get(oid)
         if table is None:
             table = rows[oid] = {}
-        row = table.get(src)
-        if row is None:
-            table[src] = [dst]
-        elif dst not in row:
-            row.append(dst)
+        row = table.get(src, ())
+        if dst not in row:
+            table[src] = row + (dst,)
 
     _add_direct_edges(svfg, add_edge)
     _add_indirect_edges(svfg, add_edge)
@@ -281,22 +299,21 @@ def build_svfg(module: Module, andersen: AndersenResult, memssa: MemSSA) -> SVFG
     return svfg
 
 
-def _lay_out_edges(svfg: SVFG, rows: Dict[Optional[int], Dict[int, List[int]]]) -> None:
-    """Freeze the build's rows into the SVFG's immutable edge layout."""
+def _lay_out_edges(svfg: SVFG,
+                   rows: Dict[Optional[int], Dict[int, Tuple[int, ...]]]) -> None:
+    """Install the build's rows as the SVFG's edge layout: one row per
+    node for direct edges, each object's sources in ascending order."""
     num_nodes = len(svfg.nodes)
-    svfg.direct_succs = [()] * num_nodes
-    preds: Dict[int, List[int]] = {}
+    direct_succs: List[Tuple[int, ...]] = [()] * num_nodes
+    direct_preds: List[Tuple[int, ...]] = [()] * num_nodes
     for src, dsts in rows.pop(None).items():
-        svfg.direct_succs[src] = tuple(dsts)
+        direct_succs[src] = dsts
         for dst in dsts:
-            preds.setdefault(dst, []).append(src)
-    svfg.direct_preds = [()] * num_nodes
-    for dst, srcs in preds.items():
-        svfg.direct_preds[dst] = tuple(srcs)
-    svfg.ind_edges = {
-        oid: {src: tuple(dsts) for src, dsts in sorted(table.items())}
-        for oid, table in rows.items()
-    }
+            direct_preds[dst] += (src,)
+    svfg.direct_succs = direct_succs
+    svfg.direct_preds = direct_preds
+    for oid in list(rows):
+        svfg.ind_edges[oid] = dict(sorted(rows.pop(oid).items()))
 
 
 def _create_nodes(svfg: SVFG) -> None:

@@ -131,19 +131,18 @@ class TestSolverIsolation:
         pipeline = AnalysisPipeline.from_source(SRC)
         assert pipeline.vsfs().snapshot() == pipeline.vsfs().snapshot()
 
-    def test_svfg_view_shares_rows_not_row_lists(self):
+    def test_svfg_view_shares_every_row(self):
         pipeline = AnalysisPipeline.from_source(INDIRECT_SRC)
         base = pipeline.svfg()
         base_succs = base.indirect_succs()  # cached before the copy
         view = base.copy()
         assert view is not base
         assert view.nodes is base.nodes
-        assert view.direct_succs is not base.direct_succs
-        assert all(mine is theirs for mine, theirs
-                   in zip(view.direct_succs, base.direct_succs))
-        assert view.ind_edges is not base.ind_edges
-        assert all(view.ind_edges[oid] is table
-                   for oid, table in base.ind_edges.items())
+        assert view.direct_succs is base.direct_succs
+        assert view.direct_preds is base.direct_preds
+        assert view.ind_edges is base.ind_edges
+        assert view.wired == {} and view.wired is not base.wired
+        assert view.wired_srcs is not base.wired_srcs
         call = next(inst for inst in base.inst_node
                     if isinstance(inst, CallInst) and inst.is_indirect())
         target = pipeline.module.functions["cb1"]
@@ -151,19 +150,58 @@ class TestSolverIsolation:
         touched = view.connect_callsite(call, target)
         assert touched and view.is_connected(call, target)
         assert not base.is_connected(call, target)
-        assert view.num_indirect_edges() > base.num_indirect_edges()
-        # Copy-on-write per object: exactly the tables the new edges went
-        # into were copied, and the view's derived rows see the new edges.
-        wired = [(src, dst, oid) for src, dst, oid
-                 in view.call_edges(call, target) if oid is not None]
-        assert wired
-        copied = {oid for oid, table in view.ind_edges.items()
-                  if table is not base.ind_edges.get(oid)}
-        assert copied == {oid for __, __, oid in wired}
-        for src, dst, oid in wired:
+        # The overlay holds exactly the wired rows: each is the built row
+        # plus its new destination, and the build shows none of them.
+        edges = list(view.call_edges(call, target))
+        assert touched == [src for src, __, __ in edges]
+        expected = {}
+        for src, dst, oid in edges:
+            expected.setdefault(oid, {})[src] = base.row(src, oid) + (dst,)
+        assert view.wired == expected
+        assert view.wired_srcs == set(touched)
+        assert base.wired == {} and base.wired_srcs == set()
+        indirect = [(src, dst, oid) for src, dst, oid in edges
+                    if oid is not None]
+        assert indirect
+        assert view.num_indirect_edges() \
+            == base.num_indirect_edges() + len(indirect)
+        assert view.num_direct_edges() \
+            == base.num_direct_edges() + len(edges) - len(indirect)
+        for src, dst, oid in indirect:
             assert dst in view.indirect_succs()[src][oid]
+            assert (src, oid) in view.indirect_preds()[dst]
             assert dst not in base_succs[src].get(oid, ())
+            assert (src, oid) not in base.indirect_preds()[dst]
+        for src, dst, oid in edges:
+            if oid is None:
+                assert dst in view.row(src) and dst not in base.row(src)
         assert base.indirect_succs() is base_succs
+
+    @pytest.mark.parametrize("program", ["indirect", "tmux"])
+    def test_solved_view_flow_adds_resolved_call_edges(self, program):
+        """A solved view's node flow is the built graph's plus the edges
+        of every call the solve resolved (the daemon's warm capture)."""
+        from repro.bench.workloads import suite_program
+        from repro.core.vsfs import VSFSAnalysis
+        from repro.incremental.deps import node_flow_graph
+        from repro.solvers.sfs import SFSAnalysis
+
+        pipeline = (AnalysisPipeline.from_source(INDIRECT_SRC)
+                    if program == "indirect"
+                    else AnalysisPipeline(suite_program(program)))
+        svfg = pipeline.svfg()
+        built = node_flow_graph(svfg)
+        for solver in (SFSAnalysis(svfg),
+                       VSFSAnalysis(svfg, pipeline.versioning())):
+            assert solver.run().stats.indirect_calls_resolved > 0
+            expected = {nid: set(succs) for nid, succs in built.items()}
+            for call, callee in solver.callgraph.call_edges():
+                for src, dst, __ in svfg.call_edges(call, callee):
+                    if src != dst:
+                        expected.setdefault(src, set()).add(dst)
+            assert node_flow_graph(solver.svfg) == {
+                nid: sorted(succs) for nid, succs in expected.items()}
+        assert node_flow_graph(svfg) == built
 
 
 @pytest.fixture

@@ -263,6 +263,20 @@ class TestIRHash:
         assert result.precision_level == "vsfs"
         assert calls == []
 
+    def test_storeless_warm_capture_hashes_nothing(self, monkeypatch):
+        from repro.incremental import IncrementalStore
+        from repro.pipeline import AnalysisPipeline, solve_stored
+
+        calls = self._count_hashes(monkeypatch)
+        incremental = IncrementalStore()
+        for __ in range(2):  # a cold capture, then a warm start from it
+            pipeline = AnalysisPipeline.from_source(SRC)
+            result, hit = solve_stored(pipeline, "vsfs",
+                                       incremental=incremental)
+            assert not hit and result.precision_level == "vsfs"
+        assert incremental.load("vsfs") is not None
+        assert calls == []
+
     def test_store_run_hashes_once_per_pipeline(self, monkeypatch, tmp_path,
                                                 capsys):
         from repro.cli import main
